@@ -8,35 +8,28 @@ Config is a single JSON document with flat sections {target, sampler, run};
 every field has a default (see DEFAULT_CONFIG) tuned to the desk-scale
 8x8-grid comparison. Output CSVs are comma-delimited with a header row,
 '%.17g' floats and LF line endings so reruns with the same config and
-seed are byte-identical.
+seed are byte-identical. Chains run one after another; chain c draws from
+the stream ``np.random.default_rng([seed, c])``.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error; see EXIT_CODES.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
-from . import diagnostics, linalg, samplers, targets
-from .diagnostics import CredibleBand
-from .linalg import NotPositiveDefinite, RepairFailed
-from .samplers import (
-    METHODS,
-    ChainRecord,
-    FixedSpd,
-    LocalHessian,
-    SamplerConfig,
-    ScaledIdentity,
-)
+from . import diagnostics, linalg, samplers
+from .diagnostics import CredibleBand, ZeroVariance
+from .linalg import DimensionMismatch, NotPositiveDefinite, RepairFailed
+from .samplers import METHODS, FixedSpd, LocalHessian, SamplerConfig, ScaledIdentity
 from .targets import LogNormalField, build_grid_covariance
 
 EXIT_OK = 0
@@ -45,8 +38,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 # Step sizes for the synthetic desk-scale target (8x8 grid, d = 64).
-# The full-scale values (DEFAULT_DT) assume the original problem; the
-# MH and HMC steps are rescaled so every method accepts at >= 0.5 on the
+# The MH and HMC steps are rescaled so every method accepts at >= 0.5 on the
 # default target (calibrated empirically; the Hessian-informed steps
 # keep their 0.3).
 DESK_DT = {"MH": 5e-5, "HMC": 3e-4, "HMAP_HMC": 0.3, "HLOCAL_HMC": 0.3}
@@ -89,13 +81,53 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Integer settings and the least value each may take. correlation_time needs
+# 10 samples, credible_band 2, and numpy seeds are non-negative.
+INT_MIN = {
+    ("target", "rows"): 1,
+    ("target", "cols"): 1,
+    ("sampler", "leapfrog_steps"): 1,
+    ("sampler", "n_samples"): 10,
+    ("sampler", "burn_in"): 0,
+    ("sampler", "seed"): 0,
+    ("sampler", "thin"): 1,
+    ("sampler", "band_samples"): 2,
+    ("run", "chains"): 1,
+}
+
 
 class ConfigError(Exception):
     """Bad or inconsistent run configuration."""
 
 
+# Exit code of each known failure; any other exception keeps its traceback.
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    DimensionMismatch: EXIT_CONFIG,
+    NotPositiveDefinite: EXIT_NUMERICAL,
+    RepairFailed: EXIT_NUMERICAL,
+    ZeroVariance: EXIT_NUMERICAL,
+    OSError: EXIT_IO,
+}
+
+
+def _exit_code(command):
+    """Make command return its own code, or the exit code of a known failure."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except tuple(EXIT_CODES) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            kind = next(k for k in type(exc).__mro__ if k in EXIT_CODES)
+            return EXIT_CODES[kind]
+
+    return guarded
+
+
 def load_config(path: str | None) -> dict:
-    """Merge a JSON config file over the defaults."""
+    """Merge a JSON config file over the defaults and validate the result."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -120,8 +152,19 @@ def load_config(path: str | None) -> dict:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-    if cfg["run"]["chains"] < 1:
-        raise ConfigError("run.chains must be >= 1")
+    for (section, key), least in INT_MIN.items():
+        value = cfg[section][key]
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int or value < least:
+            raise ConfigError(
+                f"{section}.{key} must be an integer >= {least}, got {value!r}"
+            )
+        cfg[section][key] = value
+    dt = cfg["sampler"]["dt"]
+    for value in dt.values() if isinstance(dt, dict) else [dt]:
+        if type(value) not in (int, float) or not value > 0:
+            raise ConfigError(f"sampler.dt must be positive, got {value!r}")
     return cfg
 
 
@@ -145,27 +188,22 @@ def build_target(cfg: dict) -> LogNormalField:
                 if t["m_csv"] is not None
                 else np.full(sigma_mat.shape[0], float(t["m_value"]))
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read target CSV: {exc}") from exc
         sigma = linalg.factorize(sigma_mat)
-        dim = sigma.dim
-        return LogNormalField(m=m, sigma=sigma, grid_shape=(1, dim))
-    rows, cols = int(t["rows"]), int(t["cols"])
+        return LogNormalField(m=m, sigma=sigma, grid_shape=(1, sigma.dim))
+    rows, cols = t["rows"], t["cols"]
+    extent = (float(t["extent_m"][0]), float(t["extent_m"][1]))
     sigma = build_grid_covariance(
         rows,
         cols,
-        (float(t["extent_m"][0]), float(t["extent_m"][1])),
+        extent,
         float(t["lengthscale_m"]),
         float(t["variance"]),
         float(t["nugget"]),
     )
     m = np.full(rows * cols, float(t["m_value"]))
-    return LogNormalField(
-        m=m,
-        sigma=sigma,
-        grid_shape=(rows, cols),
-        extent_m=(float(t["extent_m"][0]), float(t["extent_m"][1])),
-    )
+    return LogNormalField(m=m, sigma=sigma, grid_shape=(rows, cols), extent_m=extent)
 
 
 def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
@@ -200,167 +238,92 @@ def _mass_spec_for(method: str, cfg: dict, target: LogNormalField):
     return ScaledIdentity(float(s["beta"]))
 
 
-def _run_one_chain(target, mass_spec, scfg: SamplerConfig, init, chain_idx: int):
-    rng = np.random.default_rng(scfg.seed ^ chain_idx)
-    return samplers.run_chain(target, mass_spec, scfg, init, rng)
+def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
+    """Create the output directory, build the target and write map.csv."""
+    out_dir = Path(cfg["run"]["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    target = build_target(cfg)
+    theta_map = target.map_point()
+    write_csv(out_dir / "map.csv", ["coordinate", "theta_map"], enumerate(theta_map))
+    return out_dir, target, theta_map
 
 
+@_exit_code
 def run_experiment(cfg: dict) -> int:
     """Execute the configured comparison; write all CSV artifacts.
 
     Returns a process exit code (see module docstring).
     """
-    out_dir = Path(cfg["run"]["output_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: output stage: cannot create {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        target = build_target(cfg)
-        theta_map = target.map_point()
-    except ConfigError as exc:
-        print(f"error: config stage: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotPositiveDefinite, RepairFailed) as exc:
-        print(f"error: target build stage: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    write_csv(
-        out_dir / "map.csv",
-        ["coordinate", "theta_map"],
-        ((i, v) for i, v in enumerate(theta_map)),
-    )
-
+    out_dir, target, theta_map = _setup(cfg)
     s = cfg["sampler"]
-    methods = cfg["run"]["methods"]
-    n_chains = int(cfg["run"]["chains"])
-    workers = max(1, int(os.environ.get("HESSMC_THREADS", "1")))
 
-    jobs = []
-    try:
-        for method in methods:
-            scfg = SamplerConfig(
-                method=method,
-                dt=method_dt(cfg, method),
-                leapfrog_steps=int(s["leapfrog_steps"]),
-                n_samples=int(s["n_samples"]),
-                burn_in=int(s["burn_in"]),
-                seed=int(s["seed"]),
-                include_logdet=bool(s["include_logdet"]),
-            )
-            mass_spec = _mass_spec_for(method, cfg, target)
-            for chain in range(n_chains):
-                jobs.append((method, chain, mass_spec, scfg))
-    except (NotPositiveDefinite, RepairFailed) as exc:
-        print(f"error: target build stage: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    try:
-        if workers == 1:
-            records = [
-                _run_one_chain(target, spec, scfg, theta_map, chain)
-                for (_, chain, spec, scfg) in jobs
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(
-                    pool.map(
-                        lambda j: _run_one_chain(target, j[2], j[3], theta_map, j[1]),
-                        jobs,
-                    )
-                )
-    except (NotPositiveDefinite, RepairFailed) as exc:
-        print(f"error: chain run stage: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    by_method: dict[str, list[tuple[int, ChainRecord]]] = {m: [] for m in methods}
-    for (method, chain, _, _), rec in zip(jobs, records):
-        by_method[method].append((chain, rec))
+    # resolve every method first, so a config error costs no sampling
+    plans = []
+    for method in cfg["run"]["methods"]:
+        scfg = SamplerConfig(
+            method=method,
+            dt=method_dt(cfg, method),
+            leapfrog_steps=s["leapfrog_steps"],
+            n_samples=s["n_samples"],
+            burn_in=s["burn_in"],
+            seed=s["seed"],
+            include_logdet=s["include_logdet"],
+        )
+        plans.append((method, scfg, _mass_spec_for(method, cfg, target)))
 
     band_ref = exact_band(target, float(s["credible_mass"]))
     summary_rows = []
-    try:
-        for method in methods:
-            chain_recs = by_method[method]
-            diag_rows = []
-            rho_rows = []
-            for chain, rec in chain_recs:
-                d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
-                lam = rec.repair_lambdas
-                diag_rows.append(
-                    (
-                        chain,
-                        d.acceptance_rate,
-                        d.tau,
-                        d.n_eff,
-                        float(lam.max()) if lam is not None else 0.0,
-                    )
+    for method, scfg, mass_spec in plans:
+        records = []
+        for chain in range(cfg["run"]["chains"]):
+            rng = np.random.default_rng([scfg.seed, chain])
+            records.append(samplers.run_chain(target, mass_spec, scfg, theta_map, rng))
+        diag_rows = []
+        rho_rows = []
+        for chain, rec in enumerate(records):
+            d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
+            lam = float(rec.repair_lambdas.max())
+            diag_rows.append((chain, d.acceptance_rate, d.tau, d.n_eff, lam))
+            rho_rows.extend((chain, t, r) for t, r in enumerate(d.rho, start=1))
+            if s["store_samples"]:
+                thinned = rec.samples[:: s["thin"]]
+                write_csv(
+                    out_dir / f"samples_{method}_{chain}.csv",
+                    [f"x{i}" for i in range(thinned.shape[1])],
+                    thinned,
                 )
-                for t, r in enumerate(d.rho, start=1):
-                    rho_rows.append((chain, t, r))
-                if s["store_samples"]:
-                    thin = max(1, int(s["thin"]))
-                    thinned = rec.samples[::thin]
-                    write_csv(
-                        out_dir / f"samples_{method}_{chain}.csv",
-                        [f"x{i}" for i in range(thinned.shape[1])],
-                        thinned,
-                    )
-            write_csv(
-                out_dir / f"diag_{method}.csv",
-                ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],
-                diag_rows,
-            )
-            write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"], rho_rows)
+        write_csv(
+            out_dir / f"diag_{method}.csv",
+            ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],
+            diag_rows,
+        )
+        write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"], rho_rows)
 
-            n_band = min(int(s["band_samples"]), chain_recs[0][1].samples.shape[0])
-            band = diagnostics.credible_band(
-                chain_recs[0][1].samples[:n_band], float(s["credible_mass"])
-            )
-            write_csv(
-                out_dir / f"band_{method}.csv",
-                ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],
-                (
-                    (i, band.lower[i], band.upper[i], band_ref.lower[i], band_ref.upper[i])
-                    for i in range(target.dim)
-                ),
-            )
+        band_samples = records[0].samples[: s["band_samples"]]
+        band = diagnostics.credible_band(band_samples, float(s["credible_mass"]))
+        write_csv(
+            out_dir / f"band_{method}.csv",
+            ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],
+            (
+                (i, band.lower[i], band.upper[i], band_ref.lower[i], band_ref.upper[i])
+                for i in range(target.dim)
+            ),
+        )
 
-            acce = float(np.mean([r[1] for r in diag_rows]))
-            tau = float(np.mean([r[2] for r in diag_rows]))
-            n_eff = float(np.mean([r[3] for r in diag_rows]))
-            summary_rows.append((method, acce, tau, n_eff))
-            print(f"{method}: acce={acce:.3f} tau={tau:.2f} n_eff={n_eff:.1f}")
-    except OSError as exc:
-        print(f"error: write stage: {exc}", file=sys.stderr)
-        return EXIT_IO
+        acce = float(np.mean([r[1] for r in diag_rows]))
+        tau = float(np.mean([r[2] for r in diag_rows]))
+        n_eff = float(np.mean([r[3] for r in diag_rows]))
+        summary_rows.append((method, acce, tau, n_eff))
+        print(f"{method}: acce={acce:.3f} tau={tau:.2f} n_eff={n_eff:.1f}")
 
     write_csv(out_dir / "summary.csv", ["method", "acce", "tau", "n_eff"], summary_rows)
     return EXIT_OK
 
 
+@_exit_code
 def write_map(cfg: dict) -> int:
-    out_dir = Path(cfg["run"]["output_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = build_target(cfg)
-        theta_map = target.map_point()
-        write_csv(
-            out_dir / "map.csv",
-            ["coordinate", "theta_map"],
-            ((i, v) for i, v in enumerate(theta_map)),
-        )
-    except ConfigError as exc:
-        print(f"error: config stage: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NotPositiveDefinite, RepairFailed) as exc:
-        print(f"error: target build stage: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: write stage: {exc}", file=sys.stderr)
-        return EXIT_IO
+    """Write map.csv only. Returns a process exit code."""
+    _setup(cfg)
     return EXIT_OK
 
 
@@ -387,20 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_exit_code
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: config parse stage: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "out", None):
+    cfg = load_config(args.config)
+    if args.out:
         cfg["run"]["output_dir"] = args.out
     if args.command == "map":
         return write_map(cfg)
     if args.method:
         cfg["run"]["methods"] = list(dict.fromkeys(args.method))
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg["sampler"]["seed"] = args.seed
     return run_experiment(cfg)
 

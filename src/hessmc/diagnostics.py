@@ -23,7 +23,6 @@ class ChainDiagnostics:
     rho: np.ndarray
     tau: float
     n_eff: float
-    summary_scalar: str = "spatial_average"
 
 
 @dataclass(frozen=True)

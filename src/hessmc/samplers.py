@@ -1,20 +1,21 @@
 """MCMC kernels: random-walk MH, HMC, Hessian-at-MAP HMC, frozen-local-Hessian HMC.
 
-All four kernels share the Metropolis accept/reject machinery; the three
-Hamiltonian kernels share the explicit leapfrog integrator. The
-frozen-local-Hessian kernel recomputes the mass matrix from the target
-Hessian at the start of every trajectory and keeps it constant during
-the leapfrog steps, with both endpoint log-determinant terms retained in
-the acceptance ratio. That scheme is not an exact detailed-balance kernel
-(the reverse trajectory would freeze the other endpoint's Hessian); it is
-implemented as specified and the log-det terms can be disabled for
-ablation via ``include_logdet=False``.
+All four kernels share the Metropolis accept/reject machinery. The three
+Hamiltonian kernels are one transition that differs only in its mass
+policy: HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian
+at the MAP), HLOCAL_HMC recomputes the mass from the target Hessian at the
+start of every trajectory and keeps it constant during the leapfrog steps,
+with both endpoint log-determinant terms retained in the acceptance ratio.
+That scheme is not an exact detailed-balance kernel (the reverse trajectory
+would freeze the other endpoint's Hessian); it is implemented as specified
+and the log-det terms can be disabled for ablation via
+``include_logdet=False``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -34,10 +35,6 @@ class ConfigMismatch(Exception):
 
 
 METHODS = ("MH", "HMC", "HMAP_HMC", "HLOCAL_HMC")
-
-# Fixed step sizes used for the full-scale comparison: MH 0.01, HMC 0.15,
-# HMAP 0.3, HLOCAL 0.3. Desk-scale configs rescale these (see cli module).
-DEFAULT_DT = {"MH": 0.01, "HMC": 0.15, "HMAP_HMC": 0.3, "HLOCAL_HMC": 0.3}
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,8 @@ class ChainRecord:
 
     samples: np.ndarray
     accept_flags: np.ndarray
-    potentials: np.ndarray
-    repair_lambdas: Optional[np.ndarray] = None
+    potentials: np.ndarray  # potentials[i] == J(samples[i])
+    repair_lambdas: np.ndarray  # mass jitter per transition; 0 for a constant mass
 
 
 def mh_propose(theta: np.ndarray, dt: float, rng: np.random.Generator) -> np.ndarray:
@@ -180,14 +177,50 @@ def _kinetic(p: np.ndarray, mass: SpdFactor) -> float:
     return 0.5 * float(p @ solve(mass, p))
 
 
-def _mh_step(theta, target, cfg, rng):
-    proposal = mh_propose(theta, cfg.dt, rng)
-    j_cur = target.potential(theta)
+def _mh_step(theta, j_cur, target, dt, rng):
+    proposal = mh_propose(theta, dt, rng)
     j_prop = target.potential(proposal)
     # symmetric proposal: dq = 0 identically
     if mh_accept(j_cur, j_prop, 0.0, rng.uniform()):
-        return proposal, True
-    return theta, False
+        return proposal, j_prop, True, 0.0
+    return theta, j_cur, False, 0.0
+
+
+def _hamiltonian_step(theta, j_cur, target, mass_at, cfg, rng):
+    """One Hamiltonian transition (theta, J) -> (theta, J, accepted, lam).
+
+    The mass policy mass_at(position) -> (SpdFactor, lam) fixes the mass
+    for the trajectory at the current point and gives the endpoint mass of
+    the acceptance ratio; for a constant policy the log-det term is 0.0.
+    A RepairFailed at the current point propagates; at the endpoint it
+    rejects, like an out-of-domain divergence.
+    """
+    mass, lam = mass_at(theta)
+    p0 = sample_gaussian(mass, rng)
+    end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps)
+    if not target.in_domain(end.position):
+        rng.uniform()  # keep the stream aligned with the accepted path
+        return theta, j_cur, False, lam
+    try:
+        mass_end, _ = mass_at(end.position)
+    except RepairFailed:
+        rng.uniform()
+        return theta, j_cur, False, lam
+    j_end = target.potential(end.position)
+    delta = (j_cur - j_end) + (_kinetic(p0, mass) - _kinetic(end.momentum, mass_end))
+    if cfg.include_logdet:
+        delta += 0.5 * (mass.log_det - mass_end.log_det)
+    if delta >= 0.0 or rng.uniform() < np.exp(delta):
+        return end.position, j_end, True, lam
+    return theta, j_cur, False, lam
+
+
+def _constant_mass(mass: SpdFactor):
+    return lambda theta: (mass, 0.0)
+
+
+def _local_mass(target: TargetModel, floor: float):
+    return lambda theta: repair_to_pd(target.hessian(theta), floor)
 
 
 def hmc_step(
@@ -197,19 +230,10 @@ def hmc_step(
     cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, bool]:
-    """One constant-mass HMC transition; log-det terms cancel and are skipped."""
-    p0 = sample_gaussian(mass, rng)
-    start = PhaseState(position=theta, momentum=p0)
-    end = leapfrog(start, target, mass, cfg.dt, cfg.leapfrog_steps)
-    if not target.in_domain(end.position):
-        rng.uniform()  # keep the stream aligned with the accepted path
-        return theta, False
-    delta = (target.potential(theta) - target.potential(end.position)) + (
-        _kinetic(p0, mass) - _kinetic(end.momentum, mass)
-    )
-    if delta >= 0.0 or rng.uniform() < np.exp(delta):
-        return end.position, True
-    return theta, False
+    """One constant-mass HMC transition."""
+    j, mass_at = target.potential(theta), _constant_mass(mass)
+    theta, _, accepted, _ = _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
+    return theta, accepted
 
 
 def hlocal_step(
@@ -219,38 +243,13 @@ def hlocal_step(
     cfg: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, bool, float]:
-    """One frozen-local-Hessian transition.
-
-    The mass matrix is the (PD-repaired) Hessian at the current point,
-    held constant over the trajectory; the acceptance ratio re-evaluates
-    the Hessian at the endpoint and keeps both 0.5*log|G| terms.
-
-    A RepairFailed at the current point propagates (the chain state is
-    unusable); at the trajectory endpoint it rejects the proposal instead,
-    the same treatment as an out-of-domain divergence.
+    """One frozen-local-Hessian transition; the mass is the PD-repaired Hessian.
 
     Returns (next position, accepted, jitter used at the start point).
     """
-    mass, lam = repair_to_pd(target.hessian(theta), pd_floor)
-    p0 = sample_gaussian(mass, rng)
-    start = PhaseState(position=theta, momentum=p0)
-    end = leapfrog(start, target, mass, cfg.dt, cfg.leapfrog_steps)
-    if not target.in_domain(end.position):
-        rng.uniform()
-        return theta, False, lam
-    try:
-        mass_end, _ = repair_to_pd(target.hessian(end.position), pd_floor)
-    except RepairFailed:
-        rng.uniform()
-        return theta, False, lam
-    delta = (target.potential(theta) - target.potential(end.position)) + (
-        _kinetic(p0, mass) - _kinetic(end.momentum, mass_end)
-    )
-    if cfg.include_logdet:
-        delta += 0.5 * (mass.log_det - mass_end.log_det)
-    if delta >= 0.0 or rng.uniform() < np.exp(delta):
-        return end.position, True, lam
-    return theta, False, lam
+    j, mass_at = target.potential(theta), _local_mass(target, pd_floor)
+    theta, _, accepted, lam = _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
+    return theta, accepted, lam
 
 
 def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float]:
@@ -260,6 +259,26 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
     D = diag(theta_MAP), which is PD, so the repair is a no-op (lam = 0).
     """
     return repair_to_pd(target.hessian(target.map_point()), pd_floor)
+
+
+def _transition(target: TargetModel, mass_spec: MassSpec, cfg: SamplerConfig, rng):
+    """The chain's transition (theta, J) -> (theta, J, accepted, lam)."""
+    method = cfg.method
+    if method == "MH":
+        return lambda theta, j: _mh_step(theta, j, target, cfg.dt, rng)
+    if method == "HMAP_HMC" and not isinstance(mass_spec, FixedSpd):
+        raise ConfigMismatch("HMAP_HMC requires a FixedSpd mass")
+    if method == "HLOCAL_HMC" and not isinstance(mass_spec, LocalHessian):
+        raise ConfigMismatch("HLOCAL_HMC requires a LocalHessian mass")
+    if method == "HMC" and isinstance(mass_spec, LocalHessian):
+        raise ConfigMismatch("HMC requires a constant mass")
+    if isinstance(mass_spec, LocalHessian):
+        mass_at = _local_mass(target, mass_spec.floor)
+    elif isinstance(mass_spec, FixedSpd):
+        mass_at = _constant_mass(mass_spec.factor)
+    else:
+        mass_at = _constant_mass(factorize(mass_spec.beta * np.eye(target.dim)))
+    return lambda theta, j: _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
 
 
 def run_chain(
@@ -278,45 +297,20 @@ def run_chain(
     init = np.asarray(init, dtype=float)
     if not target.in_domain(init):
         raise ValueError("initial position is outside the target domain")
-    method = cfg.method
-    if method == "HMAP_HMC" and not isinstance(mass_spec, FixedSpd):
-        raise ConfigMismatch("HMAP_HMC requires a FixedSpd mass")
-    if method == "HLOCAL_HMC" and not isinstance(mass_spec, LocalHessian):
-        raise ConfigMismatch("HLOCAL_HMC requires a LocalHessian mass")
-    if method == "HMC" and isinstance(mass_spec, LocalHessian):
-        raise ConfigMismatch("HMC requires a constant mass")
+    step = _transition(target, mass_spec, cfg, rng)
 
-    mass: Optional[SpdFactor] = None
-    if method in ("HMC", "HMAP_HMC"):
-        if isinstance(mass_spec, FixedSpd):
-            mass = mass_spec.factor
-        else:
-            mass = factorize(mass_spec.beta * np.eye(target.dim))
-
-    total = cfg.burn_in + cfg.n_samples
-    dim = target.dim
-    samples = np.empty((cfg.n_samples, dim))
+    samples = np.empty((cfg.n_samples, target.dim))
     accept_flags = np.empty(cfg.n_samples, dtype=bool)
     potentials = np.empty(cfg.n_samples)
-    lambdas = np.empty(cfg.n_samples) if method == "HLOCAL_HMC" else None
+    lambdas = np.empty(cfg.n_samples)
 
-    theta = init.copy()
-    for k in range(total):
-        if method == "MH":
-            theta, accepted = _mh_step(theta, target, cfg, rng)
-            lam = 0.0
-        elif method == "HLOCAL_HMC":
-            theta, accepted, lam = hlocal_step(theta, target, mass_spec.floor, cfg, rng)
-        else:
-            theta, accepted = hmc_step(theta, target, mass, cfg, rng)
-            lam = 0.0
-        idx = k - cfg.burn_in
-        if idx >= 0:
-            samples[idx] = theta
-            accept_flags[idx] = accepted
-            potentials[idx] = target.potential(theta)
-            if lambdas is not None:
-                lambdas[idx] = lam
+    theta, j = init.copy(), target.potential(init)
+    for _ in range(cfg.burn_in):
+        theta, j, _, _ = step(theta, j)
+    for i in range(cfg.n_samples):
+        theta, j, accept_flags[i], lambdas[i] = step(theta, j)
+        samples[i] = theta
+        potentials[i] = j
     return ChainRecord(
         samples=samples,
         accept_flags=accept_flags,

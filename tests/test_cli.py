@@ -15,6 +15,7 @@ from hessmc.cli import (
     method_dt,
 )
 from hessmc.linalg import factorize
+from hessmc.samplers import METHODS
 from hessmc.targets import LogNormalField
 
 
@@ -178,15 +179,21 @@ class TestRunCommand:
         assert (tmp_path / "m" / "diag_HMC.csv").exists()
         assert not (tmp_path / "m" / "diag_MH.csv").exists()
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        cfg_path = small_config(tmp_path, run={"chains": 2})
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("HESSMC_THREADS", "4")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "par")])
-        for name in ("samples_MH_0.csv", "samples_MH_1.csv", "summary.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "par" / name
-            ).read_bytes()
+    def test_chain_streams_independent(self, tmp_path):
+        one = small_config(tmp_path, run={"chains": 1})
+        main(["run", "--config", str(one), "--out", str(tmp_path / "one")])
+        two = small_config(tmp_path, run={"chains": 2})
+        for seed in ("7", "0", "1"):
+            main(["run", "--config", str(two), "--seed", seed,
+                  "--out", str(tmp_path / f"s{seed}")])
+
+        def samples(run, chain):
+            return (tmp_path / run / f"samples_MH_{chain}.csv").read_bytes()
+
+        # stream [seed, 0] is the stream of seed alone (small_config's seed is 7)
+        assert samples("one", 0) == samples("s7", 0)
+        # (seed 0, chain 1) and (seed 1, chain 0) are different streams
+        assert samples("s0", 1) != samples("s1", 0)
 
 
 class TestMapCommand:
@@ -199,3 +206,36 @@ class TestMapCommand:
         assert len(lines) == 5
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(v > 0 for v in values)
+
+
+@pytest.mark.parametrize(
+    "sections, args, code",
+    [
+        # the default methods need a dt for every method
+        ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, [], 2),
+        ({"sampler": {"dt": 0.0}}, [], 2),
+        ({"sampler": {"dt": {"MH": -1}}}, [], 2),
+        ({"sampler": {"n_samples": "abc"}}, [], 2),
+        ({"sampler": {"n_samples": 5}}, [], 2),
+        ({"run": {"chains": "2"}}, [], 2),
+        ({"target": {"rows": 0}}, [], 2),
+        ({}, ["--seed", "-1"], 2),
+        ({"sampler": {"thin": 0}}, [], 2),
+        ({"target": {"sigma_csv": "asym.csv"}}, [], 2),
+        ({"target": {"sigma_csv": "text.csv"}}, [], 2),
+        # every proposal is rejected, so the chain never moves
+        ({"sampler": {"dt": 1000.0}}, [], 3),
+    ],
+    ids=["dt-missing", "dt-zero", "dt-negative", "n-samples-text", "n-samples-short",
+         "chains-text", "rows-zero", "seed-negative", "thin-zero", "sigma-asymmetric",
+         "sigma-not-numbers", "zero-variance"],
+)
+def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "asym.csv").write_text("0.5,0.1\n0.3,0.5\n")
+    (tmp_path / "text.csv").write_text("a,b\nc,d\n")
+    cfg_path = small_config(tmp_path, **sections)
+    assert main(["run", "--config", str(cfg_path), *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -20,7 +20,7 @@ from hessmc.samplers import (
     mh_propose,
     run_chain,
 )
-from hessmc.targets import LogNormalField, gaussian_target
+from hessmc.targets import LogNormalField, build_grid_covariance, gaussian_target
 
 
 def gaussian_2d():
@@ -280,6 +280,29 @@ class TestRunChain:
         assert np.array_equal(recs[0].accept_flags, recs[1].accept_flags)
         assert np.array_equal(recs[0].potentials, recs[1].potentials)
         assert np.array_equal(recs[0].repair_lambdas, recs[1].repair_lambdas)
+
+    @pytest.mark.parametrize(
+        "method, dt, mass",
+        [
+            ("MH", 0.05, ScaledIdentity()),
+            ("HMC", 0.05, ScaledIdentity()),
+            ("HMAP_HMC", 0.3, None),
+            ("HLOCAL_HMC", 0.3, LocalHessian(1e-6)),
+        ],
+    )
+    def test_carried_potential_exact(self, method, dt, mass):
+        target = LogNormalField(
+            m=np.full(4, -1.0),
+            sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
+            grid_shape=(2, 2),
+        )
+        mass = mass or FixedSpd(hmap_mass(target, 1e-6)[0])
+        cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=5, n_samples=60,
+                            burn_in=15)
+        rec = run_chain(target, mass, cfg, target.map_point(), np.random.default_rng(5))
+        assert 0.0 < rec.accept_flags.mean() < 1.0
+        for theta, j in zip(rec.samples, rec.potentials):
+            assert j == target.potential(theta)
 
     def test_burn_in_is_additional(self):
         target = gaussian_2d()
