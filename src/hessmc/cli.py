@@ -81,18 +81,29 @@ DEFAULT_CONFIG = {
     },
 }
 
-# Integer settings and the least value each may take. correlation_time needs
-# 10 samples, credible_band 2, and numpy seeds are non-negative.
-INT_MIN = {
-    ("target", "rows"): 1,
-    ("target", "cols"): 1,
-    ("sampler", "leapfrog_steps"): 1,
-    ("sampler", "n_samples"): 10,
-    ("sampler", "burn_in"): 0,
-    ("sampler", "seed"): 0,
-    ("sampler", "thin"): 1,
-    ("sampler", "band_samples"): 2,
-    ("run", "chains"): 1,
+# Numeric settings: the type of each number and the interval it must lie in.
+# correlation_time needs 10 samples, credible_band 2, and numpy seeds are
+# non-negative. A setting whose default is a list must be a list of as many
+# numbers; one whose default is an object (dt) may be an object or a number.
+NUMERIC = {
+    ("target", "rows"): (int, "[1, inf)"),
+    ("target", "cols"): (int, "[1, inf)"),
+    ("target", "extent_m"): (float, "(0, inf)"),
+    ("target", "lengthscale_m"): (float, "(0, inf)"),
+    ("target", "variance"): (float, "(0, inf)"),
+    ("target", "nugget"): (float, "[0, inf)"),
+    ("target", "m_value"): (float, "(-inf, inf)"),
+    ("sampler", "dt"): (float, "(0, inf)"),
+    ("sampler", "leapfrog_steps"): (int, "[1, inf)"),
+    ("sampler", "n_samples"): (int, "[10, inf)"),
+    ("sampler", "burn_in"): (int, "[0, inf)"),
+    ("sampler", "seed"): (int, "[0, inf)"),
+    ("sampler", "pd_floor"): (float, "(0, inf)"),
+    ("sampler", "beta"): (float, "(0, inf)"),
+    ("sampler", "thin"): (int, "[1, inf)"),
+    ("sampler", "credible_mass"): (float, "(0, 1]"),
+    ("sampler", "band_samples"): (int, "[2, inf)"),
+    ("run", "chains"): (int, "[1, inf)"),
 }
 
 
@@ -147,25 +158,41 @@ def load_config(path: str | None) -> dict:
                     raise ConfigError(f"unknown key {section}.{key}")
                 cfg[section][key] = value
     methods = cfg["run"]["methods"]
-    if not methods:
-        raise ConfigError("run.methods must be non-empty")
+    if not isinstance(methods, list) or not methods:
+        raise ConfigError(f"run.methods must be a non-empty list, got {methods!r}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-    for (section, key), least in INT_MIN.items():
-        value = cfg[section][key]
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if type(value) is not int or value < least:
-            raise ConfigError(
-                f"{section}.{key} must be an integer >= {least}, got {value!r}"
-            )
+    for (section, key), (kind, bounds) in NUMERIC.items():
+        name, value = f"{section}.{key}", cfg[section][key]
+        default = DEFAULT_CONFIG[section][key]
+        if isinstance(default, list):
+            if not isinstance(value, list) or len(value) != len(default):
+                raise ConfigError(
+                    f"{name} must be a list of {len(default)} numbers, got {value!r}"
+                )
+            value = [_number(name, v, kind, bounds) for v in value]
+        elif isinstance(default, dict) and isinstance(value, dict):
+            value = {k: _number(name, v, kind, bounds) for k, v in value.items()}
+        else:
+            value = _number(name, value, kind, bounds)
         cfg[section][key] = value
-    dt = cfg["sampler"]["dt"]
-    for value in dt.values() if isinstance(dt, dict) else [dt]:
-        if type(value) not in (int, float) or not value > 0:
-            raise ConfigError(f"sampler.dt must be positive, got {value!r}")
     return cfg
+
+
+def _number(name: str, value, kind: type, bounds: str):
+    """value as a number of kind inside the interval bounds, e.g. "(0, 1]"."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    if (
+        type(value) not in ((int,) if kind is int else (int, float))
+        or not (lo < value if bounds[0] == "(" else lo <= value)
+        or not (value < hi if bounds[-1] == ")" else value <= hi)
+    ):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun} in {bounds}, got {value!r}")
+    return value
 
 
 def method_dt(cfg: dict, method: str) -> float:
@@ -266,7 +293,6 @@ def run_experiment(cfg: dict) -> int:
             leapfrog_steps=s["leapfrog_steps"],
             n_samples=s["n_samples"],
             burn_in=s["burn_in"],
-            seed=s["seed"],
             include_logdet=s["include_logdet"],
         )
         plans.append((method, scfg, _mass_spec_for(method, cfg, target)))
@@ -276,7 +302,7 @@ def run_experiment(cfg: dict) -> int:
     for method, scfg, mass_spec in plans:
         records = []
         for chain in range(cfg["run"]["chains"]):
-            rng = np.random.default_rng([scfg.seed, chain])
+            rng = np.random.default_rng([s["seed"], chain])
             records.append(samplers.run_chain(target, mass_spec, scfg, theta_map, rng))
         diag_rows = []
         rho_rows = []

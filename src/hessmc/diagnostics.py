@@ -57,7 +57,6 @@ def autocorrelation(series: np.ndarray, t: int) -> float:
 def correlation_time(
     series: np.ndarray,
     paired_sum: bool = False,
-    max_lag: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Integrated autocorrelation time of a scalar series.
 
@@ -68,10 +67,9 @@ def correlation_time(
     n = x.shape[0]
     if n < 10:
         raise ValueError("series too short for a correlation time estimate")
-    cap = n // 4 if max_lag is None else min(max_lag, n - 1)
     rho = []
     total = 0.0
-    for t in range(1, cap + 1):
+    for t in range(1, n // 4 + 1):
         r = float(x[: n - t] @ x[t:]) / denom
         if r <= 0.0:
             break

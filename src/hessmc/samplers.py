@@ -1,11 +1,12 @@
 """MCMC kernels: random-walk MH, HMC, Hessian-at-MAP HMC, frozen-local-Hessian HMC.
 
-All four kernels share the Metropolis accept/reject machinery. The three
-Hamiltonian kernels are one transition that differs only in its mass
-policy: HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian
-at the MAP), HLOCAL_HMC recomputes the mass from the target Hessian at the
-start of every trajectory and keeps it constant during the leapfrog steps,
-with both endpoint log-determinant terms retained in the acceptance ratio.
+All four kernels share the Metropolis accept/reject machinery, and a chain
+carries one point (theta, J, mass, lam) evaluated once, when proposed. The
+Hamiltonian kernels are one transition that differs only in its mass policy:
+HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian at the
+MAP), HLOCAL_HMC the local target Hessian, computed once per point, reused as
+the next trajectory's start mass and frozen during the leapfrog steps, with
+both endpoint log-determinant terms retained in the acceptance ratio.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
@@ -14,6 +15,7 @@ and the log-det terms can be disabled for ablation via
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Union
 
@@ -88,7 +90,6 @@ class SamplerConfig:
     leapfrog_steps: int = 10
     n_samples: int = 1000
     burn_in: int = 0
-    seed: int = 0
     include_logdet: bool = True
 
     def __post_init__(self):
@@ -177,45 +178,43 @@ def _kinetic(p: np.ndarray, mass: SpdFactor) -> float:
     return 0.5 * float(p @ solve(mass, p))
 
 
-def _mh_step(theta, j_cur, target, dt, rng):
-    proposal = mh_propose(theta, dt, rng)
-    j_prop = target.potential(proposal)
-    # symmetric proposal: dq = 0 identically
-    if mh_accept(j_cur, j_prop, 0.0, rng.uniform()):
-        return proposal, j_prop, True, 0.0
-    return theta, j_cur, False, 0.0
-
-
-def _hamiltonian_step(theta, j_cur, target, mass_at, cfg, rng):
-    """One Hamiltonian transition (theta, J) -> (theta, J, accepted, lam).
-
-    The mass policy mass_at(position) -> (SpdFactor, lam) fixes the mass
-    for the trajectory at the current point and gives the endpoint mass of
-    the acceptance ratio; for a constant policy the log-det term is 0.0.
-    A RepairFailed at the current point propagates; at the endpoint it
-    rejects, like an out-of-domain divergence.
-    """
+def _point(theta, target, mass_at):
+    """The chain point (theta, J, mass, lam) at theta."""
     mass, lam = mass_at(theta)
+    return theta, target.potential(theta), mass, lam
+
+
+def _mh_step(point, target, mass_at, cfg, rng):
+    new = _point(mh_propose(point[0], cfg.dt, rng), target, mass_at)
+    # symmetric proposal: dq = 0 identically
+    accepted = mh_accept(point[1], new[1], 0.0, rng.uniform())
+    return (new if accepted else point), accepted
+
+
+def _hamiltonian_step(point, target, mass_at, cfg, rng):
+    """One Hamiltonian transition point -> (point, accepted).
+
+    The trajectory uses the current point's mass; mass_at(position) ->
+    (SpdFactor, lam) is evaluated at the endpoint only. An out-of-domain or
+    unrepairable endpoint keeps delta = -inf: the one accept test rejects it.
+    """
+    theta, j_cur, mass, _ = point
     p0 = sample_gaussian(mass, rng)
     end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps)
-    if not target.in_domain(end.position):
-        rng.uniform()  # keep the stream aligned with the accepted path
-        return theta, j_cur, False, lam
-    try:
-        mass_end, _ = mass_at(end.position)
-    except RepairFailed:
-        rng.uniform()
-        return theta, j_cur, False, lam
-    j_end = target.potential(end.position)
-    delta = (j_cur - j_end) + (_kinetic(p0, mass) - _kinetic(end.momentum, mass_end))
-    if cfg.include_logdet:
-        delta += 0.5 * (mass.log_det - mass_end.log_det)
-    if delta >= 0.0 or rng.uniform() < np.exp(delta):
-        return end.position, j_end, True, lam
-    return theta, j_cur, False, lam
+    new, delta = point, -np.inf
+    if target.in_domain(end.position):
+        with suppress(RepairFailed):
+            new = _point(end.position, target, mass_at)
+    if new is not point:
+        _, j_end, m_end, _ = new
+        delta = (j_cur - j_end) + (_kinetic(p0, mass) - _kinetic(end.momentum, m_end))
+        if cfg.include_logdet:
+            delta += 0.5 * (mass.log_det - m_end.log_det)
+    accepted = delta >= 0.0 or rng.uniform() < np.exp(delta)
+    return (new if accepted else point), accepted
 
 
-def _constant_mass(mass: SpdFactor):
+def _constant_mass(mass: SpdFactor | None):
     return lambda theta: (mass, 0.0)
 
 
@@ -231,9 +230,10 @@ def hmc_step(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, bool]:
     """One constant-mass HMC transition."""
-    j, mass_at = target.potential(theta), _constant_mass(mass)
-    theta, _, accepted, _ = _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
-    return theta, accepted
+    mass_at = _constant_mass(mass)
+    point = _point(theta, target, mass_at)
+    new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
+    return new[0], accepted
 
 
 def hlocal_step(
@@ -247,9 +247,10 @@ def hlocal_step(
 
     Returns (next position, accepted, jitter used at the start point).
     """
-    j, mass_at = target.potential(theta), _local_mass(target, pd_floor)
-    theta, _, accepted, lam = _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
-    return theta, accepted, lam
+    mass_at = _local_mass(target, pd_floor)
+    point = _point(theta, target, mass_at)
+    new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
+    return new[0], accepted, point[3]
 
 
 def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float]:
@@ -261,24 +262,25 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
     return repair_to_pd(target.hessian(target.map_point()), pd_floor)
 
 
-def _transition(target: TargetModel, mass_spec: MassSpec, cfg: SamplerConfig, rng):
-    """The chain's transition (theta, J) -> (theta, J, accepted, lam)."""
+def _kernel(target: TargetModel, mass_spec: MassSpec, cfg: SamplerConfig, rng):
+    """The chain's mass policy and its transition point -> (point, accepted)."""
     method = cfg.method
-    if method == "MH":
-        return lambda theta, j: _mh_step(theta, j, target, cfg.dt, rng)
     if method == "HMAP_HMC" and not isinstance(mass_spec, FixedSpd):
         raise ConfigMismatch("HMAP_HMC requires a FixedSpd mass")
     if method == "HLOCAL_HMC" and not isinstance(mass_spec, LocalHessian):
         raise ConfigMismatch("HLOCAL_HMC requires a LocalHessian mass")
     if method == "HMC" and isinstance(mass_spec, LocalHessian):
         raise ConfigMismatch("HMC requires a constant mass")
-    if isinstance(mass_spec, LocalHessian):
+    step = _hamiltonian_step
+    if method == "MH":
+        step, mass_at = _mh_step, _constant_mass(None)
+    elif isinstance(mass_spec, LocalHessian):
         mass_at = _local_mass(target, mass_spec.floor)
     elif isinstance(mass_spec, FixedSpd):
         mass_at = _constant_mass(mass_spec.factor)
     else:
         mass_at = _constant_mass(factorize(mass_spec.beta * np.eye(target.dim)))
-    return lambda theta, j: _hamiltonian_step(theta, j, target, mass_at, cfg, rng)
+    return mass_at, lambda point: step(point, target, mass_at, cfg, rng)
 
 
 def run_chain(
@@ -297,20 +299,20 @@ def run_chain(
     init = np.asarray(init, dtype=float)
     if not target.in_domain(init):
         raise ValueError("initial position is outside the target domain")
-    step = _transition(target, mass_spec, cfg, rng)
+    mass_at, step = _kernel(target, mass_spec, cfg, rng)
 
     samples = np.empty((cfg.n_samples, target.dim))
     accept_flags = np.empty(cfg.n_samples, dtype=bool)
     potentials = np.empty(cfg.n_samples)
     lambdas = np.empty(cfg.n_samples)
 
-    theta, j = init.copy(), target.potential(init)
+    point = _point(init.copy(), target, mass_at)
     for _ in range(cfg.burn_in):
-        theta, j, _, _ = step(theta, j)
+        point, _ = step(point)
     for i in range(cfg.n_samples):
-        theta, j, accept_flags[i], lambdas[i] = step(theta, j)
-        samples[i] = theta
-        potentials[i] = j
+        lambdas[i] = point[3]
+        point, accept_flags[i] = step(point)
+        samples[i], potentials[i] = point[0], point[1]
     return ChainRecord(
         samples=samples,
         accept_flags=accept_flags,

@@ -223,12 +223,23 @@ class TestMapCommand:
         ({"sampler": {"thin": 0}}, [], 2),
         ({"target": {"sigma_csv": "asym.csv"}}, [], 2),
         ({"target": {"sigma_csv": "text.csv"}}, [], 2),
+        ({"target": {"variance": -1}}, [], 2),
+        ({"target": {"lengthscale_m": "a"}}, [], 2),
+        ({"target": {"extent_m": [1.0]}}, [], 2),
+        ({"target": {"m_value": float("nan")}}, [], 2),
+        ({"run": {"methods": 5}}, [], 2),
+        ({"sampler": {"pd_floor": 0}, "run": {"methods": ["HLOCAL_HMC"]}}, [], 2),
+        ({"sampler": {"beta": -1}}, [], 2),
+        # credible_band rejects it only after all sampling is done
+        ({"sampler": {"credible_mass": 2.0}}, [], 2),
         # every proposal is rejected, so the chain never moves
         ({"sampler": {"dt": 1000.0}}, [], 3),
     ],
     ids=["dt-missing", "dt-zero", "dt-negative", "n-samples-text", "n-samples-short",
          "chains-text", "rows-zero", "seed-negative", "thin-zero", "sigma-asymmetric",
-         "sigma-not-numbers", "zero-variance"],
+         "sigma-not-numbers", "variance-negative", "lengthscale-text", "extent-short",
+         "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
+         "credible-mass-above-one", "zero-variance"],
 )
 def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, code):
     monkeypatch.chdir(tmp_path)

@@ -20,7 +20,12 @@ from hessmc.samplers import (
     mh_propose,
     run_chain,
 )
-from hessmc.targets import LogNormalField, build_grid_covariance, gaussian_target
+from hessmc.targets import (
+    GaussianTarget,
+    LogNormalField,
+    build_grid_covariance,
+    gaussian_target,
+)
 
 
 def gaussian_2d():
@@ -29,6 +34,28 @@ def gaussian_2d():
 
 def lognormal_1d():
     return LogNormalField(m=np.array([0.0]), sigma=factorize(np.array([[1.0]])))
+
+
+def field_2x2():
+    return LogNormalField(
+        m=np.full(4, -1.0),
+        sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
+        grid_shape=(2, 2),
+    )
+
+
+class CliffTarget(GaussianTarget):
+    """Standard normal whose Hessian cannot be repaired beyond theta_0 = 1."""
+
+    def hessian(self, theta):
+        return super().hessian(theta) if theta[0] <= 1.0 else np.array([[-1e300]])
+
+
+class WallTarget(GaussianTarget):
+    """Standard normal whose domain ends at theta_0 = 1."""
+
+    def in_domain(self, theta):
+        return bool(theta[0] <= 1.0)
 
 
 class FixedStream:
@@ -246,6 +273,26 @@ class TestHlocalStep:
         assert accepted
 
 
+    @pytest.mark.parametrize("target_cls", [CliffTarget, WallTarget])
+    def test_bad_endpoint_rejected_with_one_uniform(self, target_cls):
+        # an unrepairable or out-of-domain endpoint rejects through the one
+        # accept test: one momentum draw, one uniform, the start point kept
+        target = target_cls(np.zeros(1), factorize(np.eye(1)))
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.5, leapfrog_steps=1)
+        theta = np.array([0.9])
+        ref = np.random.default_rng(3)
+        p0 = ref.standard_normal(1)  # the unit mass makes p0 the normal draw
+        ref.uniform()
+        end = leapfrog(PhaseState(theta, p0), target, factorize(np.eye(1)), 0.5, 1)
+        assert end.position[0] > 1.0  # this seed carries the trajectory past 1
+        rng = np.random.default_rng(3)
+        theta_next, accepted, lam = hlocal_step(theta, target, 1.0, cfg, rng)
+        assert not accepted
+        assert np.array_equal(theta_next, theta)
+        assert lam == 0.0
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestHmapMass:
     def test_diagonal_sigma(self):
         sigma = np.diag([0.5, 2.0])
@@ -291,11 +338,7 @@ class TestRunChain:
         ],
     )
     def test_carried_potential_exact(self, method, dt, mass):
-        target = LogNormalField(
-            m=np.full(4, -1.0),
-            sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
-            grid_shape=(2, 2),
-        )
+        target = field_2x2()
         mass = mass or FixedSpd(hmap_mass(target, 1e-6)[0])
         cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=5, n_samples=60,
                             burn_in=15)
@@ -303,6 +346,29 @@ class TestRunChain:
         assert 0.0 < rec.accept_flags.mean() < 1.0
         for theta, j in zip(rec.samples, rec.potentials):
             assert j == target.potential(theta)
+
+    def test_carried_mass_exact_and_evaluated_once(self, monkeypatch):
+        target = field_2x2()
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=60,
+                            burn_in=15)
+        theta = target.map_point()
+        rng, position, steps = np.random.default_rng(5), theta, []
+        for _ in range(cfg.burn_in + cfg.n_samples):
+            steps.append(hlocal_step(position, target, 1e-6, cfg, rng))
+            position = steps[-1][0]
+        positions, flags, lambdas = (np.array(x[cfg.burn_in:]) for x in zip(*steps))
+
+        calls = []
+        hessian = LogNormalField.hessian
+        monkeypatch.setattr(LogNormalField, "hessian",
+                            lambda self, x: calls.append(x) or hessian(self, x))
+        rec = run_chain(target, LocalHessian(1e-6), cfg, theta, np.random.default_rng(5))
+        assert 0.0 < rec.accept_flags.mean() < 1.0
+        assert np.array_equal(rec.samples, positions)
+        assert np.array_equal(rec.accept_flags, flags)
+        assert np.array_equal(rec.repair_lambdas, lambdas)
+        # one Hessian at the initial point and one per proposed endpoint
+        assert len(calls) <= 1 + cfg.burn_in + cfg.n_samples
 
     def test_burn_in_is_additional(self):
         target = gaussian_2d()
