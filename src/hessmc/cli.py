@@ -5,11 +5,12 @@ Usage:
     python -m hessmc map --config cfg.json [--out dir]
 
 Config is a single JSON document with flat sections {target, sampler, run};
-every field has a default (see DEFAULT_CONFIG) tuned to the desk-scale
-8x8-grid comparison. Output CSVs are comma-delimited with a header row,
-'%.17g' floats and LF line endings so reruns with the same config and
-seed are byte-identical. Chains run one after another; chain c draws from
-the stream ``np.random.default_rng([seed, c])``.
+SETTINGS gives every setting's default, tuned to the desk-scale 8x8-grid
+comparison, and its kind, which load_config checks for the file and flags.
+Output CSVs are comma-delimited with a header row, '%.17g' floats and LF
+line endings so reruns with the same config and seed are byte-identical.
+Chains run one after another; chain c draws from the stream
+``np.random.default_rng([seed, c])``.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error; see EXIT_CODES.
 """
@@ -43,67 +44,48 @@ EXIT_IO = 4
 # keep their 0.3).
 DESK_DT = {"MH": 5e-5, "HMC": 3e-4, "HMAP_HMC": 0.3, "HLOCAL_HMC": 0.3}
 
-DEFAULT_CONFIG = {
+# Every setting: section -> key -> (default, kind). A kind is a type plus, for
+# a number, its interval and, for a string, its choices (None: any string).
+# The default also fixes the shape: a list of as many numbers, or a non-empty
+# list of choices with repeats dropped; for dt, one number or an object keyed
+# by methods; null only where the default is null. correlation_time needs 10
+# samples, credible_band 2, and numpy seeds are non-negative.
+SETTINGS = {
     "target": {
-        "rows": 8,
-        "cols": 8,
-        "extent_m": [8000.0, 4000.0],
-        "lengthscale_m": 1000.0,
+        "rows": (8, (int, "[1, inf)")),
+        "cols": (8, (int, "[1, inf)")),
+        "extent_m": ([8000.0, 4000.0], (float, "(0, inf)")),
+        "lengthscale_m": (1000.0, (float, "(0, inf)")),
         # field variance 1e-3: keeps the frozen-local-Hessian acceptance
         # above 0.5 at dt = 0.3 while the covariance conditioning still
         # cripples the unpreconditioned samplers
-        "variance": 1e-3,
-        "nugget": 1e-6,
-        "m_value": -1.0,
-        "sigma_csv": None,
-        "m_csv": None,
+        "variance": (1e-3, (float, "(0, inf)")),
+        "nugget": (1e-6, (float, "[0, inf)")),
+        "m_value": (-1.0, (float, "(-inf, inf)")),
+        "sigma_csv": (None, (str, None)),
+        "m_csv": (None, (str, None)),
     },
     "sampler": {
-        "dt": dict(DESK_DT),
-        "leapfrog_steps": 10,
-        "n_samples": 25000,
-        "burn_in": 0,
-        "seed": 0,
+        "dt": (DESK_DT, (float, "(0, inf)")),
+        "leapfrog_steps": (10, (int, "[1, inf)")),
+        "n_samples": (25000, (int, "[10, inf)")),
+        "burn_in": (0, (int, "[0, inf)")),
+        "seed": (0, (int, "[0, inf)")),
         # repair jitter floor must be commensurate with the Hessian scale
         # (~1e4 on the default target); escalation caps at 1e12 * floor
-        "pd_floor": 1.0,
-        "beta": 1.0,
-        "include_logdet": True,
-        "store_samples": False,
-        "thin": 10,
-        "credible_mass": 0.95,
-        "band_samples": 10000,
+        "pd_floor": (1.0, (float, "(0, inf)")),
+        "beta": (1.0, (float, "(0, inf)")),
+        "include_logdet": (True, (bool, None)),
+        "store_samples": (False, (bool, None)),
+        "thin": (10, (int, "[1, inf)")),
+        "credible_mass": (0.95, (float, "(0, 1]")),
+        "band_samples": (10000, (int, "[2, inf)")),
     },
     "run": {
-        "methods": list(METHODS),
-        "chains": 1,
-        "output_dir": "out",
+        "methods": (list(METHODS), (str, METHODS)),
+        "chains": (1, (int, "[1, inf)")),
+        "output_dir": ("out", (str, None)),
     },
-}
-
-# Numeric settings: the type of each number and the interval it must lie in.
-# correlation_time needs 10 samples, credible_band 2, and numpy seeds are
-# non-negative. A setting whose default is a list must be a list of as many
-# numbers; one whose default is an object (dt) may be an object or a number.
-NUMERIC = {
-    ("target", "rows"): (int, "[1, inf)"),
-    ("target", "cols"): (int, "[1, inf)"),
-    ("target", "extent_m"): (float, "(0, inf)"),
-    ("target", "lengthscale_m"): (float, "(0, inf)"),
-    ("target", "variance"): (float, "(0, inf)"),
-    ("target", "nugget"): (float, "[0, inf)"),
-    ("target", "m_value"): (float, "(-inf, inf)"),
-    ("sampler", "dt"): (float, "(0, inf)"),
-    ("sampler", "leapfrog_steps"): (int, "[1, inf)"),
-    ("sampler", "n_samples"): (int, "[10, inf)"),
-    ("sampler", "burn_in"): (int, "[0, inf)"),
-    ("sampler", "seed"): (int, "[0, inf)"),
-    ("sampler", "pd_floor"): (float, "(0, inf)"),
-    ("sampler", "beta"): (float, "(0, inf)"),
-    ("sampler", "thin"): (int, "[1, inf)"),
-    ("sampler", "credible_mass"): (float, "(0, 1]"),
-    ("sampler", "band_samples"): (int, "[2, inf)"),
-    ("run", "chains"): (int, "[1, inf)"),
 }
 
 
@@ -137,61 +119,72 @@ def _exit_code(command):
     return guarded
 
 
-def load_config(path: str | None) -> dict:
-    """Merge a JSON config file over the defaults and validate the result."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """Merge a JSON config file, then overrides, over the defaults in SETTINGS.
+
+    Each value is checked as it is merged, so a bad file value fails even where
+    an override replaces it.
+    """
+    cfg = copy.deepcopy(
+        {s: {k: d for k, (d, _) in keys.items()} for s, keys in SETTINGS.items()}
+    )
+    document = {}
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                document = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        for section, values in user.items():
-            if section not in cfg:
+    for source in (document, overrides or {}):
+        if not isinstance(source, dict):
+            raise ConfigError(f"config {path} is not a JSON object: {source!r:.40}")
+        for section, values in source.items():
+            if section not in SETTINGS:
                 raise ConfigError(f"unknown config section {section!r}")
             if not isinstance(values, dict):
                 raise ConfigError(f"section {section!r} must be an object")
             for key, value in values.items():
-                if key not in cfg[section]:
+                if key not in SETTINGS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-                cfg[section][key] = value
-    methods = cfg["run"]["methods"]
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError(f"run.methods must be a non-empty list, got {methods!r}")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-    for (section, key), (kind, bounds) in NUMERIC.items():
-        name, value = f"{section}.{key}", cfg[section][key]
-        default = DEFAULT_CONFIG[section][key]
-        if isinstance(default, list):
-            if not isinstance(value, list) or len(value) != len(default):
-                raise ConfigError(
-                    f"{name} must be a list of {len(default)} numbers, got {value!r}"
-                )
-            value = [_number(name, v, kind, bounds) for v in value]
-        elif isinstance(default, dict) and isinstance(value, dict):
-            value = {k: _number(name, v, kind, bounds) for k, v in value.items()}
-        else:
-            value = _number(name, value, kind, bounds)
-        cfg[section][key] = value
+                default, kind = SETTINGS[section][key]
+                cfg[section][key] = _setting(f"{section}.{key}", value, default, kind)
     return cfg
 
 
-def _number(name: str, value, kind: type, bounds: str):
-    """value as a number of kind inside the interval bounds, e.g. "(0, 1]"."""
-    if kind is int and isinstance(value, float) and value.is_integer():
+def _setting(name: str, value, default, kind: tuple):
+    """value checked against the shape of its default and against its kind."""
+    typ, allowed = kind
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        if typ is not str and len(value) != len(default):
+            raise ConfigError(f"{name} must be {len(default)} numbers, got {value!r}")
+        items = [_setting(name, v, default[0], kind) for v in value]
+        return list(dict.fromkeys(items)) if typ is str else items
+    if isinstance(default, dict) and isinstance(value, dict):
+        for k in value:
+            if k not in default:
+                raise ConfigError(f"unknown key {name}.{k}")
+        return {k: _setting(f"{name}.{k}", value[k], default[k], kind) for k in value}
+    if default is None and value is None:
+        return None
+    if typ is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    lo, hi = (float(b) for b in bounds[1:-1].split(","))
-    if (
-        type(value) not in ((int,) if kind is int else (int, float))
-        or not (lo < value if bounds[0] == "(" else lo <= value)
-        or not (value < hi if bounds[-1] == ")" else value <= hi)
-    ):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {noun} in {bounds}, got {value!r}")
+    if typ in (int, float):
+        lo, hi = (float(b) for b in allowed[1:-1].split(","))
+        ok = (
+            type(value) in ((int,) if typ is int else (int, float))
+            and (lo < value if allowed[0] == "(" else lo <= value)
+            and (value < hi if allowed[-1] == ")" else value <= hi)
+        )
+        noun = f"{'an integer' if typ is int else 'a number'} in {allowed}"
+    else:
+        ok = type(value) is typ and (allowed is None or value in allowed)
+        noun = f"one of {allowed}" if allowed else f"a {typ.__name__}"
+    if not ok:
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
     return value
 
 
@@ -207,6 +200,8 @@ def method_dt(cfg: dict, method: str) -> float:
 def build_target(cfg: dict) -> LogNormalField:
     """Construct the log-normal field target from the config's target section."""
     t = cfg["target"]
+    if t["m_csv"] is not None and t["sigma_csv"] is None:
+        raise ConfigError("target.m_csv is given without target.sigma_csv")
     if t["sigma_csv"] is not None:
         try:
             sigma_mat = np.loadtxt(t["sigma_csv"], delimiter=",", ndmin=2)
@@ -346,13 +341,6 @@ def run_experiment(cfg: dict) -> int:
     return EXIT_OK
 
 
-@_exit_code
-def write_map(cfg: dict) -> int:
-    """Write map.csv only. Returns a process exit code."""
-    _setup(cfg)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hessmc", description="Hessian-informed HMC benchmark driver"
@@ -376,20 +364,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The setting each command-line flag overrides; an empty --out overrides none.
+FLAGS = {"seed": "sampler.seed", "method": "run.methods", "out": "run.output_dir"}
+
+
 @_exit_code
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if args.out:
-        cfg["run"]["output_dir"] = args.out
-    if args.command == "map":
-        return write_map(cfg)
-    if args.method:
-        cfg["run"]["methods"] = list(dict.fromkeys(args.method))
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg["sampler"]["seed"] = args.seed
+    args = vars(build_parser().parse_args(argv))
+    overrides = {}
+    for flag, setting in FLAGS.items():
+        if args.get(flag) not in (None, ""):
+            section, key = setting.split(".")
+            overrides.setdefault(section, {})[key] = args[flag]
+    cfg = load_config(args["config"], overrides)
+    if args["command"] == "map":
+        _setup(cfg)
+        return EXIT_OK
     return run_experiment(cfg)
 
 

@@ -110,14 +110,10 @@ def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
     return CredibleBand(lower=lower, upper=upper)
 
 
-def summarize_chain(
-    samples: np.ndarray,
-    accept_flags: np.ndarray,
-    paired_sum: bool = False,
-) -> ChainDiagnostics:
+def summarize_chain(samples: np.ndarray, accept_flags: np.ndarray) -> ChainDiagnostics:
     """Diagnostics bundle computed on the spatial-average scalar."""
     series = spatial_average(samples)
-    tau, rho = correlation_time(series, paired_sum=paired_sum)
+    tau, rho = correlation_time(series)
     return ChainDiagnostics(
         acceptance_rate=acceptance_rate(accept_flags),
         rho=rho,

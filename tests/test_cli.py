@@ -55,6 +55,29 @@ class TestConfig:
         p.write_text("{not json")
         assert main(["run", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "document", [b"[1, 2]", b'"x"', b"null", b"\xff{}", b"[" * 100_000],
+        ids=["list", "string", "null", "not-utf8", "too-deep"],
+    )
+    def test_non_object_document_exit_code(self, tmp_path, capsys, document):
+        p = tmp_path / "bad.json"
+        p.write_bytes(document)
+        assert main(["run", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ConfigError")
+
+    def test_methods_deduplicated(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"run": {"methods": ["HMC", "MH", "HMC"]}}')
+        assert load_config(str(p))["run"]["methods"] == ["HMC", "MH"]
+        flags = {"run": {"methods": ["MH", "MH"]}}
+        assert load_config(str(p), flags)["run"]["methods"] == ["MH"]
+
+    def test_overridden_file_value_still_checked(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"sampler": {"seed": -1}}')
+        with pytest.raises(ConfigError):
+            load_config(str(p), {"sampler": {"seed": 3}})
+
     def test_scalar_dt_applies_to_all(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"sampler": {"dt": 0.05}}')
@@ -232,6 +255,11 @@ class TestMapCommand:
         ({"sampler": {"beta": -1}}, [], 2),
         # credible_band rejects it only after all sampling is done
         ({"sampler": {"credible_mass": 2.0}}, [], 2),
+        ({"run": {"output_dir": 5}}, [], 2),
+        ({"sampler": {"include_logdet": "no"}}, [], 2),
+        ({"sampler": {"store_samples": "no"}}, [], 2),
+        ({"sampler": {"dt": {"MH": 0.1, "HLOCAL": 0.3}}}, [], 2),
+        ({"target": {"m_csv": "m.csv"}}, [], 2),
         # every proposal is rejected, so the chain never moves
         ({"sampler": {"dt": 1000.0}}, [], 3),
     ],
@@ -239,7 +267,9 @@ class TestMapCommand:
          "chains-text", "rows-zero", "seed-negative", "thin-zero", "sigma-asymmetric",
          "sigma-not-numbers", "variance-negative", "lengthscale-text", "extent-short",
          "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
-         "credible-mass-above-one", "zero-variance"],
+         "credible-mass-above-one", "output-dir-number", "include-logdet-text",
+         "store-samples-text", "dt-unknown-method", "m-csv-without-sigma",
+         "zero-variance"],
 )
 def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, code):
     monkeypatch.chdir(tmp_path)
