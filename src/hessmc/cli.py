@@ -9,10 +9,11 @@ SETTINGS gives every setting's default, tuned to the desk-scale 8x8-grid
 comparison, and its kind, which load_config checks for the file and flags.
 Output CSVs are comma-delimited with a header row, '%.17g' floats and LF
 line endings so reruns with the same config and seed are byte-identical.
-Chains run one after another; chain c draws from the stream
-``np.random.default_rng([seed, c])``.
+Chains run one after another, each summarized and written before the next
+starts; chain c draws from the stream ``np.random.default_rng([seed, c])``.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error; see EXIT_CODES.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
+EXIT_CODES); config and target errors come before any output is written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import diagnostics, linalg, samplers
 from .diagnostics import CredibleBand, ZeroVariance
 from .linalg import DimensionMismatch, NotPositiveDefinite, RepairFailed
 from .samplers import METHODS, FixedSpd, LocalHessian, SamplerConfig, ScaledIdentity
-from .targets import LogNormalField, build_grid_covariance
+from .targets import LogNormalField, OutOfDomain, build_grid_covariance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,6 +99,7 @@ EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     DimensionMismatch: EXIT_CONFIG,
     NotPositiveDefinite: EXIT_NUMERICAL,
+    OutOfDomain: EXIT_NUMERICAL,
     RepairFailed: EXIT_NUMERICAL,
     ZeroVariance: EXIT_NUMERICAL,
     OSError: EXIT_IO,
@@ -123,7 +125,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge a JSON config file, then overrides, over the defaults in SETTINGS.
 
     Each value is checked as it is merged, so a bad file value fails even where
-    an override replaces it.
+    an override replaces it; then a dt object must have an entry for every method.
     """
     cfg = copy.deepcopy(
         {s: {k: d for k, (d, _) in keys.items()} for s, keys in SETTINGS.items()}
@@ -150,11 +152,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
                     raise ConfigError(f"unknown key {section}.{key}")
                 default, kind = SETTINGS[section][key]
                 cfg[section][key] = _setting(f"{section}.{key}", value, default, kind)
+    dt = cfg["sampler"]["dt"]
+    for method in cfg["run"]["methods"]:
+        if isinstance(dt, dict) and method not in dt:
+            raise ConfigError(f"sampler.dt has no entry for {method}")
     return cfg
 
 
 def _setting(name: str, value, default, kind: tuple):
-    """value checked against the shape of its default and against its kind."""
+    """value checked against the shape of its default and against its kind;
+    a float-kind value is returned as a float."""
     typ, allowed = kind
     if isinstance(default, list):
         if not isinstance(value, list) or not value:
@@ -172,10 +179,12 @@ def _setting(name: str, value, default, kind: tuple):
         return None
     if typ is int and isinstance(value, float) and value.is_integer():
         value = int(value)
+    if typ is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
     if typ in (int, float):
         lo, hi = (float(b) for b in allowed[1:-1].split(","))
         ok = (
-            type(value) in ((int,) if typ is int else (int, float))
+            type(value) is typ
             and (lo < value if allowed[0] == "(" else lo <= value)
             and (value < hi if allowed[-1] == ")" else value <= hi)
         )
@@ -189,12 +198,7 @@ def _setting(name: str, value, default, kind: tuple):
 
 
 def method_dt(cfg: dict, method: str) -> float:
-    dt = cfg["sampler"]["dt"]
-    if isinstance(dt, dict):
-        if method not in dt:
-            raise ConfigError(f"sampler.dt has no entry for {method}")
-        return float(dt[method])
-    return float(dt)
+    return dt[method] if isinstance(dt := cfg["sampler"]["dt"], dict) else dt
 
 
 def build_target(cfg: dict) -> LogNormalField:
@@ -208,23 +212,18 @@ def build_target(cfg: dict) -> LogNormalField:
             m = (
                 np.loadtxt(t["m_csv"], delimiter=",").reshape(-1)
                 if t["m_csv"] is not None
-                else np.full(sigma_mat.shape[0], float(t["m_value"]))
+                else np.full(sigma_mat.shape[0], t["m_value"])
             )
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read target CSV: {exc}") from exc
         sigma = linalg.factorize(sigma_mat)
         return LogNormalField(m=m, sigma=sigma, grid_shape=(1, sigma.dim))
     rows, cols = t["rows"], t["cols"]
-    extent = (float(t["extent_m"][0]), float(t["extent_m"][1]))
+    extent = tuple(t["extent_m"])
     sigma = build_grid_covariance(
-        rows,
-        cols,
-        extent,
-        float(t["lengthscale_m"]),
-        float(t["variance"]),
-        float(t["nugget"]),
+        rows, cols, extent, t["lengthscale_m"], t["variance"], t["nugget"]
     )
-    m = np.full(rows * cols, float(t["m_value"]))
+    m = np.full(rows * cols, t["m_value"])
     return LogNormalField(m=m, sigma=sigma, grid_shape=(rows, cols), extent_m=extent)
 
 
@@ -250,22 +249,26 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write("\n")
 
 
-def _mass_spec_for(method: str, cfg: dict, target: LogNormalField):
+def _sampler(cfg: dict, method: str, target: LogNormalField):
+    """The SamplerConfig and the mass spec of one method."""
     s = cfg["sampler"]
     if method == "HMAP_HMC":
-        factor, _ = samplers.hmap_mass(target, float(s["pd_floor"]))
-        return FixedSpd(factor)
-    if method == "HLOCAL_HMC":
-        return LocalHessian(float(s["pd_floor"]))
-    return ScaledIdentity(float(s["beta"]))
+        mass_spec = FixedSpd(samplers.hmap_mass(target, s["pd_floor"])[0])
+    elif method == "HLOCAL_HMC":
+        mass_spec = LocalHessian(s["pd_floor"])
+    else:
+        mass_spec = ScaledIdentity(s["beta"])
+    keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
+    scfg = SamplerConfig(method, method_dt(cfg, method), **{k: s[k] for k in keys})
+    return scfg, mass_spec
 
 
 def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
-    """Create the output directory, build the target and write map.csv."""
-    out_dir = Path(cfg["run"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Build the target and its MAP, then write map.csv to the output directory."""
     target = build_target(cfg)
     theta_map = target.map_point()
+    out_dir = Path(cfg["run"]["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "map.csv", ["coordinate", "theta_map"], enumerate(theta_map))
     return out_dir, target, theta_map
 
@@ -278,50 +281,35 @@ def run_experiment(cfg: dict) -> int:
     """
     out_dir, target, theta_map = _setup(cfg)
     s = cfg["sampler"]
-
-    # resolve every method first, so a config error costs no sampling
-    plans = []
-    for method in cfg["run"]["methods"]:
-        scfg = SamplerConfig(
-            method=method,
-            dt=method_dt(cfg, method),
-            leapfrog_steps=s["leapfrog_steps"],
-            n_samples=s["n_samples"],
-            burn_in=s["burn_in"],
-            include_logdet=s["include_logdet"],
-        )
-        plans.append((method, scfg, _mass_spec_for(method, cfg, target)))
-
-    band_ref = exact_band(target, float(s["credible_mass"]))
+    band_ref = exact_band(target, s["credible_mass"])
     summary_rows = []
-    for method, scfg, mass_spec in plans:
-        records = []
+    for method in cfg["run"]["methods"]:
+        scfg, mass_spec = _sampler(cfg, method, target)
+        diag_rows, rho_rows = [], []
         for chain in range(cfg["run"]["chains"]):
             rng = np.random.default_rng([s["seed"], chain])
-            records.append(samplers.run_chain(target, mass_spec, scfg, theta_map, rng))
-        diag_rows = []
-        rho_rows = []
-        for chain, rec in enumerate(records):
+            rec = samplers.run_chain(target, mass_spec, scfg, theta_map, rng)
             d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
-            lam = float(rec.repair_lambdas.max())
+            lam = rec.repair_lambdas.max()
             diag_rows.append((chain, d.acceptance_rate, d.tau, d.n_eff, lam))
             rho_rows.extend((chain, t, r) for t, r in enumerate(d.rho, start=1))
+            if chain == 0:
+                band = diagnostics.credible_band(
+                    rec.samples[: s["band_samples"]], s["credible_mass"]
+                )
             if s["store_samples"]:
-                thinned = rec.samples[:: s["thin"]]
                 write_csv(
                     out_dir / f"samples_{method}_{chain}.csv",
-                    [f"x{i}" for i in range(thinned.shape[1])],
-                    thinned,
+                    [f"x{i}" for i in range(target.dim)],
+                    rec.samples[:: s["thin"]],
                 )
+            del rec  # free this chain's samples before the next chain runs
         write_csv(
             out_dir / f"diag_{method}.csv",
             ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],
             diag_rows,
         )
         write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"], rho_rows)
-
-        band_samples = records[0].samples[: s["band_samples"]]
-        band = diagnostics.credible_band(band_samples, float(s["credible_mass"]))
         write_csv(
             out_dir / f"band_{method}.csv",
             ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],

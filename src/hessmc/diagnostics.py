@@ -37,10 +37,11 @@ def spatial_average(samples: np.ndarray) -> np.ndarray:
 
 
 def _centered(series: np.ndarray) -> tuple[np.ndarray, float]:
-    x = np.asarray(series, dtype=float)
-    x = x - x.mean()
+    series = np.asarray(series, dtype=float)
+    x = series - series.mean()
     denom = float(x @ x)
-    if denom == 0.0:
+    # the mean of equal values can be off by an ulp, leaving denom > 0
+    if denom == 0.0 or np.all(series == series[0]):
         raise ZeroVariance("series has zero variance")
     return x, denom
 

@@ -77,13 +77,14 @@ def factorize(matrix: np.ndarray) -> SpdFactor:
         An :class:`SpdFactor` with ``lower_factor @ lower_factor.T == matrix``.
 
     Raises:
-        NotPositiveDefinite: a non-positive pivot was encountered.
+        NotPositiveDefinite: a non-positive pivot was encountered, or an
+            entry is not finite.
         DimensionMismatch: the input is not square or not symmetric.
     """
     sym = _check_symmetric(matrix)
     try:
         lower = scipy.linalg.cholesky(sym, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN
         raise NotPositiveDefinite(str(exc)) from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return SpdFactor(dim=sym.shape[0], lower_factor=lower, log_det=log_det)

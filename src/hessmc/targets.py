@@ -137,9 +137,17 @@ class LogNormalField(TargetModel):
         return 0.5 * (h + h.T)
 
     def map_point(self) -> np.ndarray:
-        """Closed-form mode: exp(m - Sigma @ 1)."""
+        """Closed-form mode: exp(m - Sigma @ 1).
+
+        Raises:
+            OutOfDomain: the mode is not finite and positive in every coordinate.
+        """
         ones = np.ones(self.dim)
-        return np.exp(self.m - self.sigma.matrix() @ ones)
+        with np.errstate(over="ignore"):
+            theta = np.exp(self.m - self.sigma.matrix() @ ones)
+        if not np.all((0.0 < theta) & (theta < np.inf)):
+            raise OutOfDomain("MAP exp(m - Sigma 1) is not finite and positive")
+        return theta
 
 
 def build_grid_covariance(

@@ -1,5 +1,6 @@
 """Tests for the benchmark CLI: config handling, CSV outputs, exit codes."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hessmc.cli import (
     load_config,
     main,
     method_dt,
+    run_experiment,
 )
 from hessmc.linalg import factorize
 from hessmc.samplers import METHODS
@@ -172,6 +174,26 @@ class TestRunCommand:
             tmp_path / "b" / "samples_MH_0.csv"
         ).read_bytes()
 
+    def test_chains_do_not_accumulate_in_memory(self, tmp_path):
+        cfg = load_config(None, {
+            "target": {"rows": 4, "cols": 4},
+            "sampler": {"n_samples": 2000},
+            "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(chains):
+            cfg["run"]["chains"] = chains
+            tracemalloc.start()
+            try:
+                assert run_experiment(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first call: one-off allocations and caches
+        sample_array = 2000 * 16 * 8
+        assert peak(8) - peak(1) < 3 * sample_array
+
     def test_samples_round_trip_reproduces_diag(self, tmp_path):
         cfg_path = small_config(
             tmp_path, sampler={"n_samples": 400, "dt": 0.02, "thin": 1}
@@ -230,6 +252,18 @@ class TestMapCommand:
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(v > 0 for v in values)
 
+    @pytest.mark.parametrize(
+        "sections, code",
+        [({"target": {"m_value": 800}}, 3),
+         ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, 2)],
+        ids=["map-overflows", "dt-missing"],
+    )
+    def test_map_rejects_before_writing(self, tmp_path, sections, code):
+        cfg_path = small_config(tmp_path, **sections)
+        assert main(["map", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "m")]) == code
+        assert not (tmp_path / "m").exists()
+
 
 @pytest.mark.parametrize(
     "sections, args, code",
@@ -247,36 +281,59 @@ class TestMapCommand:
         ({"target": {"sigma_csv": "asym.csv"}}, [], 2),
         ({"target": {"sigma_csv": "text.csv"}}, [], 2),
         ({"target": {"variance": -1}}, [], 2),
+        ({"target": {"variance": 10**400}}, [], 2),
         ({"target": {"lengthscale_m": "a"}}, [], 2),
         ({"target": {"extent_m": [1.0]}}, [], 2),
         ({"target": {"m_value": float("nan")}}, [], 2),
         ({"run": {"methods": 5}}, [], 2),
         ({"sampler": {"pd_floor": 0}, "run": {"methods": ["HLOCAL_HMC"]}}, [], 2),
         ({"sampler": {"beta": -1}}, [], 2),
-        # credible_band rejects it only after all sampling is done
+        # rejected at load, before any sampling
         ({"sampler": {"credible_mass": 2.0}}, [], 2),
         ({"run": {"output_dir": 5}}, [], 2),
         ({"sampler": {"include_logdet": "no"}}, [], 2),
         ({"sampler": {"store_samples": "no"}}, [], 2),
         ({"sampler": {"dt": {"MH": 0.1, "HLOCAL": 0.3}}}, [], 2),
         ({"target": {"m_csv": "m.csv"}}, [], 2),
-        # every proposal is rejected, so the chain never moves
+        ({"target": {"sigma_csv": "nan.csv"}}, [], 3),
+        ({"target": {"sigma_csv": "inf.csv"}}, [], 3),
+        # the squared lengthscale underflows to 0, so the covariance is NaN
+        ({"target": {"lengthscale_m": 1e-300}}, [], 3),
+        # the MAP exp(m - Sigma 1) underflows to 0, overflows or is NaN
+        ({"target": {"variance": 1e300}}, [], 3),
+        ({"target": {"nugget": 1e300}}, [], 3),
+        ({"target": {"m_value": 800}}, [], 3),
+        ({"target": {"m_value": 1e300}}, [], 3),
+        ({"target": {"sigma_csv": "sym.csv", "m_csv": "m_nan.csv"}}, [], 3),
+        # every proposal is rejected, so the chain never moves; the mean of
+        # the 43 equal values is off by an ulp
         ({"sampler": {"dt": 1000.0}}, [], 3),
+        ({"sampler": {"dt": 1000.0, "n_samples": 43}}, [], 3),
     ],
     ids=["dt-missing", "dt-zero", "dt-negative", "n-samples-text", "n-samples-short",
          "chains-text", "rows-zero", "seed-negative", "thin-zero", "sigma-asymmetric",
-         "sigma-not-numbers", "variance-negative", "lengthscale-text", "extent-short",
+         "sigma-not-numbers", "variance-negative", "variance-int-beyond-float",
+         "lengthscale-text", "extent-short",
          "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
          "credible-mass-above-one", "output-dir-number", "include-logdet-text",
          "store-samples-text", "dt-unknown-method", "m-csv-without-sigma",
-         "zero-variance"],
+         "sigma-nan", "sigma-inf", "lengthscale-underflow", "variance-huge",
+         "nugget-huge", "m-value-800", "m-value-huge", "m-csv-nan",
+         "zero-variance", "zero-variance-ulp"],
 )
 def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "asym.csv").write_text("0.5,0.1\n0.3,0.5\n")
     (tmp_path / "text.csv").write_text("a,b\nc,d\n")
+    (tmp_path / "nan.csv").write_text("nan,0.1\n0.1,0.5\n")
+    (tmp_path / "inf.csv").write_text("inf,0.1\n0.1,0.5\n")
+    (tmp_path / "sym.csv").write_text("0.5,0.1\n0.1,0.5\n")
+    (tmp_path / "m_nan.csv").write_text("nan\n0.1\n")
     cfg_path = small_config(tmp_path, **sections)
     assert main(["run", "--config", str(cfg_path), *args]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    # every error but a chain that never moves is raised before any output
+    if "ZeroVariance" not in err:
+        assert not (tmp_path / "out").exists()

@@ -62,7 +62,7 @@ def has_kind(value, default, kind) -> bool:
     if typ is int:
         return type(value) is int and in_interval(value, allowed)
     if typ is float:
-        return type(value) in (int, float) and in_interval(value, allowed)
+        return type(value) is float and in_interval(value, allowed)
     return type(value) is typ and (allowed is None or value in allowed)
 
 
@@ -84,6 +84,20 @@ def check_load(path) -> None:
 
 def test_defaults_have_their_kinds():
     assert_kinds(load_config(None))
+
+
+@pytest.mark.parametrize("dt", [1, dict.fromkeys(METHODS, 1)], ids=["scalar", "object"])
+def test_float_settings_load_as_floats(tmp_path, dt):
+    document = {}
+    for section, key in NAMES:
+        default, (typ, _) = SETTINGS[section][key]
+        if typ is float:
+            value = [1] * len(default) if isinstance(default, list) else 1
+            document.setdefault(section, {})[key] = value
+    document["sampler"]["dt"] = dt
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(document))
+    assert_kinds(load_config(str(path)))
 
 
 @FUZZ

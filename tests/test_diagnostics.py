@@ -102,6 +102,12 @@ class TestCorrelationTime:
         tau_shuf, _ = correlation_time(shuffled)
         assert 0.8 <= tau_shuf <= 1.3
 
+    # the mean of each of these but the first is off by an ulp
+    @pytest.mark.parametrize("value, n", [(1.0, 50), (0.1, 300), (0.7, 50), (123.456, 40)])
+    def test_any_constant_series_raises(self, value, n):
+        with pytest.raises(ZeroVariance):
+            correlation_time(np.full(n, value))
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             correlation_time(np.arange(5.0))
