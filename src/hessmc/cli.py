@@ -31,7 +31,7 @@ from scipy.stats import norm
 from . import diagnostics, linalg, samplers
 from .diagnostics import CredibleBand, ZeroVariance
 from .linalg import DimensionMismatch, NotPositiveDefinite, RepairFailed
-from .samplers import METHODS, FixedSpd, LocalHessian, SamplerConfig, ScaledIdentity
+from .samplers import KERNELS, METHODS, SamplerConfig
 from .targets import LogNormalField, OutOfDomain, build_grid_covariance
 
 EXIT_OK = 0
@@ -249,20 +249,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write("\n")
 
 
-def _sampler(cfg: dict, method: str, target: LogNormalField):
-    """The SamplerConfig and the mass spec of one method."""
-    s = cfg["sampler"]
-    if method == "HMAP_HMC":
-        mass_spec = FixedSpd(samplers.hmap_mass(target, s["pd_floor"])[0])
-    elif method == "HLOCAL_HMC":
-        mass_spec = LocalHessian(s["pd_floor"])
-    else:
-        mass_spec = ScaledIdentity(s["beta"])
-    keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
-    scfg = SamplerConfig(method, method_dt(cfg, method), **{k: s[k] for k in keys})
-    return scfg, mass_spec
-
-
 def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
     """Build the target and its MAP, then write map.csv to the output directory."""
     target = build_target(cfg)
@@ -282,9 +268,11 @@ def run_experiment(cfg: dict) -> int:
     out_dir, target, theta_map = _setup(cfg)
     s = cfg["sampler"]
     band_ref = exact_band(target, s["credible_mass"])
+    keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
     summary_rows = []
     for method in cfg["run"]["methods"]:
-        scfg, mass_spec = _sampler(cfg, method, target)
+        mass_spec = KERNELS[method].default(target, s["pd_floor"], s["beta"])
+        scfg = SamplerConfig(method, method_dt(cfg, method), **{k: s[k] for k in keys})
         diag_rows, rho_rows = [], []
         for chain in range(cfg["run"]["chains"]):
             rng = np.random.default_rng([s["seed"], chain])

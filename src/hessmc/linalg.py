@@ -53,11 +53,13 @@ class SpdFactor:
         return self.lower_factor @ self.lower_factor.T
 
 
-def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
+def _check_symmetric(matrix: np.ndarray, non_finite=NotPositiveDefinite) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-    scale = np.abs(matrix).max()
+    scale = np.abs(matrix).max()  # nan or inf iff an entry is
+    if not np.isfinite(scale):
+        raise non_finite("matrix has a non-finite entry")
     asym = np.abs(matrix - matrix.T).max()
     if scale > 0 and asym > SYMMETRY_RTOL * scale:
         raise DimensionMismatch(
@@ -84,7 +86,7 @@ def factorize(matrix: np.ndarray) -> SpdFactor:
     sym = _check_symmetric(matrix)
     try:
         lower = scipy.linalg.cholesky(sym, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN
+    except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return SpdFactor(dim=sym.shape[0], lower_factor=lower, log_det=log_det)
@@ -113,7 +115,7 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
     """Factorize, adding diagonal jitter lam*I if the matrix is indefinite.
 
     lam runs through the doubling sequence 0, floor, 2*floor, 4*floor, ...
-    until the Cholesky succeeds.
+    until the Cholesky succeeds; a non-finite matrix fails before any attempt.
 
     Args:
         matrix: dense square symmetric matrix.
@@ -123,11 +125,11 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
         (factor of matrix + lam*I, lam).
 
     Raises:
-        RepairFailed: lam exceeded floor * 1e12.
+        RepairFailed: lam exceeded floor * 1e12, or an entry is not finite.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    sym = _check_symmetric(matrix)
+    sym = _check_symmetric(matrix, non_finite=RepairFailed)
     lam = 0.0
     eye = np.eye(sym.shape[0])
     while True:

@@ -1,12 +1,14 @@
 """MCMC kernels: random-walk MH, HMC, Hessian-at-MAP HMC, frozen-local-Hessian HMC.
 
 All four kernels share the Metropolis accept/reject machinery, and a chain
-carries one point (theta, J, mass, lam) evaluated once, when proposed. The
-Hamiltonian kernels are one transition that differs only in its mass policy:
-HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian at the
-MAP), HLOCAL_HMC the local target Hessian, computed once per point, reused as
-the next trajectory's start mass and frozen during the leapfrog steps, with
-both endpoint log-determinant terms retained in the acceptance ratio.
+carries one point (theta, J, mass, lam) evaluated once, when proposed.
+``KERNELS`` declares each method's transition, the mass specs it takes and its
+default spec. A spec's ``mass_at(target)`` is its mass policy
+``theta -> (SpdFactor, lam)``, and the Hamiltonian kernels are one transition
+that differs only in that policy: HMC and HMAP_HMC use a constant mass
+(``beta * I`` or the Hessian at the MAP), HLOCAL_HMC the local target Hessian,
+computed once per point, reused as the next trajectory's start mass and frozen
+during the leapfrog steps, with both endpoint log-determinant terms retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
@@ -17,14 +19,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .linalg import (
     RepairFailed,
     SpdFactor,
-    factorize,
     repair_to_pd,
     sample_gaussian,
     solve,
@@ -34,9 +35,6 @@ from .targets import LogNormalField, TargetModel
 
 class ConfigMismatch(Exception):
     """Sampler method and mass specification do not fit together."""
-
-
-METHODS = ("MH", "HMC", "HMAP_HMC", "HLOCAL_HMC")
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class ScaledIdentity:
-    """Mass matrix beta * I."""
+    """Mass matrix beta * I, whose Cholesky factor is sqrt(beta) * I."""
 
     beta: float = 1.0
 
@@ -61,12 +59,21 @@ class ScaledIdentity:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
+    def mass_at(self, target: TargetModel):
+        d = target.dim
+        # Fortran order, as LAPACK returns factors: each solve uses it uncopied
+        lower = np.sqrt(self.beta) * np.eye(d, order="F")
+        return FixedSpd(SpdFactor(d, lower, d * np.log(self.beta))).mass_at(target)
+
 
 @dataclass(frozen=True)
 class FixedSpd:
     """Constant mass matrix supplied as a factor."""
 
     factor: SpdFactor
+
+    def mass_at(self, target: TargetModel):
+        return lambda theta: (self.factor, 0.0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,9 @@ class LocalHessian:
     def __post_init__(self):
         if self.floor <= 0:
             raise ValueError("floor must be positive")
+
+    def mass_at(self, target: TargetModel):
+        return lambda theta: repair_to_pd(target.hessian(theta), self.floor)
 
 
 MassSpec = Union[ScaledIdentity, FixedSpd, LocalHessian]
@@ -185,7 +195,8 @@ def _point(theta, target, mass_at):
 
 
 def _mh_step(point, target, mass_at, cfg, rng):
-    new = _point(mh_propose(point[0], cfg.dt, rng), target, mass_at)
+    theta = mh_propose(point[0], cfg.dt, rng)
+    new = (theta, target.potential(theta), *point[2:])  # mass carried, never used
     # symmetric proposal: dq = 0 identically
     accepted = mh_accept(point[1], new[1], 0.0, rng.uniform())
     return (new if accepted else point), accepted
@@ -214,14 +225,6 @@ def _hamiltonian_step(point, target, mass_at, cfg, rng):
     return (new if accepted else point), accepted
 
 
-def _constant_mass(mass: SpdFactor | None):
-    return lambda theta: (mass, 0.0)
-
-
-def _local_mass(target: TargetModel, floor: float):
-    return lambda theta: repair_to_pd(target.hessian(theta), floor)
-
-
 def hmc_step(
     theta: np.ndarray,
     target: TargetModel,
@@ -230,7 +233,7 @@ def hmc_step(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, bool]:
     """One constant-mass HMC transition."""
-    mass_at = _constant_mass(mass)
+    mass_at = FixedSpd(mass).mass_at(target)
     point = _point(theta, target, mass_at)
     new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
     return new[0], accepted
@@ -247,7 +250,7 @@ def hlocal_step(
 
     Returns (next position, accepted, jitter used at the start point).
     """
-    mass_at = _local_mass(target, pd_floor)
+    mass_at = LocalHessian(pd_floor).mass_at(target)
     point = _point(theta, target, mass_at)
     new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
     return new[0], accepted, point[3]
@@ -262,25 +265,32 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
     return repair_to_pd(target.hessian(target.map_point()), pd_floor)
 
 
-def _kernel(target: TargetModel, mass_spec: MassSpec, cfg: SamplerConfig, rng):
-    """The chain's mass policy and its transition point -> (point, accepted)."""
-    method = cfg.method
-    if method == "HMAP_HMC" and not isinstance(mass_spec, FixedSpd):
-        raise ConfigMismatch("HMAP_HMC requires a FixedSpd mass")
-    if method == "HLOCAL_HMC" and not isinstance(mass_spec, LocalHessian):
-        raise ConfigMismatch("HLOCAL_HMC requires a LocalHessian mass")
-    if method == "HMC" and isinstance(mass_spec, LocalHessian):
-        raise ConfigMismatch("HMC requires a constant mass")
-    step = _hamiltonian_step
-    if method == "MH":
-        step, mass_at = _mh_step, _constant_mass(None)
-    elif isinstance(mass_spec, LocalHessian):
-        mass_at = _local_mass(target, mass_spec.floor)
-    elif isinstance(mass_spec, FixedSpd):
-        mass_at = _constant_mass(mass_spec.factor)
-    else:
-        mass_at = _constant_mass(factorize(mass_spec.beta * np.eye(target.dim)))
-    return mass_at, lambda point: step(point, target, mass_at, cfg, rng)
+class Kernel(NamedTuple):
+    step: Callable  # (point, target, mass_at, cfg, rng) -> (point, accepted)
+    specs: tuple  # the mass-spec classes the method takes
+    default: Callable  # (target, pd_floor, beta) -> the method's default spec
+
+
+def _identity(target, pd_floor, beta):
+    return ScaledIdentity(beta)
+
+
+def _map_hessian(target, pd_floor, beta):
+    return FixedSpd(hmap_mass(target, pd_floor)[0])
+
+
+def _local_hessian(target, pd_floor, beta):
+    return LocalHessian(pd_floor)
+
+
+# Each method's kernel; adding a method is adding a row.
+KERNELS = {
+    "MH": Kernel(_mh_step, (ScaledIdentity, FixedSpd, LocalHessian), _identity),
+    "HMC": Kernel(_hamiltonian_step, (ScaledIdentity, FixedSpd), _identity),
+    "HMAP_HMC": Kernel(_hamiltonian_step, (FixedSpd,), _map_hessian),
+    "HLOCAL_HMC": Kernel(_hamiltonian_step, (LocalHessian,), _local_hessian),
+}
+METHODS = tuple(KERNELS)
 
 
 def run_chain(
@@ -292,14 +302,17 @@ def run_chain(
 ) -> ChainRecord:
     """Run burn_in + n_samples transitions from init; keep the last n_samples.
 
-    MH ignores mass_spec; HMC takes ScaledIdentity or FixedSpd; HMAP_HMC
-    requires FixedSpd; HLOCAL_HMC requires LocalHessian. Deterministic
-    for a fixed generator state.
+    KERNELS[cfg.method] gives the transition and the mass specs the method
+    takes (MH takes any and never uses its mass); another spec raises
+    ConfigMismatch. Deterministic for a fixed generator state.
     """
     init = np.asarray(init, dtype=float)
     if not target.in_domain(init):
         raise ValueError("initial position is outside the target domain")
-    mass_at, step = _kernel(target, mass_spec, cfg, rng)
+    step, specs, _ = KERNELS[cfg.method]
+    if not isinstance(mass_spec, specs):
+        raise ConfigMismatch(f"{cfg.method} takes no {type(mass_spec).__name__} mass")
+    mass_at = mass_spec.mass_at(target)
 
     samples = np.empty((cfg.n_samples, target.dim))
     accept_flags = np.empty(cfg.n_samples, dtype=bool)
@@ -308,14 +321,9 @@ def run_chain(
 
     point = _point(init.copy(), target, mass_at)
     for _ in range(cfg.burn_in):
-        point, _ = step(point)
+        point, _ = step(point, target, mass_at, cfg, rng)
     for i in range(cfg.n_samples):
         lambdas[i] = point[3]
-        point, accept_flags[i] = step(point)
+        point, accept_flags[i] = step(point, target, mass_at, cfg, rng)
         samples[i], potentials[i] = point[0], point[1]
-    return ChainRecord(
-        samples=samples,
-        accept_flags=accept_flags,
-        potentials=potentials,
-        repair_lambdas=lambdas,
-    )
+    return ChainRecord(samples, accept_flags, potentials, repair_lambdas=lambdas)

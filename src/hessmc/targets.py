@@ -178,6 +178,7 @@ def build_grid_covariance(
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     sq_dist = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    k = variance * np.exp(-sq_dist / (2.0 * lengthscale_m**2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # factorize reports a NaN
+        k = variance * np.exp(-sq_dist / (2.0 * lengthscale_m**2))
     k[np.diag_indices_from(k)] += nugget
     return factorize(k)

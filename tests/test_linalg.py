@@ -1,6 +1,7 @@
 """Tests for the SPD factorization services."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hessmc.linalg import (
     DimensionMismatch,
@@ -144,6 +145,20 @@ def test_repair_zero_matrix():
 def test_repair_failure():
     with pytest.raises(RepairFailed):
         repair_to_pd(np.array([[-1e30]]), 1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_repair_non_finite_fails_before_any_cholesky(bad, monkeypatch):
+    # no jitter makes a non-finite matrix finite: fail without escalating
+    calls = []
+    cholesky = scipy.linalg.cholesky
+    monkeypatch.setattr(scipy.linalg, "cholesky",
+                        lambda *a, **k: calls.append(a) or cholesky(*a, **k))
+    with pytest.raises(RepairFailed):
+        repair_to_pd(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
+    with pytest.raises(NotPositiveDefinite):
+        factorize(np.array([[bad, 0.0], [0.0, 1.0]]))
+    assert calls == []
 
 
 def test_factor_is_frozen():

@@ -4,6 +4,7 @@ import pytest
 
 from hessmc.linalg import factorize
 from hessmc.samplers import (
+    KERNELS,
     ChainRecord,
     ConfigMismatch,
     FixedSpd,
@@ -49,6 +50,13 @@ class CliffTarget(GaussianTarget):
 
     def hessian(self, theta):
         return super().hessian(theta) if theta[0] <= 1.0 else np.array([[-1e300]])
+
+
+class NanCliffTarget(GaussianTarget):
+    """Standard normal whose Hessian is NaN beyond theta_0 = 1."""
+
+    def hessian(self, theta):
+        return super().hessian(theta) if theta[0] <= 1.0 else np.array([[np.nan]])
 
 
 class WallTarget(GaussianTarget):
@@ -273,7 +281,7 @@ class TestHlocalStep:
         assert accepted
 
 
-    @pytest.mark.parametrize("target_cls", [CliffTarget, WallTarget])
+    @pytest.mark.parametrize("target_cls", [CliffTarget, NanCliffTarget, WallTarget])
     def test_bad_endpoint_rejected_with_one_uniform(self, target_cls):
         # an unrepairable or out-of-domain endpoint rejects through the one
         # accept test: one momentum draw, one uniform, the start point kept
@@ -302,6 +310,16 @@ class TestHmapMass:
         expected = np.diag(1.0 / np.diag(sigma) / theta_map**2)
         assert lam == 0.0
         assert np.allclose(mass.matrix(), expected)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5, 1e-3])
+def test_scaled_identity_factor_is_closed_form_cholesky(beta):
+    mass, lam = ScaledIdentity(beta).mass_at(field_2x2())(None)
+    ref = factorize(beta * np.eye(4))
+    assert lam == 0.0
+    assert np.array_equal(mass.lower_factor, ref.lower_factor)
+    assert mass.lower_factor.flags.f_contiguous == ref.lower_factor.flags.f_contiguous
+    assert mass.log_det == pytest.approx(ref.log_det, rel=1e-14)
 
 
 class TestRunChain:
@@ -402,6 +420,34 @@ class TestRunChain:
         with pytest.raises(ConfigMismatch):
             run_chain(target, LocalHessian(1e-8), cfg, np.zeros(2),
                       np.random.default_rng(0))
+
+    # the pairings each method accepts; every other pairing is a mismatch
+    ACCEPTS = {
+        "MH": {"ScaledIdentity", "FixedSpd", "LocalHessian"},
+        "HMC": {"ScaledIdentity", "FixedSpd"},
+        "HMAP_HMC": {"FixedSpd"},
+        "HLOCAL_HMC": {"LocalHessian"},
+    }
+
+    @pytest.mark.parametrize("spec", ["ScaledIdentity", "FixedSpd", "LocalHessian"])
+    @pytest.mark.parametrize("method", list(KERNELS))
+    def test_kernel_table_pairings(self, method, spec):
+        target = field_2x2()
+        mass_spec = {
+            "ScaledIdentity": ScaledIdentity(2.0),
+            "FixedSpd": FixedSpd(factorize(np.eye(4))),
+            "LocalHessian": LocalHessian(1e-6),
+        }[spec]
+        cfg = SamplerConfig(method=method, dt=1e-3, leapfrog_steps=2, n_samples=2)
+        init, rng = target.map_point(), np.random.default_rng(0)
+        if spec in self.ACCEPTS[method]:
+            assert run_chain(target, mass_spec, cfg, init, rng).samples.shape == (2, 4)
+        else:
+            with pytest.raises(ConfigMismatch):
+                run_chain(target, mass_spec, cfg, init, rng)
+        default = KERNELS[method].default(target, 1e-6, 2.0)
+        assert type(default).__name__ in self.ACCEPTS[method]
+        run_chain(target, default, cfg, init, np.random.default_rng(0))
 
     def test_invalid_config_values(self):
         with pytest.raises(ConfigMismatch):
