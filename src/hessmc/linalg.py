@@ -4,6 +4,13 @@ Everything downstream (momentum sampling, kinetic energies, log-determinants,
 mass-matrix preconditioning) goes through the :class:`SpdFactor` container,
 which holds a matrix together with its lower Cholesky factor and
 log-determinant. Factors are immutable and safe to share across chains.
+
+The two hot kernels call LAPACK directly: :func:`factorize` is one ``dpotrf``
+and :func:`solve` one ``dpotrs``, the same routines ``scipy.linalg.cholesky``
+and ``cho_solve`` call, so results agree bit for bit without those wrappers'
+per-call overhead. Each matrix is checked once per call: an exactly
+symmetric input passes after one finiteness and one equality scan, uncopied,
+and only an asymmetric one is measured for its asymmetry and symmetrized.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 SYMMETRY_RTOL = 1e-8
@@ -57,9 +64,11 @@ def _check_symmetric(matrix: np.ndarray, non_finite=NotPositiveDefinite) -> np.n
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-    scale = np.abs(matrix).max()  # nan or inf iff an entry is
-    if not np.isfinite(scale):
+    if not np.isfinite(matrix).all():
         raise non_finite("matrix has a non-finite entry")
+    if np.array_equal(matrix, matrix.T):
+        return matrix
+    scale = np.abs(matrix).max()
     asym = np.abs(matrix - matrix.T).max()
     if scale > 0 and asym > SYMMETRY_RTOL * scale:
         raise DimensionMismatch(
@@ -84,25 +93,38 @@ def factorize(matrix: np.ndarray) -> SpdFactor:
         DimensionMismatch: the input is not square or not symmetric.
     """
     sym = _check_symmetric(matrix)
-    try:
-        lower = scipy.linalg.cholesky(sym, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    lower, info = dpotrf(sym, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrf")
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return SpdFactor(dim=sym.shape[0], lower_factor=lower, log_det=log_det)
 
 
 def solve(f: SpdFactor, v: np.ndarray) -> np.ndarray:
-    """Solve M @ x = v through the two triangular factors of M."""
+    """Solve M @ x = v through the two triangular factors of M.
+
+    Raises:
+        DimensionMismatch: v is not a vector of length ``f.dim``.
+        ValueError: v has an inf or NaN entry.
+    """
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] != f.dim:
-        raise DimensionMismatch(f"vector of length {v.shape[-1]} vs factor dim {f.dim}")
-    return scipy.linalg.cho_solve((f.lower_factor, True), v)
+    if v.shape != (f.dim,):
+        raise DimensionMismatch(f"expected a vector of length {f.dim}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(f.lower_factor, v, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def inverse(f: SpdFactor) -> np.ndarray:
     """Dense inverse of the factored matrix."""
-    return scipy.linalg.cho_solve((f.lower_factor, True), np.eye(f.dim))
+    return dpotrs(f.lower_factor, np.eye(f.dim), lower=1)[0]
 
 
 def sample_gaussian(f: SpdFactor, rng: np.random.Generator) -> np.ndarray:
@@ -131,10 +153,9 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
         raise ValueError("floor must be positive")
     sym = _check_symmetric(matrix, non_finite=RepairFailed)
     lam = 0.0
-    eye = np.eye(sym.shape[0])
     while True:
         try:
-            return factorize(sym + lam * eye), lam
+            return factorize(sym + lam * np.eye(sym.shape[0]) if lam else sym), lam
         except NotPositiveDefinite:
             lam = floor if lam == 0.0 else 2.0 * lam
             if lam > REPAIR_CAP * floor:

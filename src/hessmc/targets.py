@@ -104,7 +104,7 @@ class LogNormalField(TargetModel):
         self.sigma_inv = inverse(self.sigma)
 
     def in_domain(self, theta: np.ndarray) -> bool:
-        return bool(np.all(np.asarray(theta) > 0.0))
+        return bool((np.asarray(theta) > 0.0).all())
 
     def _weighted_residual(self, theta: np.ndarray) -> np.ndarray:
         # v = Sigma^-1 (log theta - m)

@@ -1,10 +1,15 @@
 """Tests for the benchmark CLI: config handling, CSV outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessmc
 from hessmc import diagnostics
 from hessmc.cli import (
     EXIT_CONFIG,
@@ -135,6 +140,16 @@ class TestExactBand:
         band = exact_band(t, 0.95)
         assert np.allclose(emp.lower, band.lower, rtol=0.02)
         assert np.allclose(emp.upper, band.upper, rtol=0.02)
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes most of a short CLI process's start-up time
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    code = "import hessmc.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestRunCommand:

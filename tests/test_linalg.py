@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hessmc import linalg
 from hessmc.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -13,6 +14,11 @@ from hessmc.linalg import (
     sample_gaussian,
     solve,
 )
+
+
+def _counting(calls, fn):
+    """Wrap fn so that each call appends its arguments to calls."""
+    return lambda *a, **k: calls.append(a) or fn(*a, **k)
 
 
 class FixedNormals:
@@ -76,6 +82,10 @@ def test_solve_examples():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve(factorize(np.eye(2)), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        solve(factorize(np.eye(2)), np.ones((2, 2)))  # columns, not rows
+    with pytest.raises(DimensionMismatch):
+        solve(factorize(np.eye(1)), 1.0)
 
 
 def test_solve_round_trip():
@@ -149,11 +159,11 @@ def test_repair_failure():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_repair_non_finite_fails_before_any_cholesky(bad, monkeypatch):
-    # no jitter makes a non-finite matrix finite: fail without escalating
+    # no jitter makes a non-finite matrix finite: fail without escalating,
+    # that is without a factorize attempt or a LAPACK Cholesky
     calls = []
-    cholesky = scipy.linalg.cholesky
-    monkeypatch.setattr(scipy.linalg, "cholesky",
-                        lambda *a, **k: calls.append(a) or cholesky(*a, **k))
+    for name in ("factorize", "dpotrf"):
+        monkeypatch.setattr(linalg, name, _counting(calls, getattr(linalg, name)))
     with pytest.raises(RepairFailed):
         repair_to_pd(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(NotPositiveDefinite):
@@ -165,3 +175,72 @@ def test_factor_is_frozen():
     f = factorize(np.eye(2))
     with pytest.raises(AttributeError):
         f.log_det = 1.0
+
+
+# The LAPACK calls must give what the scipy.linalg wrappers give, bit for bit.
+LAPACK_DIMS = (1, 4, 64, 144)
+
+
+def _spd(dim, seed):
+    b = np.random.default_rng(seed).standard_normal((dim, dim))
+    a = b @ b.T + dim * np.eye(dim)
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_factorize_and_solve_match_scipy_bitwise(dim):
+    a = _spd(dim, dim)
+    f = factorize(a)
+    lower = scipy.linalg.cholesky(a, lower=True)
+    assert np.array_equal(f.lower_factor, lower)
+    assert f.lower_factor.flags.f_contiguous
+    assert f.log_det == 2.0 * float(np.sum(np.log(np.diag(lower))))
+    v = np.random.default_rng(dim + 1).standard_normal(dim)
+    assert np.array_equal(solve(f, v), scipy.linalg.cho_solve((lower, True), v))
+    assert np.array_equal(linalg.inverse(f),
+                          scipy.linalg.cho_solve((lower, True), np.eye(dim)))
+    # asymmetric within SYMMETRY_RTOL: factorized after symmetrizing
+    b = a + 1e-12 * np.triu(np.ones((dim, dim)), 1)
+    assert np.array_equal(factorize(b).lower_factor,
+                          scipy.linalg.cholesky(0.5 * (b + b.T), lower=True))
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_repair_jitter_matches_scipy_escalation_bitwise(dim):
+    # shift the spectrum below zero so that repair has to jitter
+    a = _spd(dim, dim) - 1.5 * np.linalg.eigvalsh(_spd(dim, dim))[-1] * np.eye(dim)
+    floor = 1e-3
+    lam = 0.0
+    while True:  # the escalation as it was written over scipy.linalg.cholesky
+        try:
+            lower = scipy.linalg.cholesky(a + lam * np.eye(dim), lower=True)
+            break
+        except scipy.linalg.LinAlgError:
+            lam = floor if lam == 0.0 else 2.0 * lam
+    f, got = repair_to_pd(a, floor)
+    assert got == lam > 0.0
+    assert np.array_equal(f.lower_factor, lower)
+    assert f.lower_factor.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_lapack_path_keeps_its_errors(dim):
+    f = factorize(_spd(dim, dim))
+    v = np.ones(dim)
+    v[-1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve(f, v)
+    with pytest.raises(NotPositiveDefinite):
+        factorize(-_spd(dim, dim))
+
+
+def test_repair_calls_factorize_once_per_attempt(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "factorize", _counting(calls, linalg.factorize))
+    repair_to_pd(np.eye(3), 0.3)
+    assert len(calls) == 1
+    calls.clear()
+    # lambda_min = -1: lam runs 0, 0.3, 0.6 and stops at 1.2
+    f, lam = repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
+    assert lam == pytest.approx(1.2)
+    assert len(calls) == 4
