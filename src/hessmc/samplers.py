@@ -12,7 +12,8 @@ during the leapfrog steps, with both endpoint log-determinant terms retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
-``include_logdet=False``.
+``include_logdet=False``. MH takes any spec but builds no mass from it: its
+proposals never read one, so its points carry ``(None, 0.0)``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .linalg import (
     sample_gaussian,
     solve,
 )
-from .targets import LogNormalField, TargetModel
+from .targets import LogNormalField, OutOfDomain, TargetModel
 
 
 class ConfigMismatch(Exception):
@@ -147,9 +148,10 @@ def leapfrog(
 ) -> PhaseState:
     """Explicit leapfrog: half-kick, drift through M^-1, half-kick, L times.
 
-    If any intermediate position leaves the target domain the trajectory
-    is abandoned and the out-of-domain state is returned as-is; its
-    potential is +inf so the proposal will be rejected.
+    If any intermediate position leaves the target domain (its gradient
+    raises OutOfDomain) the trajectory is abandoned and the out-of-domain
+    position is returned with its half-step momentum; its potential is +inf
+    so the proposal will be rejected.
     """
     theta = state.position.copy()
     p = state.momentum.copy()
@@ -157,9 +159,10 @@ def leapfrog(
     for _ in range(steps):
         p_half = p - 0.5 * dt * grad
         theta = theta + dt * solve(mass, p_half)
-        if not target.in_domain(theta):
+        try:
+            grad = target.gradient(theta)
+        except OutOfDomain:
             return PhaseState(position=theta, momentum=p_half)
-        grad = target.gradient(theta)
         p = p_half - 0.5 * dt * grad
     return PhaseState(position=theta, momentum=p)
 
@@ -188,6 +191,11 @@ def _kinetic(p: np.ndarray, mass: SpdFactor) -> float:
     return 0.5 * float(p @ solve(mass, p))
 
 
+def _no_mass(theta):
+    """MH's mass policy: its proposals read no mass, so its points hold none."""
+    return None, 0.0
+
+
 def _point(theta, target, mass_at):
     """The chain point (theta, J, mass, lam) at theta."""
     mass, lam = mass_at(theta)
@@ -196,7 +204,7 @@ def _point(theta, target, mass_at):
 
 def _mh_step(point, target, mass_at, cfg, rng):
     theta = mh_propose(point[0], cfg.dt, rng)
-    new = (theta, target.potential(theta), *point[2:])  # mass carried, never used
+    new = (theta, target.potential(theta), *point[2:])  # no mass: (None, 0.0)
     # symmetric proposal: dq = 0 identically
     accepted = mh_accept(point[1], new[1], 0.0, rng.uniform())
     return (new if accepted else point), accepted
@@ -303,7 +311,7 @@ def run_chain(
     """Run burn_in + n_samples transitions from init; keep the last n_samples.
 
     KERNELS[cfg.method] gives the transition and the mass specs the method
-    takes (MH takes any and never uses its mass); another spec raises
+    takes (MH takes any and builds no mass from it); another spec raises
     ConfigMismatch. Deterministic for a fixed generator state.
     """
     init = np.asarray(init, dtype=float)
@@ -312,7 +320,7 @@ def run_chain(
     step, specs, _ = KERNELS[cfg.method]
     if not isinstance(mass_spec, specs):
         raise ConfigMismatch(f"{cfg.method} takes no {type(mass_spec).__name__} mass")
-    mass_at = mass_spec.mass_at(target)
+    mass_at = _no_mass if step is _mh_step else mass_spec.mass_at(target)
 
     samples = np.empty((cfg.n_samples, target.dim))
     accept_flags = np.empty(cfg.n_samples, dtype=bool)

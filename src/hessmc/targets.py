@@ -4,6 +4,13 @@ The potential is J(theta) = -log pi(theta). The log-normal field target
 drops the additive normalization constant -0.5*log|Sigma^-1| from J; only
 differences of J enter any acceptance ratio, so the convention is harmless
 as long as it is applied consistently (it is, and tests pin it).
+
+Both targets are held in precision form: Sigma^-1 is inverted once at
+construction, made exactly symmetric, and applied by one matrix-vector
+product per call, so no potential, gradient or Hessian solves against the
+covariance, and every Hessian is exactly symmetric by construction.
+``samplers.leapfrog`` checks a drifted position's domain only through
+gradient, which must raise OutOfDomain there.
 """
 
 from __future__ import annotations
@@ -12,11 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpdFactor, factorize, inverse, solve
+from .linalg import DimensionMismatch, SpdFactor, factorize, inverse
 
 
 class OutOfDomain(Exception):
     """Point lies outside the target's support."""
+
+
+def _symmetric_inverse(f: SpdFactor) -> np.ndarray:
+    """Inverse of the factored matrix, made exactly symmetric in place."""
+    s = inverse(f)
+    s += s.T
+    s *= 0.5
+    return s
 
 
 class TargetModel:
@@ -24,7 +39,10 @@ class TargetModel:
 
     Subclasses provide potential(theta), gradient(theta), hessian(theta)
     and in_domain(theta). potential returns +inf outside the domain;
-    gradient and hessian raise OutOfDomain there.
+    gradient and hessian raise OutOfDomain there. ``samplers.leapfrog``
+    relies on that: it checks a drifted position only through gradient.
+    The targets below store their precision exactly symmetric and apply it
+    by one matrix-vector product.
     """
 
     dim: int
@@ -57,18 +75,18 @@ class GaussianTarget(TargetModel):
                 f"mean length {self.mean.shape} vs covariance dim {self.cov.dim}"
             )
         self.dim = self.cov.dim
-        self.precision = inverse(self.cov)
+        self.precision = _symmetric_inverse(self.cov)
 
     def in_domain(self, theta: np.ndarray) -> bool:
         return True
 
     def potential(self, theta: np.ndarray) -> float:
         r = np.asarray(theta, dtype=float) - self.mean
-        return 0.5 * float(r @ solve(self.cov, r))
+        return 0.5 * float(r @ (self.precision @ r))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         r = np.asarray(theta, dtype=float) - self.mean
-        return solve(self.cov, r)
+        return self.precision @ r
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         return self.precision.copy()
@@ -101,14 +119,14 @@ class LogNormalField(TargetModel):
                 f"m length {self.m.shape} vs sigma dim {self.sigma.dim}"
             )
         self.dim = self.sigma.dim
-        self.sigma_inv = inverse(self.sigma)
+        self.sigma_inv = _symmetric_inverse(self.sigma)
 
     def in_domain(self, theta: np.ndarray) -> bool:
         return bool((np.asarray(theta) > 0.0).all())
 
     def _weighted_residual(self, theta: np.ndarray) -> np.ndarray:
         # v = Sigma^-1 (log theta - m)
-        return solve(self.sigma, np.log(theta) - self.m)
+        return self.sigma_inv @ (np.log(theta) - self.m)
 
     def potential(self, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -116,7 +134,7 @@ class LogNormalField(TargetModel):
             return np.inf
         log_theta = np.log(theta)
         r = log_theta - self.m
-        return 0.5 * float(r @ solve(self.sigma, r)) + float(np.sum(log_theta))
+        return 0.5 * float(r @ (self.sigma_inv @ r)) + float(np.sum(log_theta))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -133,8 +151,7 @@ class LogNormalField(TargetModel):
         inv_theta = 1.0 / theta
         h = self.sigma_inv * np.outer(inv_theta, inv_theta)
         h[np.diag_indices_from(h)] -= (v + 1.0) * inv_theta**2
-        # exact symmetry by construction
-        return 0.5 * (h + h.T)
+        return h
 
     def map_point(self) -> np.ndarray:
         """Closed-form mode: exp(m - Sigma @ 1).

@@ -1,4 +1,6 @@
 """Tests for the four MCMC kernels and the leapfrog integrator."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from hessmc.samplers import (
 from hessmc.targets import (
     GaussianTarget,
     LogNormalField,
+    OutOfDomain,
     build_grid_covariance,
     gaussian_target,
 )
@@ -60,10 +63,18 @@ class NanCliffTarget(GaussianTarget):
 
 
 class WallTarget(GaussianTarget):
-    """Standard normal whose domain ends at theta_0 = 1."""
+    """Standard normal whose domain ends at theta_0 = 1.
+
+    As TargetModel documents, its gradient raises OutOfDomain past the wall.
+    """
 
     def in_domain(self, theta):
         return bool(theta[0] <= 1.0)
+
+    def gradient(self, theta):
+        if not self.in_domain(theta):
+            raise OutOfDomain("gradient requested past the wall")
+        return super().gradient(theta)
 
 
 class FixedStream:
@@ -161,6 +172,50 @@ class TestLeapfrog:
         out = leapfrog(state, target, mass, 0.1, 3)
         assert not target.in_domain(out.position)
         assert hamiltonian(out, target, mass) == np.inf
+
+    def test_wall_crossed_mid_trajectory(self):
+        # standard normal, unit mass: step 1 drifts to 0.6, step 2 to 1.05,
+        # past the wall; the trajectory stops there with its half-step momentum
+        target = WallTarget(np.zeros(1), factorize(np.eye(1)))
+        dt, theta, p = 0.5, np.array([0.0]), np.array([1.2])
+        inside = []
+        for _ in range(2):
+            p_half = p - 0.5 * dt * theta  # a standard normal's gradient is theta
+            theta = theta + dt * p_half
+            inside.append(target.in_domain(theta))
+            p = p_half - 0.5 * dt * theta
+        assert inside == [True, False]
+        start = PhaseState(np.array([0.0]), np.array([1.2]))
+        out = leapfrog(start, target, factorize(np.eye(1)), dt, 5)
+        assert np.array_equal(out.position, theta)
+        assert np.array_equal(out.momentum, p_half)
+        assert (out.position[0], out.momentum[0]) == pytest.approx((1.05, 0.9))
+
+    def test_domain_checked_only_by_gradient(self):
+        # L steps take L + 1 gradients, and each position's domain check is
+        # the one inside its gradient: leapfrog makes none of its own
+        class Counted(LogNormalField):
+            gradients, own_checks, in_gradient = 0, 0, False
+
+            def gradient(self, theta):
+                self.gradients += 1
+                self.in_gradient = True
+                try:
+                    return super().gradient(theta)
+                finally:
+                    self.in_gradient = False
+
+            def in_domain(self, theta):
+                self.own_checks += not self.in_gradient
+                return super().in_domain(theta)
+
+        plain = field_2x2()
+        target = Counted(m=plain.m, sigma=plain.sigma)
+        mass = hmap_mass(plain, 1e-6)[0]
+        p0 = mass.lower_factor @ np.array([0.3, -0.2, 0.5, 0.1])
+        out = leapfrog(PhaseState(plain.map_point(), p0), target, mass, 0.05, 7)
+        assert (target.gradients, target.own_checks) == (8, 0)
+        assert np.all(out.position > 0.0)
 
     def test_energy_error_second_order(self):
         rng = np.random.default_rng(77)
@@ -387,6 +442,24 @@ class TestRunChain:
         assert np.array_equal(rec.repair_lambdas, lambdas)
         # one Hessian at the initial point and one per proposed endpoint
         assert len(calls) <= 1 + cfg.burn_in + cfg.n_samples
+
+    @pytest.mark.parametrize("spec", [ScaledIdentity(), LocalHessian(1e-6)])
+    def test_mh_allocates_no_matrix(self, spec):
+        # MH builds no mass: at d = 144 its peak allocation stays within half
+        # a d x d array of its ChainRecord, where a 144 x 144 mass is 166 KB
+        sigma = build_grid_covariance(12, 12, (12000.0, 6000.0), 1000.0, 1e-3, 1e-6)
+        target = LogNormalField(m=np.full(144, -1.0), sigma=sigma)
+        cfg = SamplerConfig(method="MH", dt=0.01, n_samples=200, burn_in=20)
+        theta = target.map_point()
+        tracemalloc.start()
+        try:
+            rec = run_chain(target, spec, cfg, theta, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(rec).values())
+        assert peak <= held + 0.5 * target.dim**2 * 8
+        assert not rec.repair_lambdas.any()
 
     def test_burn_in_is_additional(self):
         target = gaussian_2d()

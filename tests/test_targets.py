@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hessmc import linalg, targets
 from hessmc.linalg import DimensionMismatch, factorize
 from hessmc.targets import (
     GaussianTarget,
@@ -206,3 +207,76 @@ class TestGaussianTarget:
     def test_whole_space_domain(self):
         t = gaussian_target(np.zeros(2), factorize(np.eye(2)))
         assert t.in_domain(np.array([-1e6, 1e6]))
+
+
+def desk_field(rows, cols):
+    """The CLI's default target on a rows x cols grid at desk spacing."""
+    extent = (1000.0 * cols, 500.0 * rows)
+    sigma = build_grid_covariance(rows, cols, extent, 1000.0, 1e-3, 1e-6)
+    return LogNormalField(m=np.full(rows * cols, -1.0), sigma=sigma)
+
+
+def perturbed_points(target, rng):
+    theta_map = target.map_point()
+    return [theta_map] + [
+        theta_map * np.exp(0.05 * rng.standard_normal(target.dim)) for _ in range(3)
+    ]
+
+
+class TestPrecisionForm:
+    """The stored precision matches the solve form it replaced."""
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
+    def test_matches_solve_form(self, rows, cols):
+        t = desk_field(rows, cols)
+        sigma_inv = np.column_stack([linalg.solve(t.sigma, e) for e in np.eye(t.dim)])
+        for theta in perturbed_points(t, np.random.default_rng(rows)):
+            log_theta = np.log(theta)
+            r = log_theta - t.m
+            v = linalg.solve(t.sigma, r)
+            j = 0.5 * float(r @ v) + float(np.sum(log_theta))
+            assert abs(t.potential(theta) - j) <= 1e-10 * abs(j)
+            # the gradient vanishes at the MAP: scale by the size of its terms
+            g_scale = np.linalg.norm((np.abs(v) + 1.0) / theta)
+            g = t.gradient(theta) - (v + 1.0) / theta
+            assert np.linalg.norm(g) <= 1e-10 * g_scale
+            inv_theta = 1.0 / theta
+            h = sigma_inv * np.outer(inv_theta, inv_theta)
+            h[np.diag_indices_from(h)] -= (v + 1.0) * inv_theta**2
+            assert np.linalg.norm(t.hessian(theta) - h) <= 1e-10 * np.linalg.norm(h)
+            # the Gaussian N(m, Sigma) at log theta has the same residual
+            g = gaussian_target(t.m, t.sigma)
+            assert abs(g.potential(log_theta) - 0.5 * float(r @ v)) <= 1e-10 * abs(r @ v)
+            assert np.linalg.norm(g.gradient(log_theta) - v) <= 1e-10 * np.linalg.norm(v)
+            err = np.linalg.norm(g.hessian(log_theta) - sigma_inv)
+            assert err <= 1e-10 * np.linalg.norm(sigma_inv)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
+    def test_exactly_symmetric(self, rows, cols):
+        t = desk_field(rows, cols)
+        assert np.array_equal(t.sigma_inv, t.sigma_inv.T)
+        for theta in perturbed_points(t, np.random.default_rng(rows)):
+            h = t.hessian(theta)
+            assert np.array_equal(h, h.T)
+        g = gaussian_target(t.m, t.sigma)
+        assert np.array_equal(g.precision, g.precision.T)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
+    def test_no_solve_per_call(self, rows, cols, monkeypatch):
+        t = desk_field(rows, cols)
+        g = gaussian_target(t.m, t.sigma)
+        solve, calls = linalg.solve, []
+
+        def counted(f, v):
+            calls.append(f.dim)
+            return solve(f, v)
+
+        monkeypatch.setattr(linalg, "solve", counted)
+        # a module that imports solve by name holds its own binding
+        monkeypatch.setattr(targets, "solve", counted, raising=False)
+        for theta in perturbed_points(t, np.random.default_rng(rows)):
+            for target in (t, g):
+                target.potential(theta)
+                target.gradient(theta)
+                target.hessian(theta)
+        assert calls == []
