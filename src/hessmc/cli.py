@@ -23,6 +23,7 @@ import copy
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +209,16 @@ def build_target(cfg: dict) -> LogNormalField:
         raise ConfigError("target.m_csv is given without target.sigma_csv")
     if t["sigma_csv"] is not None:
         try:
-            sigma_mat = np.loadtxt(t["sigma_csv"], delimiter=",", ndmin=2)
-            m = (
-                np.loadtxt(t["m_csv"], delimiter=",").reshape(-1)
-                if t["m_csv"] is not None
-                else np.full(sigma_mat.shape[0], t["m_value"])
-            )
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # loadtxt only warns on an empty file: make that an error too
+                warnings.simplefilter("error", UserWarning)
+                sigma_mat = np.loadtxt(t["sigma_csv"], delimiter=",", ndmin=2)
+                m = (
+                    np.loadtxt(t["m_csv"], delimiter=",").reshape(-1)
+                    if t["m_csv"] is not None
+                    else np.full(sigma_mat.shape[0], t["m_value"])
+                )
+        except (OSError, ValueError, UserWarning) as exc:
             raise ConfigError(f"cannot read target CSV: {exc}") from exc
         sigma = linalg.factorize(sigma_mat)
         return LogNormalField(m=m, sigma=sigma, grid_shape=(1, sigma.dim))

@@ -60,12 +60,12 @@ class SpdFactor:
         return self.lower_factor @ self.lower_factor.T
 
 
-def _check_symmetric(matrix: np.ndarray, non_finite=NotPositiveDefinite) -> np.ndarray:
+def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
-        raise non_finite("matrix has a non-finite entry")
+        raise NotPositiveDefinite("matrix has a non-finite entry")
     if np.array_equal(matrix, matrix.T):
         return matrix
     scale = np.abs(matrix).max()
@@ -138,25 +138,32 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
 
     lam runs through the doubling sequence 0, floor, 2*floor, 4*floor, ...
     until the Cholesky succeeds; a non-finite matrix fails before any attempt.
+    Each attempt is one :func:`factorize`, which checks shape and symmetry.
 
     Args:
         matrix: dense square symmetric matrix.
-        floor: first nonzero jitter magnitude; must be positive.
+        floor: first nonzero jitter magnitude; must be finite and positive.
 
     Returns:
         (factor of matrix + lam*I, lam).
 
     Raises:
         RepairFailed: lam exceeded floor * 1e12, or an entry is not finite.
+        DimensionMismatch: the matrix is not square or not symmetric.
+        ValueError: floor is not finite and positive.
     """
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    sym = _check_symmetric(matrix, non_finite=RepairFailed)
+    if not 0.0 < floor < np.inf:
+        raise ValueError("floor must be finite and positive")
+    matrix = np.asarray(matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise RepairFailed("matrix has a non-finite entry")
     lam = 0.0
     while True:
         try:
-            return factorize(sym + lam * np.eye(sym.shape[0]) if lam else sym), lam
+            return factorize(matrix + lam * np.eye(len(matrix)) if lam else matrix), lam
         except NotPositiveDefinite:
+            if lam == 0.0:  # jitter the symmetric part that factorize accepted
+                matrix = 0.5 * (matrix + matrix.T)
             lam = floor if lam == 0.0 else 2.0 * lam
             if lam > REPAIR_CAP * floor:
                 raise RepairFailed(

@@ -14,6 +14,10 @@ would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
 ``include_logdet=False``. MH takes any spec but builds no mass from it: its
 proposals never read one, so its points carry ``(None, 0.0)``.
+
+Inside a transition the target alone judges its domain, as ``TargetModel``
+documents (+inf potential, ``OutOfDomain`` from gradient and hessian);
+``run_chain`` checks only the start point it is given.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .linalg import (
     RepairFailed,
     SpdFactor,
+    factorize,
     repair_to_pd,
     sample_gaussian,
     solve,
@@ -52,19 +57,16 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class ScaledIdentity:
-    """Mass matrix beta * I, whose Cholesky factor is sqrt(beta) * I."""
+    """Mass matrix beta * I, factorized once per chain."""
 
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and positive")
 
     def mass_at(self, target: TargetModel):
-        d = target.dim
-        # Fortran order, as LAPACK returns factors: each solve uses it uncopied
-        lower = np.sqrt(self.beta) * np.eye(d, order="F")
-        return FixedSpd(SpdFactor(d, lower, d * np.log(self.beta))).mass_at(target)
+        return FixedSpd(factorize(self.beta * np.eye(target.dim))).mass_at(target)
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class LocalHessian:
     floor: float = 1e-6
 
     def __post_init__(self):
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
+        if not 0.0 < self.floor < np.inf:
+            raise ValueError("floor must be finite and positive")
 
     def mass_at(self, target: TargetModel):
         return lambda theta: repair_to_pd(target.hessian(theta), self.floor)
@@ -106,8 +108,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigMismatch(f"unknown method {self.method!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be >= 1")
         if self.n_samples < 1:
@@ -177,10 +179,8 @@ def hamiltonian(
 
     The log-det term matters only when the mass matrix differs between
     the two endpoints being compared; with a constant mass it cancels.
-    Returns +inf for out-of-domain positions.
+    Returns +inf for out-of-domain positions, where the potential is +inf.
     """
-    if not target.in_domain(state.position):
-        return np.inf
     h = target.potential(state.position) + _kinetic(state.momentum, mass)
     if include_logdet:
         h += 0.5 * mass.log_det
@@ -203,8 +203,7 @@ def _point(theta, target, mass_at):
 
 
 def _mh_step(point, target, mass_at, cfg, rng):
-    theta = mh_propose(point[0], cfg.dt, rng)
-    new = (theta, target.potential(theta), *point[2:])  # no mass: (None, 0.0)
+    new = _point(mh_propose(point[0], cfg.dt, rng), target, mass_at)
     # symmetric proposal: dq = 0 identically
     accepted = mh_accept(point[1], new[1], 0.0, rng.uniform())
     return (new if accepted else point), accepted
@@ -214,16 +213,15 @@ def _hamiltonian_step(point, target, mass_at, cfg, rng):
     """One Hamiltonian transition point -> (point, accepted).
 
     The trajectory uses the current point's mass; mass_at(position) ->
-    (SpdFactor, lam) is evaluated at the endpoint only. An out-of-domain or
-    unrepairable endpoint keeps delta = -inf: the one accept test rejects it.
+    (SpdFactor, lam) is evaluated at the endpoint only. An unrepairable or
+    out-of-domain endpoint ends with delta = -inf: the one accept test rejects it.
     """
     theta, j_cur, mass, _ = point
     p0 = sample_gaussian(mass, rng)
     end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps)
     new, delta = point, -np.inf
-    if target.in_domain(end.position):
-        with suppress(RepairFailed):
-            new = _point(end.position, target, mass_at)
+    with suppress(OutOfDomain, RepairFailed):
+        new = _point(end.position, target, mass_at)
     if new is not point:
         _, j_end, m_end, _ = new
         delta = (j_cur - j_end) + (_kinetic(p0, mass) - _kinetic(end.momentum, m_end))

@@ -9,8 +9,8 @@ Both targets are held in precision form: Sigma^-1 is inverted once at
 construction, made exactly symmetric, and applied by one matrix-vector
 product per call, so no potential, gradient or Hessian solves against the
 covariance, and every Hessian is exactly symmetric by construction.
-``samplers.leapfrog`` checks a drifted position's domain only through
-gradient, which must raise OutOfDomain there.
+Each target owns its domain check: within a transition the samplers judge a
+position only through potential (+inf outside), gradient and hessian.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class TargetModel:
 
     Subclasses provide potential(theta), gradient(theta), hessian(theta)
     and in_domain(theta). potential returns +inf outside the domain;
-    gradient and hessian raise OutOfDomain there. ``samplers.leapfrog``
-    relies on that: it checks a drifted position only through gradient.
+    gradient and hessian raise OutOfDomain there. The samplers rely on that:
+    within a transition they make no in_domain call of their own.
     The targets below store their precision exactly symmetric and apply it
     by one matrix-vector product.
     """

@@ -310,6 +310,9 @@ class TestMapCommand:
         ({"sampler": {"store_samples": "no"}}, [], 2),
         ({"sampler": {"dt": {"MH": 0.1, "HLOCAL": 0.3}}}, [], 2),
         ({"target": {"m_csv": "m.csv"}}, [], 2),
+        # loadtxt only warns on an empty file; the CLI prints just its error
+        ({"target": {"sigma_csv": "empty.csv"}}, [], 2),
+        ({"target": {"sigma_csv": "sym.csv", "m_csv": "empty.csv"}}, [], 2),
         ({"target": {"sigma_csv": "nan.csv"}}, [], 3),
         ({"target": {"sigma_csv": "inf.csv"}}, [], 3),
         # the squared lengthscale underflows to 0, so the covariance is NaN
@@ -332,6 +335,7 @@ class TestMapCommand:
          "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
          "credible-mass-above-one", "output-dir-number", "include-logdet-text",
          "store-samples-text", "dt-unknown-method", "m-csv-without-sigma",
+         "sigma-empty", "m-csv-empty",
          "sigma-nan", "sigma-inf", "lengthscale-underflow", "variance-huge",
          "nugget-huge", "m-value-800", "m-value-huge", "m-csv-nan",
          "zero-variance", "zero-variance-ulp"],
@@ -344,6 +348,7 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
     (tmp_path / "inf.csv").write_text("inf,0.1\n0.1,0.5\n")
     (tmp_path / "sym.csv").write_text("0.5,0.1\n0.1,0.5\n")
     (tmp_path / "m_nan.csv").write_text("nan\n0.1\n")
+    (tmp_path / "empty.csv").write_text("")
     cfg_path = small_config(tmp_path, **sections)
     assert main(["run", "--config", str(cfg_path), *args]) == code
     err = capsys.readouterr().err

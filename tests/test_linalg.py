@@ -171,6 +171,27 @@ def test_repair_non_finite_fails_before_any_cholesky(bad, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_repair_rejects_non_finite_floor(bad):
+    # a NaN floor passed "floor <= 0", and an indefinite matrix then never
+    # reached the cap; a finite matrix shows it without escalating
+    with pytest.raises(ValueError, match="finite and positive"):
+        repair_to_pd(np.eye(2), bad)
+
+
+def test_repair_jitters_the_symmetric_part():
+    # asymmetric within SYMMETRY_RTOL of its largest entry, -100, but not of
+    # the largest entry of a + 64 I, -36: the jitter goes on the part the
+    # first attempt symmetrized, so later attempts check an exact symmetry
+    a = np.array([[-100.0, 1.0 + 5e-7], [1.0, -100.0]])
+    sym = 0.5 * (a + a.T)
+    f, lam = repair_to_pd(a, 1.0)
+    assert lam == 128.0
+    assert np.array_equal(f.lower_factor, factorize(sym + lam * np.eye(2)).lower_factor)
+    with pytest.raises(DimensionMismatch):
+        factorize(a + 64.0 * np.eye(2))
+
+
 def test_factor_is_frozen():
     f = factorize(np.eye(2))
     with pytest.raises(AttributeError):
@@ -235,12 +256,16 @@ def test_lapack_path_keeps_its_errors(dim):
 
 
 def test_repair_calls_factorize_once_per_attempt(monkeypatch):
-    calls = []
+    # shape and symmetry are factorize's to check: one scan per attempt
+    calls, checks = [], []
     monkeypatch.setattr(linalg, "factorize", _counting(calls, linalg.factorize))
+    monkeypatch.setattr(linalg, "_check_symmetric",
+                        _counting(checks, linalg._check_symmetric))
     repair_to_pd(np.eye(3), 0.3)
-    assert len(calls) == 1
+    assert len(calls) == len(checks) == 1
     calls.clear()
+    checks.clear()
     # lambda_min = -1: lam runs 0, 0.3, 0.6 and stops at 1.2
     f, lam = repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
     assert lam == pytest.approx(1.2)
-    assert len(calls) == 4
+    assert len(calls) == len(checks) == 4

@@ -65,16 +65,30 @@ class NanCliffTarget(GaussianTarget):
 class WallTarget(GaussianTarget):
     """Standard normal whose domain ends at theta_0 = 1.
 
-    As TargetModel documents, its gradient raises OutOfDomain past the wall.
+    As TargetModel documents, its potential is +inf and its gradient raises
+    OutOfDomain past the wall.
     """
 
     def in_domain(self, theta):
         return bool(theta[0] <= 1.0)
 
+    def potential(self, theta):
+        return super().potential(theta) if self.in_domain(theta) else np.inf
+
     def gradient(self, theta):
         if not self.in_domain(theta):
             raise OutOfDomain("gradient requested past the wall")
         return super().gradient(theta)
+
+
+class CountedField(LogNormalField):
+    """Log-normal field that counts its domain checks."""
+
+    checks = 0
+
+    def in_domain(self, theta):
+        self.checks += 1
+        return super().in_domain(theta)
 
 
 class FixedStream:
@@ -529,6 +543,70 @@ class TestRunChain:
             SamplerConfig(method="MH", dt=-1.0)
         with pytest.raises(ValueError):
             SamplerConfig(method="MH", dt=0.1, leapfrog_steps=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameters_rejected(self, bad):
+        # NaN fails no "<= 0" test and inf passes it; each must be refused
+        with pytest.raises(ValueError, match="finite and positive"):
+            SamplerConfig(method="HMC", dt=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScaledIdentity(bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            LocalHessian(bad)
+
+    def test_start_outside_domain_raises(self):
+        # the one domain check the samplers make: the start point they are given
+        cfg = SamplerConfig(method="HMC", dt=0.1)
+        with pytest.raises(ValueError, match="outside the target domain"):
+            run_chain(lognormal_1d(), ScaledIdentity(), cfg, np.array([-1.0]),
+                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "method, dt, per_transition",
+        [("HMC", 0.05, 12), ("HMAP_HMC", 0.3, 12), ("HLOCAL_HMC", 0.3, 13)],
+    )
+    def test_domain_checked_only_by_target(self, method, dt, per_transition):
+        # L = 10 steps take 11 gradients, then the endpoint's potential (and,
+        # for HLOCAL_HMC, its Hessian) each check the domain once; the sampler
+        # adds no check of its own, and no trajectory here leaves the domain
+        plain = field_2x2()
+        target = CountedField(m=plain.m, sigma=plain.sigma)
+        spec = KERNELS[method].default(plain, 1e-6, 1.0)
+        checks = []
+        for n in (1, 21):
+            cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=10, n_samples=n)
+            target.checks = 0
+            run_chain(target, spec, cfg, plain.map_point(), np.random.default_rng(3))
+            checks.append(target.checks)
+        assert checks[1] - checks[0] == 20 * per_transition
+
+    def test_logdet_terms_cancel_for_constant_hessian(self):
+        # a Gaussian's Hessian is constant, so both endpoint log-dets are equal
+        # and switching the terms off leaves the chain bit for bit the same
+        target = gaussian_2d()
+        recs = [
+            run_chain(target, LocalHessian(1e-6),
+                      SamplerConfig(method="HLOCAL_HMC", dt=0.5, n_samples=300,
+                                    include_logdet=flag),
+                      np.array([0.3, -0.2]), np.random.default_rng(7))
+            for flag in (True, False)
+        ]
+        assert 0.0 < recs[0].accept_flags.mean() < 1.0
+        assert np.array_equal(recs[0].samples, recs[1].samples)
+        assert np.array_equal(recs[0].accept_flags, recs[1].accept_flags)
+
+    def test_logdet_terms_change_a_local_hessian_chain(self):
+        # on the log-normal field the local Hessian varies, so the terms count
+        # (acceptance 0.27 with them and 0.205 without, with OpenBLAS)
+        target = field_2x2()
+        recs = []
+        for flag in (True, False):
+            cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5,
+                                n_samples=200, include_logdet=flag)
+            recs.append(run_chain(target, LocalHessian(1e-6), cfg, target.map_point(),
+                                  np.random.default_rng(5)))
+        assert not np.array_equal(recs[0].samples, recs[1].samples)
+        assert recs[0].accept_flags.mean() != recs[1].accept_flags.mean()
 
     def test_hmc_moments_2d(self):
         target = gaussian_2d()
