@@ -228,7 +228,7 @@ def build_target(cfg: dict) -> LogNormalField:
         rows, cols, extent, t["lengthscale_m"], t["variance"], t["nugget"]
     )
     m = np.full(rows * cols, t["m_value"])
-    return LogNormalField(m=m, sigma=sigma, grid_shape=(rows, cols), extent_m=extent)
+    return LogNormalField(m=m, sigma=sigma, grid_shape=(rows, cols))
 
 
 def exact_band(target: LogNormalField, mass: float) -> CredibleBand:

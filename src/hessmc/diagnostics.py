@@ -1,9 +1,9 @@
 """Chain-quality statistics: autocorrelation, correlation time, ESS, bands.
 
-The correlation time follows tau = 1 + sum_t rho_t (no factor of 2) by
-default; pass ``paired_sum=True`` for the textbook 1 + 2*sum convention.
-The sum is truncated by the initial-positive-sequence rule (stop before
-the first non-positive rho_t) with a hard ceiling of N/4 lags.
+The correlation time follows the paper's tau = 1 + sum_t rho_t (no factor
+of 2, unlike the textbook 1 + 2*sum). The sum is truncated by the
+initial-positive-sequence rule (stop before the first non-positive rho_t)
+with a hard ceiling of N/4 lags.
 """
 
 from __future__ import annotations
@@ -55,10 +55,7 @@ def autocorrelation(series: np.ndarray, t: int) -> float:
     return float(x[: n - t] @ x[t:]) / denom
 
 
-def correlation_time(
-    series: np.ndarray,
-    paired_sum: bool = False,
-) -> tuple[float, np.ndarray]:
+def correlation_time(series: np.ndarray) -> tuple[float, np.ndarray]:
     """Integrated autocorrelation time of a scalar series.
 
     Returns (tau, rho) where rho holds the autocorrelations actually
@@ -76,8 +73,7 @@ def correlation_time(
             break
         rho.append(r)
         total += r
-    tau = 1.0 + (2.0 * total if paired_sum else total)
-    return max(tau, 1.0), np.array(rho)
+    return max(1.0 + total, 1.0), np.array(rho)
 
 
 def effective_samples(n: int, tau: float) -> float:

@@ -15,9 +15,9 @@ and the log-det terms can be disabled for ablation via
 ``include_logdet=False``. MH takes any spec but builds no mass from it: its
 proposals never read one, so its points carry ``(None, 0.0)``.
 
-Inside a transition the target alone judges its domain, as ``TargetModel``
-documents (+inf potential, ``OutOfDomain`` from gradient and hessian);
-``run_chain`` checks only the start point it is given.
+The target alone judges its domain, as ``TargetModel`` documents (+inf
+potential, ``OutOfDomain`` from gradient and hessian); ``run_chain`` refuses a
+start point of the wrong shape or of infinite potential.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .linalg import (
+    DimensionMismatch,
     RepairFailed,
     SpdFactor,
     factorize,
@@ -110,6 +111,9 @@ class SamplerConfig:
             raise ConfigMismatch(f"unknown method {self.method!r}")
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be finite and positive")
+        for name in ("leapfrog_steps", "n_samples", "burn_in"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be >= 1")
         if self.n_samples < 1:
@@ -310,10 +314,13 @@ def run_chain(
 
     KERNELS[cfg.method] gives the transition and the mass specs the method
     takes (MH takes any and builds no mass from it); another spec raises
-    ConfigMismatch. Deterministic for a fixed generator state.
+    ConfigMismatch. An init of shape other than (target.dim,) raises
+    DimensionMismatch. Deterministic for a fixed generator state.
     """
     init = np.asarray(init, dtype=float)
-    if not target.in_domain(init):
+    if init.shape != (target.dim,):
+        raise DimensionMismatch(f"init shape {init.shape} vs target dim {target.dim}")
+    if not np.isfinite(target.potential(init)):
         raise ValueError("initial position is outside the target domain")
     step, specs, _ = KERNELS[cfg.method]
     if not isinstance(mass_spec, specs):

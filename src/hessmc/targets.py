@@ -5,12 +5,17 @@ drops the additive normalization constant -0.5*log|Sigma^-1| from J; only
 differences of J enter any acceptance ratio, so the convention is harmless
 as long as it is applied consistently (it is, and tests pin it).
 
-Both targets are held in precision form: Sigma^-1 is inverted once at
+A target is three methods: potential, gradient and hessian. Outside its
+domain potential returns +inf and gradient and hessian raise OutOfDomain;
+that is the only domain check the samplers rely on.
+
+GaussianTarget is held in precision form: Sigma^-1 is inverted once at
 construction, made exactly symmetric, and applied by one matrix-vector
 product per call, so no potential, gradient or Hessian solves against the
 covariance, and every Hessian is exactly symmetric by construction.
-Each target owns its domain check: within a transition the samplers judge a
-position only through potential (+inf outside), gradient and hessian.
+LogNormalField is the image of GaussianTarget(m, Sigma) under exp: it
+evaluates that Gaussian, its ``log_space``, at log theta and adds the
+Jacobian terms of theta = exp(x).
 """
 
 from __future__ import annotations
@@ -26,23 +31,12 @@ class OutOfDomain(Exception):
     """Point lies outside the target's support."""
 
 
-def _symmetric_inverse(f: SpdFactor) -> np.ndarray:
-    """Inverse of the factored matrix, made exactly symmetric in place."""
-    s = inverse(f)
-    s += s.T
-    s *= 0.5
-    return s
-
-
 class TargetModel:
     """Interface for a target density in potential form.
 
-    Subclasses provide potential(theta), gradient(theta), hessian(theta)
-    and in_domain(theta). potential returns +inf outside the domain;
-    gradient and hessian raise OutOfDomain there. The samplers rely on that:
-    within a transition they make no in_domain call of their own.
-    The targets below store their precision exactly symmetric and apply it
-    by one matrix-vector product.
+    Subclasses provide potential(theta), gradient(theta) and hessian(theta).
+    potential returns +inf outside the domain; gradient and hessian raise
+    OutOfDomain there. The samplers make no domain check of their own.
     """
 
     dim: int
@@ -54,9 +48,6 @@ class TargetModel:
         raise NotImplementedError
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def in_domain(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
 
 
@@ -75,10 +66,9 @@ class GaussianTarget(TargetModel):
                 f"mean length {self.mean.shape} vs covariance dim {self.cov.dim}"
             )
         self.dim = self.cov.dim
-        self.precision = _symmetric_inverse(self.cov)
-
-    def in_domain(self, theta: np.ndarray) -> bool:
-        return True
+        self.precision = inverse(self.cov)
+        self.precision += self.precision.T  # made exactly symmetric
+        self.precision *= 0.5
 
     def potential(self, theta: np.ndarray) -> float:
         r = np.asarray(theta, dtype=float) - self.mean
@@ -101,55 +91,51 @@ def gaussian_target(mean: np.ndarray, cov: SpdFactor) -> GaussianTarget:
 class LogNormalField(TargetModel):
     """Log-normal field target: log(theta) ~ N(m, Sigma) on a spatial grid.
 
-    J(theta) = 0.5 ||Sigma^{-1/2} (log theta - m)||^2 + sum_i log theta_i,
-    with the normalization constant dropped. The domain is the strictly
-    positive orthant. grid_shape and extent_m are layout metadata only.
+    J(theta) = G(log theta) + sum_i log theta_i, where G is the potential of
+    log_space = GaussianTarget(m, Sigma), the one owner of the precision, and
+    the sum is the log-Jacobian of theta = exp(x); the normalization constant
+    is dropped. The domain is the strictly positive orthant. grid_shape is
+    layout metadata only.
     """
 
     m: np.ndarray
     sigma: SpdFactor
     grid_shape: tuple[int, int] = (1, 1)
-    extent_m: tuple[float, float] = (1.0, 1.0)
-    sigma_inv: np.ndarray = field(init=False, repr=False)
+    log_space: GaussianTarget = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if self.m.shape != (self.sigma.dim,):
-            raise DimensionMismatch(
-                f"m length {self.m.shape} vs sigma dim {self.sigma.dim}"
-            )
-        self.dim = self.sigma.dim
-        self.sigma_inv = _symmetric_inverse(self.sigma)
+        self.log_space = GaussianTarget(self.m, self.sigma)
+        self.m = self.log_space.mean
+        self.dim = self.log_space.dim
 
-    def in_domain(self, theta: np.ndarray) -> bool:
-        return bool((np.asarray(theta) > 0.0).all())
+    @property
+    def sigma_inv(self) -> np.ndarray:
+        """Sigma^-1, the precision that log_space stores."""
+        return self.log_space.precision
 
-    def _weighted_residual(self, theta: np.ndarray) -> np.ndarray:
-        # v = Sigma^-1 (log theta - m)
-        return self.sigma_inv @ (np.log(theta) - self.m)
+    def _log(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, log theta) as floats; the field's one domain check."""
+        theta = np.asarray(theta, dtype=float)
+        if not (theta > 0.0).all():
+            raise OutOfDomain("theta is outside the positive orthant")
+        return theta, np.log(theta)
 
     def potential(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if not self.in_domain(theta):
+        try:
+            _, x = self._log(theta)
+        except OutOfDomain:
             return np.inf
-        log_theta = np.log(theta)
-        r = log_theta - self.m
-        return 0.5 * float(r @ (self.sigma_inv @ r)) + float(np.sum(log_theta))
+        return self.log_space.potential(x) + float(np.sum(x))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if not self.in_domain(theta):
-            raise OutOfDomain("gradient requested outside the positive orthant")
-        v = self._weighted_residual(theta)
-        return (v + 1.0) / theta
+        theta, x = self._log(theta)
+        return (self.log_space.gradient(x) + 1.0) / theta
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if not self.in_domain(theta):
-            raise OutOfDomain("hessian requested outside the positive orthant")
-        v = self._weighted_residual(theta)
+        theta, x = self._log(theta)
+        v = self.log_space.gradient(x)
         inv_theta = 1.0 / theta
-        h = self.sigma_inv * np.outer(inv_theta, inv_theta)
+        h = self.log_space.precision * np.outer(inv_theta, inv_theta)
         h[np.diag_indices_from(h)] -= (v + 1.0) * inv_theta**2
         return h
 

@@ -81,18 +81,6 @@ class TestCorrelationTime:
         assert tau == 1.0
         assert rho.size == 0
 
-    def test_paired_sum_convention(self):
-        rng = np.random.default_rng(5)
-        phi = 0.8
-        n = 50_000
-        x = np.empty(n)
-        x[0] = 0.0
-        for k in range(1, n):
-            x[k] = phi * x[k - 1] + rng.standard_normal()
-        tau1, rho = correlation_time(x)
-        tau2, _ = correlation_time(x, paired_sum=True)
-        assert tau2 == pytest.approx(1.0 + 2.0 * (tau1 - 1.0))
-
     def test_shuffled_chain_decorrelates(self):
         rng = np.random.default_rng(6)
         x = np.cumsum(rng.standard_normal(20_000))  # strongly correlated

@@ -53,7 +53,8 @@ def test_leapfrog_reversible(mass, z, w, dt, steps):
         mass = hmap_mass(TARGET, 1e-6)[0]
     start = PhaseState(MAP * np.exp(0.3 * z), mass.lower_factor @ (2.0 * w))
     end = leapfrog(start, TARGET, mass, dt, steps)
-    assume(TARGET.in_domain(end.position))  # an abandoned trajectory has no reverse
+    # an abandoned trajectory, out of the domain, has no reverse
+    assume(np.isfinite(TARGET.potential(end.position)))
     back = leapfrog(PhaseState(end.position, -end.momentum), TARGET, mass, dt, steps)
     scale = 1.0 + np.abs(end.momentum).max() + np.abs(start.momentum).max()
     assert np.abs(back.position - start.position).max() < 1e-9 * scale

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hessmc.linalg import factorize
+from hessmc.linalg import DimensionMismatch, factorize
 from hessmc.samplers import (
     KERNELS,
     ChainRecord,
@@ -69,26 +69,26 @@ class WallTarget(GaussianTarget):
     OutOfDomain past the wall.
     """
 
-    def in_domain(self, theta):
-        return bool(theta[0] <= 1.0)
+    def _past_wall(self, theta):
+        return bool(theta[0] > 1.0)
 
     def potential(self, theta):
-        return super().potential(theta) if self.in_domain(theta) else np.inf
+        return np.inf if self._past_wall(theta) else super().potential(theta)
 
     def gradient(self, theta):
-        if not self.in_domain(theta):
+        if self._past_wall(theta):
             raise OutOfDomain("gradient requested past the wall")
         return super().gradient(theta)
 
 
 class CountedField(LogNormalField):
-    """Log-normal field that counts its domain checks."""
+    """Log-normal field that counts its one domain check, _log."""
 
     checks = 0
 
-    def in_domain(self, theta):
+    def _log(self, theta):
         self.checks += 1
-        return super().in_domain(theta)
+        return super()._log(theta)
 
 
 class FixedStream:
@@ -184,7 +184,7 @@ class TestLeapfrog:
         # huge momentum drives theta negative in one drift
         state = PhaseState(np.array([0.1]), np.array([-50.0]))
         out = leapfrog(state, target, mass, 0.1, 3)
-        assert not target.in_domain(out.position)
+        assert target.potential(out.position) == np.inf
         assert hamiltonian(out, target, mass) == np.inf
 
     def test_wall_crossed_mid_trajectory(self):
@@ -196,7 +196,7 @@ class TestLeapfrog:
         for _ in range(2):
             p_half = p - 0.5 * dt * theta  # a standard normal's gradient is theta
             theta = theta + dt * p_half
-            inside.append(target.in_domain(theta))
+            inside.append(not target._past_wall(theta))
             p = p_half - 0.5 * dt * theta
         assert inside == [True, False]
         start = PhaseState(np.array([0.0]), np.array([1.2]))
@@ -208,27 +208,19 @@ class TestLeapfrog:
     def test_domain_checked_only_by_gradient(self):
         # L steps take L + 1 gradients, and each position's domain check is
         # the one inside its gradient: leapfrog makes none of its own
-        class Counted(LogNormalField):
-            gradients, own_checks, in_gradient = 0, 0, False
+        class Counted(CountedField):
+            gradients = 0
 
             def gradient(self, theta):
                 self.gradients += 1
-                self.in_gradient = True
-                try:
-                    return super().gradient(theta)
-                finally:
-                    self.in_gradient = False
-
-            def in_domain(self, theta):
-                self.own_checks += not self.in_gradient
-                return super().in_domain(theta)
+                return super().gradient(theta)
 
         plain = field_2x2()
         target = Counted(m=plain.m, sigma=plain.sigma)
         mass = hmap_mass(plain, 1e-6)[0]
         p0 = mass.lower_factor @ np.array([0.3, -0.2, 0.5, 0.1])
         out = leapfrog(PhaseState(plain.map_point(), p0), target, mass, 0.05, 7)
-        assert (target.gradients, target.own_checks) == (8, 0)
+        assert (target.gradients, target.checks) == (8, 8)
         assert np.all(out.position > 0.0)
 
     def test_energy_error_second_order(self):
@@ -560,6 +552,26 @@ class TestRunChain:
         with pytest.raises(ValueError, match="outside the target domain"):
             run_chain(lognormal_1d(), ScaledIdentity(), cfg, np.array([-1.0]),
                       np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1)])
+    @pytest.mark.parametrize("method", list(KERNELS))
+    def test_start_of_wrong_shape_raises(self, method, shape):
+        # unchecked, a (1,) start would broadcast through MH's proposals; each
+        # wrong shape is refused before the target is evaluated
+        plain = field_2x2()
+        target = CountedField(m=plain.m, sigma=plain.sigma)
+        spec = KERNELS[method].default(plain, 1e-6, 1.0)
+        cfg = SamplerConfig(method=method, dt=0.1, leapfrog_steps=2, n_samples=2)
+        with pytest.raises(DimensionMismatch, match="init shape"):
+            run_chain(target, spec, cfg, np.full(shape, 0.3), np.random.default_rng(0))
+        assert target.checks == 0
+
+    @pytest.mark.parametrize(
+        "count", [{"leapfrog_steps": 2.5}, {"n_samples": 20.0}, {"burn_in": 1.5}]
+    )
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SamplerConfig(method="HMC", dt=0.1, **count)
 
     @pytest.mark.parametrize(
         "method, dt, per_transition",

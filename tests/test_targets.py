@@ -206,7 +206,7 @@ class TestGaussianTarget:
 
     def test_whole_space_domain(self):
         t = gaussian_target(np.zeros(2), factorize(np.eye(2)))
-        assert t.in_domain(np.array([-1e6, 1e6]))
+        assert t.potential(np.array([-1e6, 1e6])) == 1e12
 
 
 def desk_field(rows, cols):
@@ -250,6 +250,26 @@ class TestPrecisionForm:
             assert np.linalg.norm(g.gradient(log_theta) - v) <= 1e-10 * np.linalg.norm(v)
             err = np.linalg.norm(g.hessian(log_theta) - sigma_inv)
             assert err <= 1e-10 * np.linalg.norm(sigma_inv)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
+    def test_field_is_its_log_space_gaussian_plus_jacobian(self, rows, cols):
+        # J = G(x) + sum x, grad J = (grad G + 1)/theta and the Hessian is
+        # D^-1 (Sigma^-1 - diag(grad G + 1)) D^-1 at x = log theta, D = diag(theta),
+        # bit for bit, with Sigma^-1 held once, by the log-space Gaussian
+        t = desk_field(rows, cols)
+        g = t.log_space
+        assert isinstance(g, GaussianTarget)
+        assert t.sigma_inv is g.precision
+        assert np.array_equal(g.mean, t.m)
+        for theta in perturbed_points(t, np.random.default_rng(rows)):
+            x = np.log(theta)
+            assert t.potential(theta) == g.potential(x) + float(np.sum(x))
+            v1 = g.gradient(x) + 1.0
+            assert np.array_equal(t.gradient(theta), v1 / theta)
+            inv_theta = 1.0 / theta
+            h = g.hessian(x) * np.outer(inv_theta, inv_theta)
+            h[np.diag_indices_from(h)] -= v1 * inv_theta**2
+            assert np.array_equal(t.hessian(theta), h)
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_exactly_symmetric(self, rows, cols):
