@@ -6,7 +6,8 @@ carries one point (theta, J, mass, lam) evaluated once, when proposed.
 default spec. A spec's ``mass_at(target)`` is its mass policy
 ``theta -> (SpdFactor, lam)``, and the Hamiltonian kernels are one transition
 that differs only in that policy: HMC and HMAP_HMC use a constant mass
-(``beta * I`` or the Hessian at the MAP), HLOCAL_HMC the local target Hessian,
+(``beta * I`` or the Hessian at the MAP, each inverted once so that every
+``solve`` is one matvec), HLOCAL_HMC the local target Hessian,
 computed once per point, reused as the next trajectory's start mass and frozen
 during the leapfrog steps, with both endpoint log-determinant terms retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
@@ -36,6 +37,7 @@ from .linalg import (
     repair_to_pd,
     sample_gaussian,
     solve,
+    with_inverse,
 )
 from .targets import LogNormalField, OutOfDomain, TargetModel
 
@@ -58,7 +60,7 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class ScaledIdentity:
-    """Mass matrix beta * I, factorized once per chain."""
+    """Mass matrix beta * I, factorized and inverted once per chain."""
 
     beta: float = 1.0
 
@@ -67,12 +69,13 @@ class ScaledIdentity:
             raise ValueError("beta must be finite and positive")
 
     def mass_at(self, target: TargetModel):
-        return FixedSpd(factorize(self.beta * np.eye(target.dim))).mass_at(target)
+        mass = with_inverse(factorize(self.beta * np.eye(target.dim)))
+        return FixedSpd(mass).mass_at(target)
 
 
 @dataclass(frozen=True)
 class FixedSpd:
-    """Constant mass matrix supplied as a factor."""
+    """Constant mass matrix supplied as a factor (see ``linalg.with_inverse``)."""
 
     factor: SpdFactor
 
@@ -112,7 +115,8 @@ class SamplerConfig:
         if not 0.0 < self.dt < np.inf:
             raise ValueError("dt must be finite and positive")
         for name in ("leapfrog_steps", "n_samples", "burn_in"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be >= 1")
@@ -286,7 +290,7 @@ def _identity(target, pd_floor, beta):
 
 
 def _map_hessian(target, pd_floor, beta):
-    return FixedSpd(hmap_mass(target, pd_floor)[0])
+    return FixedSpd(with_inverse(hmap_mass(target, pd_floor)[0]))
 
 
 def _local_hessian(target, pd_floor, beta):
@@ -320,7 +324,8 @@ def run_chain(
     init = np.asarray(init, dtype=float)
     if init.shape != (target.dim,):
         raise DimensionMismatch(f"init shape {init.shape} vs target dim {target.dim}")
-    if not np.isfinite(target.potential(init)):
+    j_init = target.potential(init)
+    if not np.isfinite(j_init):
         raise ValueError("initial position is outside the target domain")
     step, specs, _ = KERNELS[cfg.method]
     if not isinstance(mass_spec, specs):
@@ -332,7 +337,7 @@ def run_chain(
     potentials = np.empty(cfg.n_samples)
     lambdas = np.empty(cfg.n_samples)
 
-    point = _point(init.copy(), target, mass_at)
+    point = (init.copy(), j_init, *mass_at(init))
     for _ in range(cfg.burn_in):
         point, _ = step(point, target, mass_at, cfg, rng)
     for i in range(cfg.n_samples):

@@ -269,3 +269,43 @@ def test_repair_calls_factorize_once_per_attempt(monkeypatch):
     f, lam = repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
     assert lam == pytest.approx(1.2)
     assert len(calls) == len(checks) == 4
+
+
+def test_factorize_stores_no_inverse():
+    # a stored inverse is a second d x d array: only a chain's constant mass
+    # asks for one, through with_inverse
+    f = factorize(_spd(4, 4))
+    assert f.inv is None
+    g = linalg.with_inverse(f)
+    assert g.inv is not None and f.inv is None
+    assert g.lower_factor is f.lower_factor and g.log_det == f.log_det
+    assert np.array_equal(g.inv, linalg.inverse(f))
+    assert "inv" not in repr(g)
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_stored_inverse_solve_keeps_every_check(dim):
+    # the matvec path refuses exactly what the dpotrs path refuses
+    bare = factorize(_spd(dim, dim))
+    for f in (bare, linalg.with_inverse(bare)):
+        for bad in (np.ones(dim + 1), np.ones((dim, 1)), np.ones((dim, dim)), 1.0):
+            with pytest.raises(DimensionMismatch, match="expected a vector"):
+                solve(f, bad)
+        for value in (np.nan, np.inf, -np.inf):
+            v = np.ones(dim)
+            v[dim // 2] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(f, v)
+
+
+def test_stored_inverse_solve_is_one_matvec(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "dpotrs", _counting(calls, linalg.dpotrs))
+    bare = factorize(_spd(5, 5))
+    f = linalg.with_inverse(bare)
+    calls.clear()
+    v = np.random.default_rng(0).standard_normal(5)
+    assert np.array_equal(solve(f, v), f.inv @ v)
+    assert not calls
+    solve(bare, v)
+    assert len(calls) == 1

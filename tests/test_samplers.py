@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hessmc.linalg import DimensionMismatch, factorize
+from hessmc import cli, samplers
+from hessmc.linalg import DimensionMismatch, factorize, sample_gaussian, solve
 from hessmc.samplers import (
     KERNELS,
     ChainRecord,
@@ -553,6 +555,14 @@ class TestRunChain:
             run_chain(lognormal_1d(), ScaledIdentity(), cfg, np.array([-1.0]),
                       np.random.default_rng(0))
 
+    def test_start_outside_domain_raises_before_the_mass(self):
+        # the start potential is checked before the start mass is built, so a
+        # local-Hessian chain refuses the start and not its Hessian
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.1)
+        with pytest.raises(ValueError, match="outside the target domain"):
+            run_chain(lognormal_1d(), LocalHessian(1e-6), cfg, np.array([-1.0]),
+                      np.random.default_rng(0))
+
     @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1)])
     @pytest.mark.parametrize("method", list(KERNELS))
     def test_start_of_wrong_shape_raises(self, method, shape):
@@ -572,6 +582,37 @@ class TestRunChain:
     def test_non_integer_counts_rejected(self, count):
         with pytest.raises(ValueError, match="must be an integer"):
             SamplerConfig(method="HMC", dt=0.1, **count)
+
+    @pytest.mark.parametrize(
+        "count", [{"leapfrog_steps": True}, {"n_samples": True}, {"burn_in": False}]
+    )
+    def test_bool_counts_rejected(self, count):
+        # isinstance(True, int) holds, so a bool needs refusing by name
+        with pytest.raises(ValueError, match="must be an integer"):
+            SamplerConfig(method="HMC", dt=0.1, **count)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SamplerConfig(method="HMC", dt=0.1, leapfrog_steps=np.int32(3),
+                            n_samples=np.int64(5), burn_in=np.uint8(0))
+        assert (cfg.leapfrog_steps, cfg.n_samples, cfg.burn_in) == (3, 5, 0)
+
+    @pytest.mark.parametrize(
+        "method, dt",
+        [("MH", 0.05), ("HMC", 0.05), ("HMAP_HMC", 0.3), ("HLOCAL_HMC", 0.3)],
+    )
+    def test_start_potential_evaluated_once(self, method, dt, monkeypatch):
+        # one potential per transition (at its proposal) plus one at the start,
+        # which both the domain check and the start point use
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        calls = []
+        potential = LogNormalField.potential
+        monkeypatch.setattr(LogNormalField, "potential",
+                            lambda self, x: calls.append(x) or potential(self, x))
+        cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=5, n_samples=20,
+                            burn_in=7)
+        run_chain(target, spec, cfg, target.map_point(), np.random.default_rng(3))
+        assert len(calls) == cfg.burn_in + cfg.n_samples + 1
 
     @pytest.mark.parametrize(
         "method, dt, per_transition",
@@ -628,3 +669,82 @@ class TestRunChain:
         cov = np.cov(rec.samples.T)
         assert np.abs(cov - [[2.0, 1.0], [1.0, 2.0]]).max() < 0.25
         assert np.abs(rec.samples.mean(axis=0)).max() < 0.1
+
+
+def cli_target(rows, cols):
+    """The CLI's default target on a rows x cols grid at desk spacing."""
+    extent = [1000.0 * cols, 500.0 * rows]  # 8x8: the default [8000, 4000]
+    cfg = cli.load_config(None, {"target": {"rows": rows, "cols": cols,
+                                            "extent_m": extent}})
+    return cfg, cli.build_target(cfg)
+
+
+class TestConstantMassInverse:
+    """HMC's and HMAP_HMC's constant mass is inverted once per chain."""
+
+    @pytest.mark.parametrize("rows", [2, 8, 12])
+    def test_hmap_mass_matvec_matches_cho_solve(self, rows):
+        # d = 4, 64, 144; the mass condition number reaches ~1e4 at d = 144,
+        # so the error is measured in norm, not per entry
+        cfg, target = cli_target(rows, rows)
+        s = cfg["sampler"]
+        mass = KERNELS["HMAP_HMC"].default(target, s["pd_floor"], s["beta"]).factor
+        assert mass.inv is not None
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            v = sample_gaussian(mass, rng)  # a momentum, as the kernel draws it
+            ref = scipy.linalg.cho_solve((mass.lower_factor, True), v)
+            assert np.linalg.norm(solve(mass, v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def _masses(self, monkeypatch):
+        # every mass a transition uses draws its momentum through sample_gaussian
+        seen = []
+        monkeypatch.setattr(samplers, "sample_gaussian",
+                            lambda f, rng: seen.append(f) or sample_gaussian(f, rng))
+        return seen
+
+    @pytest.mark.parametrize("method", ["HMC", "HMAP_HMC", "HLOCAL_HMC"])
+    def test_only_constant_masses_carry_an_inverse(self, method, monkeypatch):
+        seen = self._masses(monkeypatch)
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        cfg = SamplerConfig(method=method, dt=0.05, leapfrog_steps=3, n_samples=5)
+        run_chain(target, spec, cfg, target.map_point(), np.random.default_rng(0))
+        assert len(seen) == 5
+        constant = method != "HLOCAL_HMC"
+        assert all((f.inv is not None) == constant for f in seen)
+
+    def test_single_steps_keep_the_bare_factor(self, monkeypatch):
+        seen = self._masses(monkeypatch)
+        target = field_2x2()
+        cfg = SamplerConfig(method="HMC", dt=0.05, leapfrog_steps=3)
+        theta = target.map_point()
+        hmc_step(theta, target, factorize(np.eye(4)), cfg, np.random.default_rng(0))
+        hlocal_step(theta, target, 1e-6, cfg, np.random.default_rng(0))
+        assert len(seen) == 2 and all(f.inv is None for f in seen)
+
+    def _chains(self, target, method, specs, dt, n):
+        cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=10, n_samples=n)
+        return [run_chain(target, spec, cfg, target.map_point(),
+                          np.random.default_rng(11)) for spec in specs]
+
+    def test_unit_mass_chain_is_bit_identical(self):
+        _, target = cli_target(8, 8)
+        inverted, bare = self._chains(
+            target, "HMC", [ScaledIdentity(1.0), FixedSpd(factorize(np.eye(64)))],
+            cli.DESK_DT["HMC"], 200)
+        assert 0.0 < inverted.accept_flags.mean() < 1.0
+        assert np.array_equal(inverted.samples, bare.samples)
+        assert np.array_equal(inverted.potentials, bare.potentials)
+
+    def test_hmap_chain_matches_the_bare_factor(self):
+        cfg, target = cli_target(8, 8)
+        s = cfg["sampler"]
+        spec = KERNELS["HMAP_HMC"].default(target, s["pd_floor"], s["beta"])
+        inverted, bare = self._chains(
+            target, "HMAP_HMC",
+            [spec, FixedSpd(hmap_mass(target, s["pd_floor"])[0])],
+            cli.DESK_DT["HMAP_HMC"], 200)
+        assert 0.0 < inverted.accept_flags.mean() < 1.0
+        assert np.array_equal(inverted.accept_flags, bare.accept_flags)
+        np.testing.assert_allclose(inverted.samples, bare.samples, rtol=1e-12, atol=0)
