@@ -29,9 +29,7 @@ from .samplers import (
     SamplerConfig,
     ScaledIdentity,
     hamiltonian,
-    hlocal_step,
     hmap_mass,
-    hmc_step,
     leapfrog,
     mh_accept,
     mh_propose,
@@ -43,7 +41,6 @@ from .targets import (
     OutOfDomain,
     TargetModel,
     build_grid_covariance,
-    gaussian_target,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

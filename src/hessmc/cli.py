@@ -221,14 +221,14 @@ def build_target(cfg: dict) -> LogNormalField:
         except (OSError, ValueError, UserWarning) as exc:
             raise ConfigError(f"cannot read target CSV: {exc}") from exc
         sigma = linalg.factorize(sigma_mat)
-        return LogNormalField(m=m, sigma=sigma, grid_shape=(1, sigma.dim))
+        return LogNormalField(m=m, sigma=sigma)
     rows, cols = t["rows"], t["cols"]
     extent = tuple(t["extent_m"])
     sigma = build_grid_covariance(
         rows, cols, extent, t["lengthscale_m"], t["variance"], t["nugget"]
     )
     m = np.full(rows * cols, t["m_value"])
-    return LogNormalField(m=m, sigma=sigma, grid_shape=(rows, cols))
+    return LogNormalField(m=m, sigma=sigma)
 
 
 def exact_band(target: LogNormalField, mass: float) -> CredibleBand:

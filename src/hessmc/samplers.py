@@ -1,9 +1,11 @@
 """MCMC kernels: random-walk MH, HMC, Hessian-at-MAP HMC, frozen-local-Hessian HMC.
 
-All four kernels share the Metropolis accept/reject machinery, and a chain
-carries one point (theta, J, mass, lam) evaluated once, when proposed.
-``KERNELS`` declares each method's transition, the mass specs it takes and its
-default spec. A spec's ``mass_at(target)`` is its mass policy
+``run_chain`` is the one way to run a transition (``n_samples=1`` runs one).
+A chain carries one point (theta, J, mass, lam) evaluated once, when proposed.
+MH draws a uniform every transition (``mh_accept``); the Hamiltonian
+transition makes its own accept test and draws one only when its energy change
+is negative. ``KERNELS`` declares each method's transition, the mass specs it
+takes and its default spec. A spec's ``mass_at(target)`` is its mass policy
 ``theta -> (SpdFactor, lam)``, and the Hamiltonian kernels are one transition
 that differs only in that policy: HMC and HMAP_HMC use a constant mass
 (``beta * I`` or the Hessian at the MAP, each inverted once so that every
@@ -46,6 +48,12 @@ class ConfigMismatch(Exception):
     """Sampler method and mass specification do not fit together."""
 
 
+def _check_positive(name, value):
+    """Refuse a bool, and any value that is not finite and positive."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class PhaseState:
     """Position/momentum pair advanced by the integrator."""
@@ -65,8 +73,7 @@ class ScaledIdentity:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError("beta must be finite and positive")
+        _check_positive("beta", self.beta)
 
     def mass_at(self, target: TargetModel):
         mass = with_inverse(factorize(self.beta * np.eye(target.dim)))
@@ -90,8 +97,7 @@ class LocalHessian:
     floor: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.floor < np.inf:
-            raise ValueError("floor must be finite and positive")
+        _check_positive("floor", self.floor)
 
     def mass_at(self, target: TargetModel):
         return lambda theta: repair_to_pd(target.hessian(theta), self.floor)
@@ -112,8 +118,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigMismatch(f"unknown method {self.method!r}")
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError("dt must be finite and positive")
+        _check_positive("dt", self.dt)
+        if not isinstance(self.include_logdet, (bool, np.bool_)):
+            raise ValueError("include_logdet must be a bool")
         for name in ("leapfrog_steps", "n_samples", "burn_in"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -141,9 +148,9 @@ def mh_propose(theta: np.ndarray, dt: float, rng: np.random.Generator) -> np.nda
     return theta + dt * rng.standard_normal(theta.shape[0])
 
 
-def mh_accept(j_cur: float, j_prop: float, dq: float, u: float) -> bool:
-    """Metropolis-Hastings test: accept iff u < min{1, exp(j_cur - j_prop + dq)}."""
-    delta = j_cur - j_prop + dq
+def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
+    """Symmetric Metropolis test: accept iff u < min{1, exp(j_cur - j_prop)}."""
+    delta = j_cur - j_prop
     if delta >= 0.0:
         return True
     return u < np.exp(delta)
@@ -212,8 +219,7 @@ def _point(theta, target, mass_at):
 
 def _mh_step(point, target, mass_at, cfg, rng):
     new = _point(mh_propose(point[0], cfg.dt, rng), target, mass_at)
-    # symmetric proposal: dq = 0 identically
-    accepted = mh_accept(point[1], new[1], 0.0, rng.uniform())
+    accepted = mh_accept(point[1], new[1], rng.uniform())
     return (new if accepted else point), accepted
 
 
@@ -237,37 +243,6 @@ def _hamiltonian_step(point, target, mass_at, cfg, rng):
             delta += 0.5 * (mass.log_det - m_end.log_det)
     accepted = delta >= 0.0 or rng.uniform() < np.exp(delta)
     return (new if accepted else point), accepted
-
-
-def hmc_step(
-    theta: np.ndarray,
-    target: TargetModel,
-    mass: SpdFactor,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One constant-mass HMC transition."""
-    mass_at = FixedSpd(mass).mass_at(target)
-    point = _point(theta, target, mass_at)
-    new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
-    return new[0], accepted
-
-
-def hlocal_step(
-    theta: np.ndarray,
-    target: TargetModel,
-    pd_floor: float,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool, float]:
-    """One frozen-local-Hessian transition; the mass is the PD-repaired Hessian.
-
-    Returns (next position, accepted, jitter used at the start point).
-    """
-    mass_at = LocalHessian(pd_floor).mass_at(target)
-    point = _point(theta, target, mass_at)
-    new, accepted = _hamiltonian_step(point, target, mass_at, cfg, rng)
-    return new[0], accepted, point[3]
 
 
 def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float]:

@@ -82,11 +82,6 @@ class GaussianTarget(TargetModel):
         return self.precision.copy()
 
 
-def gaussian_target(mean: np.ndarray, cov: SpdFactor) -> GaussianTarget:
-    """Analytic Gaussian reference target for sampler validation."""
-    return GaussianTarget(mean=mean, cov=cov)
-
-
 @dataclass
 class LogNormalField(TargetModel):
     """Log-normal field target: log(theta) ~ N(m, Sigma) on a spatial grid.
@@ -94,24 +89,17 @@ class LogNormalField(TargetModel):
     J(theta) = G(log theta) + sum_i log theta_i, where G is the potential of
     log_space = GaussianTarget(m, Sigma), the one owner of the precision, and
     the sum is the log-Jacobian of theta = exp(x); the normalization constant
-    is dropped. The domain is the strictly positive orthant. grid_shape is
-    layout metadata only.
+    is dropped. The domain is the strictly positive orthant.
     """
 
     m: np.ndarray
     sigma: SpdFactor
-    grid_shape: tuple[int, int] = (1, 1)
     log_space: GaussianTarget = field(init=False, repr=False)
 
     def __post_init__(self):
         self.log_space = GaussianTarget(self.m, self.sigma)
         self.m = self.log_space.mean
         self.dim = self.log_space.dim
-
-    @property
-    def sigma_inv(self) -> np.ndarray:
-        """Sigma^-1, the precision that log_space stores."""
-        return self.log_space.precision
 
     def _log(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta, log theta) as floats; the field's one domain check."""

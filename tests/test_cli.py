@@ -23,7 +23,7 @@ from hessmc.cli import (
 )
 from hessmc.linalg import factorize
 from hessmc.samplers import METHODS
-from hessmc.targets import LogNormalField
+from hessmc.targets import LogNormalField, build_grid_covariance
 
 
 def small_config(tmp_path, **overrides):
@@ -100,7 +100,12 @@ class TestBuildTarget:
         cfg["target"]["cols"] = 4
         t = build_target(cfg)
         assert t.dim == 12
-        assert t.grid_shape == (3, 4)
+        # the covariance of a 3 x 4 grid over the default extent, not of a 4 x 3 one
+        extent = tuple(cfg["target"]["extent_m"])
+        grid = [build_grid_covariance(r, c, extent, 1000.0, 1e-3, 1e-6).lower_factor
+                for r, c in ((3, 4), (4, 3))]
+        assert np.array_equal(t.sigma.lower_factor, grid[0])
+        assert not np.array_equal(t.sigma.lower_factor, grid[1])
         assert np.allclose(t.m, -1.0)
 
     def test_csv_target(self, tmp_path):

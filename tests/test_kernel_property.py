@@ -33,7 +33,6 @@ def field_2x2():
     return LogNormalField(
         m=np.full(4, -1.0),
         sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
-        grid_shape=(2, 2),
     )
 
 

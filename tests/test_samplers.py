@@ -1,5 +1,6 @@
 """Tests for the four MCMC kernels and the leapfrog integrator."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,7 @@ from hessmc.samplers import (
     SamplerConfig,
     ScaledIdentity,
     hamiltonian,
-    hlocal_step,
     hmap_mass,
-    hmc_step,
     leapfrog,
     mh_accept,
     mh_propose,
@@ -30,12 +29,11 @@ from hessmc.targets import (
     LogNormalField,
     OutOfDomain,
     build_grid_covariance,
-    gaussian_target,
 )
 
 
 def gaussian_2d():
-    return gaussian_target(np.zeros(2), factorize(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    return GaussianTarget(np.zeros(2), factorize(np.array([[2.0, 1.0], [1.0, 2.0]])))
 
 
 def lognormal_1d():
@@ -46,7 +44,6 @@ def field_2x2():
     return LogNormalField(
         m=np.full(4, -1.0),
         sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
-        grid_shape=(2, 2),
     )
 
 
@@ -130,20 +127,20 @@ class TestMhPropose:
 
 class TestMhAccept:
     def test_equal_potentials(self):
-        assert mh_accept(1.0, 1.0, 0.0, 0.999999)
+        assert mh_accept(1.0, 1.0, 0.999999)
 
     def test_uphill_threshold(self):
         alpha = np.exp(-1.0)
-        assert mh_accept(1.0, 2.0, 0.0, alpha - 1e-9)
-        assert not mh_accept(1.0, 2.0, 0.0, alpha + 1e-9)
+        assert mh_accept(1.0, 2.0, alpha - 1e-9)
+        assert not mh_accept(1.0, 2.0, alpha + 1e-9)
 
     def test_infinite_proposal_rejected(self):
-        assert not mh_accept(1.0, np.inf, 0.0, 1e-300)
+        assert not mh_accept(1.0, np.inf, 1e-300)
 
 
 class TestLeapfrog:
     def test_hand_step_quadratic(self):
-        target = gaussian_target(np.zeros(1), factorize(np.eye(1)))
+        target = GaussianTarget(np.zeros(1), factorize(np.eye(1)))
         state = PhaseState(np.array([1.0]), np.array([0.0]))
         mass = factorize(np.eye(1))
         out = leapfrog(state, target, mass, 0.1, 1)
@@ -152,7 +149,7 @@ class TestLeapfrog:
 
     def test_free_particle(self):
         # zero-curvature Gaussian approximated by a huge covariance
-        target = gaussian_target(np.zeros(2), factorize(1e300 * np.eye(2)))
+        target = GaussianTarget(np.zeros(2), factorize(1e300 * np.eye(2)))
         mass = factorize(np.eye(2))
         p0 = np.array([1.0, -2.0])
         state = PhaseState(np.zeros(2), p0.copy())
@@ -249,20 +246,20 @@ class TestLeapfrog:
 
 class TestHamiltonian:
     def test_zero_energy(self):
-        target = gaussian_target(np.zeros(2), factorize(np.eye(2)))
+        target = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         st = PhaseState(np.zeros(2), np.zeros(2))
         assert hamiltonian(st, target, factorize(np.eye(2))) == pytest.approx(0.0)
 
     def test_kinetic_identity_mass(self):
-        target = gaussian_target(np.array([3.0, 4.0]), factorize(np.eye(2)))
+        target = GaussianTarget(np.array([3.0, 4.0]), factorize(np.eye(2)))
         # J = 0 at the mean is inconvenient here; use offset position with J = 2
-        target = gaussian_target(np.zeros(2), factorize(np.eye(2)))
+        target = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         st = PhaseState(np.array([2.0, 0.0]), np.array([3.0, 4.0]))
         h = hamiltonian(st, target, factorize(np.eye(2)))
         assert h == pytest.approx(2.0 + 12.5)
 
     def test_logdet_term(self):
-        target = gaussian_target(np.zeros(1), factorize(1e300 * np.eye(1)))
+        target = GaussianTarget(np.zeros(1), factorize(1e300 * np.eye(1)))
         st = PhaseState(np.zeros(1), np.array([2.0]))
         mass = factorize(np.array([[4.0]]))
         h = hamiltonian(st, target, mass, include_logdet=True)
@@ -272,13 +269,12 @@ class TestHamiltonian:
 class TestHmcStep:
     def test_tiny_dt_always_accepts(self):
         target = gaussian_2d()
-        mass = factorize(np.eye(2))
-        cfg = SamplerConfig(method="HMC", dt=1e-8, leapfrog_steps=3)
+        mass = FixedSpd(factorize(np.eye(2)))
+        cfg = SamplerConfig(method="HMC", dt=1e-8, leapfrog_steps=3, n_samples=1)
         rng = np.random.default_rng(0)
         for _ in range(20):
             theta = rng.standard_normal(2)
-            _, accepted = hmc_step(theta, target, mass, cfg, rng)
-            assert accepted
+            assert run_chain(target, mass, cfg, theta, rng).accept_flags[0]
 
     def test_acceptance_probability(self):
         # Average acceptance at moderate dt stays in (0, 1] and matches
@@ -295,36 +291,19 @@ class TestHmcStep:
 
     def test_divergence_rejected(self):
         target = lognormal_1d()
-        mass = factorize(np.eye(1))
-        cfg = SamplerConfig(method="HMC", dt=5.0, leapfrog_steps=5)
+        mass = FixedSpd(factorize(np.eye(1)))
+        cfg = SamplerConfig(method="HMC", dt=5.0, leapfrog_steps=5, n_samples=1)
         rng = np.random.default_rng(1)
         rejected = 0
         for _ in range(50):
-            theta_next, accepted = hmc_step(np.array([1e-3]), target, mass, cfg, rng)
-            if not accepted:
-                assert theta_next[0] == 1e-3
+            rec = run_chain(target, mass, cfg, np.array([1e-3]), rng)
+            if not rec.accept_flags[0]:
+                assert rec.samples[0, 0] == 1e-3
                 rejected += 1
         assert rejected > 0
 
 
 class TestHlocalStep:
-    def test_gaussian_reduces_to_hmc(self):
-        # constant Hessian: identical accept decisions under a shared seed
-        target = gaussian_2d()
-        prec = target.hessian(np.zeros(2))
-        mass = factorize(prec)
-        cfg = SamplerConfig(method="HMC", dt=0.5, leapfrog_steps=10)
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        theta_a = np.array([0.3, -0.2])
-        theta_b = theta_a.copy()
-        for _ in range(500):
-            theta_a, acc_a = hmc_step(theta_a, target, mass, cfg, rng_a)
-            theta_b, acc_b, lam = hlocal_step(theta_b, target, 1e-9, cfg, rng_b)
-            assert acc_a == acc_b
-            assert lam == 0.0
-            assert np.array_equal(theta_a, theta_b)
-
     def test_map_hessian_value(self):
         target = lognormal_1d()
         theta_map = target.map_point()  # e^-1
@@ -338,18 +317,17 @@ class TestHlocalStep:
         # theta_{k+1} == theta_k gives Delta = 0 and certain acceptance;
         # realized via a vanishing step size.
         target = lognormal_1d()
-        cfg = SamplerConfig(method="HLOCAL_HMC", dt=1e-12, leapfrog_steps=1)
-        rng = np.random.default_rng(3)
-        _, accepted, _ = hlocal_step(target.map_point(), target, 1e-9, cfg, rng)
-        assert accepted
-
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=1e-12, leapfrog_steps=1, n_samples=1)
+        rec = run_chain(target, LocalHessian(1e-9), cfg, target.map_point(),
+                        np.random.default_rng(3))
+        assert rec.accept_flags[0]
 
     @pytest.mark.parametrize("target_cls", [CliffTarget, NanCliffTarget, WallTarget])
     def test_bad_endpoint_rejected_with_one_uniform(self, target_cls):
         # an unrepairable or out-of-domain endpoint rejects through the one
         # accept test: one momentum draw, one uniform, the start point kept
         target = target_cls(np.zeros(1), factorize(np.eye(1)))
-        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.5, leapfrog_steps=1)
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.5, leapfrog_steps=1, n_samples=1)
         theta = np.array([0.9])
         ref = np.random.default_rng(3)
         p0 = ref.standard_normal(1)  # the unit mass makes p0 the normal draw
@@ -357,10 +335,10 @@ class TestHlocalStep:
         end = leapfrog(PhaseState(theta, p0), target, factorize(np.eye(1)), 0.5, 1)
         assert end.position[0] > 1.0  # this seed carries the trajectory past 1
         rng = np.random.default_rng(3)
-        theta_next, accepted, lam = hlocal_step(theta, target, 1.0, cfg, rng)
-        assert not accepted
-        assert np.array_equal(theta_next, theta)
-        assert lam == 0.0
+        rec = run_chain(target, LocalHessian(1.0), cfg, theta, rng)
+        assert not rec.accept_flags[0]
+        assert np.array_equal(rec.samples[0], theta)
+        assert rec.repair_lambdas[0] == 0.0
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -433,10 +411,14 @@ class TestRunChain:
         cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=60,
                             burn_in=15)
         theta = target.map_point()
+        # the reference: one-transition chains sharing one generator, each of
+        # which builds its start mass afresh
+        one = replace(cfg, n_samples=1, burn_in=0)
         rng, position, steps = np.random.default_rng(5), theta, []
         for _ in range(cfg.burn_in + cfg.n_samples):
-            steps.append(hlocal_step(position, target, 1e-6, cfg, rng))
-            position = steps[-1][0]
+            rec = run_chain(target, LocalHessian(1e-6), one, position, rng)
+            position = rec.samples[0]
+            steps.append((position, rec.accept_flags[0], rec.repair_lambdas[0]))
         positions, flags, lambdas = (np.array(x[cfg.burn_in:]) for x in zip(*steps))
 
         calls = []
@@ -547,6 +529,27 @@ class TestRunChain:
             ScaledIdentity(bad)
         with pytest.raises(ValueError, match="finite and positive"):
             LocalHessian(bad)
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np.bool_"])
+    def test_bool_parameters_rejected(self, flag):
+        # True passes 0 < flag < inf as 1; a flag is not a step size, beta or floor
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            SamplerConfig(method="HMC", dt=flag)
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            ScaledIdentity(flag)
+        with pytest.raises(ValueError, match="floor must be finite and positive"):
+            LocalHessian(flag)
+
+    @pytest.mark.parametrize("flag", ["false", "", 0, 1, None])
+    def test_include_logdet_takes_only_a_bool(self, flag):
+        # the string "false" is truthy and would switch the terms on
+        with pytest.raises(ValueError, match="include_logdet must be a bool"):
+            SamplerConfig(method="HLOCAL_HMC", dt=0.1, include_logdet=flag)
+
+    @pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["True_", "False_"])
+    def test_include_logdet_numpy_bools_accepted(self, flag):
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.1, include_logdet=flag)
+        assert cfg.include_logdet is flag
 
     def test_start_outside_domain_raises(self):
         # the one domain check the samplers make: the start point they are given
@@ -713,15 +716,6 @@ class TestConstantMassInverse:
         assert len(seen) == 5
         constant = method != "HLOCAL_HMC"
         assert all((f.inv is not None) == constant for f in seen)
-
-    def test_single_steps_keep_the_bare_factor(self, monkeypatch):
-        seen = self._masses(monkeypatch)
-        target = field_2x2()
-        cfg = SamplerConfig(method="HMC", dt=0.05, leapfrog_steps=3)
-        theta = target.map_point()
-        hmc_step(theta, target, factorize(np.eye(4)), cfg, np.random.default_rng(0))
-        hlocal_step(theta, target, 1e-6, cfg, np.random.default_rng(0))
-        assert len(seen) == 2 and all(f.inv is None for f in seen)
 
     def _chains(self, target, method, specs, dt, n):
         cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=10, n_samples=n)

@@ -9,7 +9,6 @@ from hessmc.targets import (
     LogNormalField,
     OutOfDomain,
     build_grid_covariance,
-    gaussian_target,
 )
 
 
@@ -100,7 +99,7 @@ class TestLogNormalHessian:
         theta_map = t.map_point()
         h = t.hessian(theta_map)
         d_inv = np.diag(1.0 / theta_map)
-        expected = d_inv @ t.sigma_inv @ d_inv
+        expected = d_inv @ t.log_space.precision @ d_inv
         assert np.abs(h - expected).max() <= 1e-10 * np.abs(expected).max()
         factorize(h)  # PD at the mode: no repair needed
 
@@ -184,17 +183,17 @@ class TestNormalizationFreeContract:
 
 class TestGaussianTarget:
     def test_at_mean(self):
-        t = gaussian_target(np.zeros(2), factorize(np.eye(2)))
+        t = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         assert t.potential(np.zeros(2)) == pytest.approx(0.0)
         assert np.allclose(t.gradient(np.zeros(2)), 0.0)
 
     def test_quadratic_value(self):
-        t = gaussian_target(np.zeros(2), factorize(np.eye(2)))
+        t = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         assert t.potential(np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_hessian_constant(self):
         cov = factorize(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        t = gaussian_target(np.zeros(2), cov)
+        t = GaussianTarget(np.zeros(2), cov)
         h1 = t.hessian(np.zeros(2))
         h2 = t.hessian(np.array([5.0, -3.0]))
         assert np.allclose(h1, h2)
@@ -202,10 +201,10 @@ class TestGaussianTarget:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            gaussian_target(np.zeros(3), factorize(np.eye(2)))
+            GaussianTarget(np.zeros(3), factorize(np.eye(2)))
 
     def test_whole_space_domain(self):
-        t = gaussian_target(np.zeros(2), factorize(np.eye(2)))
+        t = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         assert t.potential(np.array([-1e6, 1e6])) == 1e12
 
 
@@ -229,7 +228,7 @@ class TestPrecisionForm:
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_matches_solve_form(self, rows, cols):
         t = desk_field(rows, cols)
-        sigma_inv = np.column_stack([linalg.solve(t.sigma, e) for e in np.eye(t.dim)])
+        prec = np.column_stack([linalg.solve(t.sigma, e) for e in np.eye(t.dim)])
         for theta in perturbed_points(t, np.random.default_rng(rows)):
             log_theta = np.log(theta)
             r = log_theta - t.m
@@ -241,15 +240,15 @@ class TestPrecisionForm:
             g = t.gradient(theta) - (v + 1.0) / theta
             assert np.linalg.norm(g) <= 1e-10 * g_scale
             inv_theta = 1.0 / theta
-            h = sigma_inv * np.outer(inv_theta, inv_theta)
+            h = prec * np.outer(inv_theta, inv_theta)
             h[np.diag_indices_from(h)] -= (v + 1.0) * inv_theta**2
             assert np.linalg.norm(t.hessian(theta) - h) <= 1e-10 * np.linalg.norm(h)
             # the Gaussian N(m, Sigma) at log theta has the same residual
-            g = gaussian_target(t.m, t.sigma)
+            g = GaussianTarget(t.m, t.sigma)
             assert abs(g.potential(log_theta) - 0.5 * float(r @ v)) <= 1e-10 * abs(r @ v)
             assert np.linalg.norm(g.gradient(log_theta) - v) <= 1e-10 * np.linalg.norm(v)
-            err = np.linalg.norm(g.hessian(log_theta) - sigma_inv)
-            assert err <= 1e-10 * np.linalg.norm(sigma_inv)
+            err = np.linalg.norm(g.hessian(log_theta) - prec)
+            assert err <= 1e-10 * np.linalg.norm(prec)
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_field_is_its_log_space_gaussian_plus_jacobian(self, rows, cols):
@@ -259,7 +258,8 @@ class TestPrecisionForm:
         t = desk_field(rows, cols)
         g = t.log_space
         assert isinstance(g, GaussianTarget)
-        assert t.sigma_inv is g.precision
+        # the field itself holds no d x d array: the precision lives in g alone
+        assert not [v for v in vars(t).values() if np.ndim(v) == 2]
         assert np.array_equal(g.mean, t.m)
         for theta in perturbed_points(t, np.random.default_rng(rows)):
             x = np.log(theta)
@@ -274,17 +274,17 @@ class TestPrecisionForm:
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_exactly_symmetric(self, rows, cols):
         t = desk_field(rows, cols)
-        assert np.array_equal(t.sigma_inv, t.sigma_inv.T)
+        assert np.array_equal(t.log_space.precision, t.log_space.precision.T)
         for theta in perturbed_points(t, np.random.default_rng(rows)):
             h = t.hessian(theta)
             assert np.array_equal(h, h.T)
-        g = gaussian_target(t.m, t.sigma)
+        g = GaussianTarget(t.m, t.sigma)
         assert np.array_equal(g.precision, g.precision.T)
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_no_solve_per_call(self, rows, cols, monkeypatch):
         t = desk_field(rows, cols)
-        g = gaussian_target(t.m, t.sigma)
+        g = GaussianTarget(t.m, t.sigma)
         solve, calls = linalg.solve, []
 
         def counted(f, v):
