@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Check that the CLI writes the same bytes at REF as in the working tree.
+#
+# Usage: scripts/compare_outputs.sh REF
+#
+# Exports REF (any commit-ish) with `git archive` into a temporary directory,
+# runs `python3 -m hessmc run` from both source trees on three configs, and
+# compares the two output directories with `diff -r`. Exits 0 when every file
+# is byte-identical, 1 on any difference, 2 on a usage or run error.
+# BLAS runs on one thread so that the comparison does not depend on threading.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REF" >&2
+    exit 2
+fi
+ref=$1
+repo=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+mkdir "$work/ref"
+git -C "$repo" archive --format=tar "$ref" src | tar -x -C "$work/ref"
+
+# 600 samples, burn-in 20, every sample stored, all four methods.
+common='"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 1}'
+cat > "$work/desk.json" <<JSON
+{$common, "run": {"chains": 2}}
+JSON
+cat > "$work/field144.json" <<JSON
+{"target": {"rows": 12, "cols": 12, "extent_m": [12000.0, 6000.0]},
+ $common, "run": {"chains": 2}}
+JSON
+cat > "$work/chains8.json" <<JSON
+{$common, "run": {"chains": 8}}
+JSON
+
+status=0
+for config in desk field144 chains8; do
+    for tree in ref head; do
+        src="$work/ref/src"
+        [ "$tree" = head ] && src="$repo/src"
+        OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src" python3 -m hessmc run \
+            --config "$work/$config.json" --out "$work/out/$tree/$config" > /dev/null \
+            || { echo "error: $config failed on $tree" >&2; exit 2; }
+    done
+    if diff -r "$work/out/ref/$config" "$work/out/head/$config" > /dev/null; then
+        echo "$config: $(ls "$work/out/head/$config" | wc -l) files identical"
+    else
+        echo "$config: outputs differ:" >&2
+        diff -rq "$work/out/ref/$config" "$work/out/head/$config" >&2 || true
+        status=1
+    fi
+done
+exit $status

@@ -19,6 +19,7 @@ from .linalg import (
     repair_to_pd,
     sample_gaussian,
     solve,
+    solve_rows,
 )
 from .samplers import (
     ChainRecord,

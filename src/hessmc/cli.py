@@ -9,8 +9,13 @@ SETTINGS gives every setting's default, tuned to the desk-scale 8x8-grid
 comparison, and its kind, which load_config checks for the file and flags.
 Output CSVs are comma-delimited with a header row, '%.17g' floats and LF
 line endings so reruns with the same config and seed are byte-identical.
-Chains run one after another, each summarized and written before the next
-starts; chain c draws from the stream ``np.random.default_rng([seed, c])``.
+A method's chains run in lockstep (``samplers.run_chain`` with one generator
+per chain), in blocks of ceil(n_samples / (chains + 1)) samples, each block
+continuing the chains from the last one's samples; chain c draws from the
+stream ``np.random.default_rng([seed, c])`` and its output is the bytes that
+stream gives alone. A block's samples are written and reduced to spatial
+averages before the next block runs, so memory holds one block, chain 0's band
+rows and a few floats per sample, never every chain's record.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
 EXIT_CODES); config and target errors come before any output is written.
@@ -24,6 +29,7 @@ import functools
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,9 +251,11 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+def write_csv(path: Path, header: list[str] | None, rows) -> None:
+    """Write rows under a header line, or append them to path if header is None."""
+    with open(path, "a" if header is None else "w", newline="\n") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
             fh.write("\n")
@@ -273,29 +281,48 @@ def run_experiment(cfg: dict) -> int:
     s = cfg["sampler"]
     band_ref = exact_band(target, s["credible_mass"])
     keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
+    n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
+    # Chain 0's band rows, up to one chain's record, are held beside each block:
+    # blocks of n K / (K + 1) samples keep the two under two serial records,
+    # the peak a serial run reaches with its record and the band's copy of it.
+    block = -(-n // (chains + 1))
     summary_rows = []
     for method in cfg["run"]["methods"]:
         mass_spec = KERNELS[method].default(target, s["pd_floor"], s["beta"])
         scfg = SamplerConfig(method, method_dt(cfg, method), **{k: s[k] for k in keys})
-        diag_rows, rho_rows = [], []
-        for chain in range(cfg["run"]["chains"]):
-            rng = np.random.default_rng([s["seed"], chain])
-            rec = samplers.run_chain(target, mass_spec, scfg, theta_map, rng)
-            d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
-            lam = rec.repair_lambdas.max()
-            diag_rows.append((chain, d.acceptance_rate, d.tau, d.n_eff, lam))
-            rho_rows.extend((chain, t, r) for t, r in enumerate(d.rho, start=1))
-            if chain == 0:
-                band = diagnostics.credible_band(
-                    rec.samples[: s["band_samples"]], s["credible_mass"]
-                )
+        rngs = [np.random.default_rng([s["seed"], chain]) for chain in range(chains)]
+        averages = np.empty((chains, n))  # each sample's spatial average
+        flags = np.empty((chains, n), dtype=bool)
+        lams = np.zeros(chains)
+        band_rows = np.empty((min(n, s["band_samples"]), target.dim))  # chain 0's
+        position = theta_map
+        for start in range(0, n, block):
+            size = min(block, n - start)
+            burn_in = scfg.burn_in if start == 0 else 0
+            rec = samplers.run_chain(target, mass_spec,
+                                     replace(scfg, n_samples=size, burn_in=burn_in),
+                                     position, rngs)
+            position = rec.samples[:, -1].copy()
+            averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
+            flags[:, start : start + size] = rec.accept_flags
+            lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
+            band_part = band_rows[start : start + size]
+            band_part[:] = rec.samples[0, : len(band_part)]
             if s["store_samples"]:
-                write_csv(
-                    out_dir / f"samples_{method}_{chain}.csv",
-                    [f"x{i}" for i in range(target.dim)],
-                    rec.samples[:: s["thin"]],
-                )
-            del rec  # free this chain's samples before the next chain runs
+                for chain in range(chains):
+                    write_csv(
+                        out_dir / f"samples_{method}_{chain}.csv",
+                        [f"x{i}" for i in range(target.dim)] if start == 0 else None,
+                        rec.samples[chain, -start % thin :: thin],
+                    )
+            del rec  # free this block's samples before the next block runs
+        band = diagnostics.credible_band(band_rows, s["credible_mass"])
+        del band_rows
+        diag_rows, rho_rows = [], []
+        for chain in range(chains):
+            d = diagnostics.summarize_chain(averages[chain], flags[chain])
+            diag_rows.append((chain, d.acceptance_rate, d.tau, d.n_eff, lams[chain]))
+            rho_rows.extend((chain, t, r) for t, r in enumerate(d.rho, start=1))
         write_csv(
             out_dir / f"diag_{method}.csv",
             ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],

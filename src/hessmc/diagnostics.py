@@ -32,8 +32,8 @@ class CredibleBand:
 
 
 def spatial_average(samples: np.ndarray) -> np.ndarray:
-    """Per-sample mean over coordinates: (N, dim) -> (N,)."""
-    return np.asarray(samples, dtype=float).mean(axis=1)
+    """Per-sample mean over coordinates: (..., N, dim) -> (..., N)."""
+    return np.asarray(samples, dtype=float).mean(axis=-1)
 
 
 def _centered(series: np.ndarray) -> tuple[np.ndarray, float]:
@@ -108,8 +108,12 @@ def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
 
 
 def summarize_chain(samples: np.ndarray, accept_flags: np.ndarray) -> ChainDiagnostics:
-    """Diagnostics bundle computed on the spatial-average scalar."""
-    series = spatial_average(samples)
+    """Diagnostics bundle computed on the spatial-average scalar.
+
+    samples is the (N, dim) chain, or its (N,) spatial average.
+    """
+    samples = np.asarray(samples, dtype=float)
+    series = samples if samples.ndim == 1 else spatial_average(samples)
     tau, rho = correlation_time(series)
     return ChainDiagnostics(
         acceptance_rate=acceptance_rate(accept_flags),

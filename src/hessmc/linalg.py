@@ -18,7 +18,13 @@ array for nothing.
 
 Each matrix is checked once per call: an exactly symmetric input passes after
 one finiteness and one equality scan, uncopied, and only an asymmetric one is
-measured for its asymmetry and symmetrized.
+measured for its asymmetry and symmetrized. :func:`repair_to_pd` scans its
+matrix for finiteness once, so its first attempt skips that scan.
+
+:func:`solve_rows` solves a stack of K right-hand sides, each row exactly as
+:func:`solve` would: ``np.matvec`` with a stored inverse, which gives every
+row the bits of the 1-D ``inv @ v`` (a gemm ``V @ inv.T`` does not), else one
+``dpotrs`` per row.
 """
 
 from __future__ import annotations
@@ -71,11 +77,11 @@ class SpdFactor:
         return self.lower_factor @ self.lower_factor.T
 
 
-def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
+def _check_symmetric(matrix: np.ndarray, finite: bool = False) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
+    if not finite and not np.isfinite(matrix).all():
         raise NotPositiveDefinite("matrix has a non-finite entry")
     if np.array_equal(matrix, matrix.T):
         return matrix
@@ -89,11 +95,13 @@ def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def factorize(matrix: np.ndarray) -> SpdFactor:
+def factorize(matrix: np.ndarray, finite: bool = False) -> SpdFactor:
     """Cholesky-factorize a symmetric PD matrix.
 
     Args:
         matrix: dense square matrix, symmetric to 1e-8 relative tolerance.
+        finite: the caller has just checked every entry is finite; skip
+            that scan.
 
     Returns:
         An :class:`SpdFactor` with ``lower_factor @ lower_factor.T == matrix``.
@@ -103,7 +111,7 @@ def factorize(matrix: np.ndarray) -> SpdFactor:
             entry is not finite.
         DimensionMismatch: the input is not square or not symmetric.
     """
-    sym = _check_symmetric(matrix)
+    sym = _check_symmetric(matrix, finite)
     lower, info = dpotrf(sym, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(
@@ -129,6 +137,30 @@ def solve(f: SpdFactor, v: np.ndarray) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     if f.inv is not None:
         return f.inv @ v
+    return _potrs(f, v)
+
+
+def solve_rows(f: SpdFactor, v: np.ndarray) -> np.ndarray:
+    """Solve M @ x_k = v_k for each row v_k of a (K, f.dim) stack.
+
+    Each row gets the bits :func:`solve` gives it alone: one ``np.matvec``
+    for a factor that carries its inverse, else one ``dpotrs`` per row.
+
+    Raises:
+        DimensionMismatch: v is not of shape (K, f.dim).
+        ValueError: v has an inf or NaN entry.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != f.dim:
+        raise DimensionMismatch(f"expected a (K, {f.dim}) stack, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if f.inv is not None:
+        return np.matvec(f.inv, v)
+    return np.array([_potrs(f, row) for row in v])
+
+
+def _potrs(f: SpdFactor, v: np.ndarray) -> np.ndarray:
     x, info = dpotrs(f.lower_factor, v, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
@@ -156,7 +188,8 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
 
     lam runs through the doubling sequence 0, floor, 2*floor, 4*floor, ...
     until the Cholesky succeeds; a non-finite matrix fails before any attempt.
-    Each attempt is one :func:`factorize`, which checks shape and symmetry.
+    Each attempt is one :func:`factorize`, which checks shape and symmetry;
+    the first skips the finiteness scan this function has just made.
 
     Args:
         matrix: dense square symmetric matrix.
@@ -178,7 +211,8 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
     lam = 0.0
     while True:
         try:
-            return factorize(matrix + lam * np.eye(len(matrix)) if lam else matrix), lam
+            jittered = matrix + lam * np.eye(len(matrix)) if lam else matrix
+            return factorize(jittered, finite=not lam), lam
         except NotPositiveDefinite:
             if lam == 0.0:  # jitter the symmetric part that factorize accepted
                 matrix = 0.5 * (matrix + matrix.T)

@@ -1,7 +1,14 @@
 """MCMC kernels: random-walk MH, HMC, Hessian-at-MAP HMC, frozen-local-Hessian HMC.
 
 ``run_chain`` is the one way to run a transition (``n_samples=1`` runs one).
-A chain carries one point (theta, J, mass, lam) evaluated once, when proposed.
+Given K generators it runs K chains in lockstep as one (K, d) array: each
+leapfrog step makes one gradient call and one mass solve for all of them,
+while every chain keeps its own accept test, its own generator, drawn in the
+order it would draw alone, and (for HLOCAL_HMC) its own Hessian, repair and
+``dpotrs``. The target kernels are row-exact (see ``targets``), so each chain
+is bit for bit the chain its generator gives alone; one generator is K = 1.
+A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
+proposed, so a trajectory of L steps makes L gradient calls.
 MH draws a uniform every transition (``mh_accept``); the Hamiltonian
 transition makes its own accept test and draws one only when its energy change
 is negative. ``KERNELS`` declares each method's transition, the mass specs it
@@ -16,16 +23,17 @@ That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
 ``include_logdet=False``. MH takes any spec but builds no mass from it: its
-proposals never read one, so its points carry ``(None, 0.0)``.
+proposals never read one, so its points carry no mass, no gradient and lam 0.
 
 The target alone judges its domain, as ``TargetModel`` documents (+inf
-potential, ``OutOfDomain`` from gradient and hessian); ``run_chain`` refuses a
-start point of the wrong shape or of infinite potential.
+potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
+the rows of a stack outside it); ``run_chain`` refuses a start point of the
+wrong shape or of infinite potential.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -39,6 +47,7 @@ from .linalg import (
     repair_to_pd,
     sample_gaussian,
     solve,
+    solve_rows,
     with_inverse,
 )
 from .targets import LogNormalField, OutOfDomain, TargetModel
@@ -56,10 +65,12 @@ def _check_positive(name, value):
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Position/momentum pair advanced by the integrator."""
+    """Position/momentum pair advanced by the integrator, for one point or a
+    (K, d) stack; leapfrog's result also carries the gradient at its position."""
 
     position: np.ndarray
     momentum: np.ndarray
+    gradient: np.ndarray | None = None
 
     def __post_init__(self):
         if self.position.shape != self.momentum.shape:
@@ -143,9 +154,16 @@ class ChainRecord:
     repair_lambdas: np.ndarray  # mass jitter per transition; 0 for a constant mass
 
 
-def mh_propose(theta: np.ndarray, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Isotropic Gaussian proposal with standard deviation dt per coordinate."""
-    return theta + dt * rng.standard_normal(theta.shape[0])
+def mh_propose(theta: np.ndarray, dt: float, rng) -> np.ndarray:
+    """Isotropic Gaussian proposal with standard deviation dt per coordinate.
+
+    A (K, d) stack of points takes a sequence of K generators, one per row.
+    """
+    if theta.ndim == 1:
+        return theta + dt * rng.standard_normal(theta.shape[0])
+    if len(theta) == 1:  # one generator: no list of rows to stack
+        return theta + dt * rng[0].standard_normal(theta.shape)
+    return theta + dt * np.array([r.standard_normal(theta.shape[1]) for r in rng])
 
 
 def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
@@ -156,32 +174,91 @@ def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
     return u < np.exp(delta)
 
 
+def _solve(mass, v: np.ndarray) -> np.ndarray:
+    """M^-1 v for one point, or M_k^-1 v_k for each row of a stack; mass is
+    one factor for every row or a sequence of one per row."""
+    if not isinstance(mass, SpdFactor):
+        return np.array([solve(m, row) for m, row in zip(mass, v)])
+    return solve(mass, v) if v.ndim == 1 else solve_rows(mass, v)
+
+
+def _by_rows(fn, stack: np.ndarray, *args):
+    """fn(stack, *args); a one-row stack is passed as its single point and the
+    result given its row axis back, since 1-D ufuncs skip the broadcasting and
+    2-D iteration a (1, d) stack pays for (about 3 us a potential call at d = 64)."""
+    if len(stack) == 1:
+        return np.asarray(fn(stack[0], *args))[None]
+    return fn(stack, *args)
+
+
+def _shared(masses: list):
+    """The one factor every row holds, or the list of them if they differ."""
+    first = masses[0]
+    return first if len(masses) == 1 or all(m is first for m in masses) else masses
+
+
 def leapfrog(
     state: PhaseState,
     target: TargetModel,
-    mass: SpdFactor,
+    mass,
     dt: float,
     steps: int,
+    gradient: np.ndarray | None = None,
 ) -> PhaseState:
     """Explicit leapfrog: half-kick, drift through M^-1, half-kick, L times.
 
-    If any intermediate position leaves the target domain (its gradient
-    raises OutOfDomain) the trajectory is abandoned and the out-of-domain
-    position is returned with its half-step momentum; its potential is +inf
-    so the proposal will be rejected.
+    state holds one point or a (K, d) stack of them, and mass is one SpdFactor
+    for every row or a sequence of one per row. Each step makes one gradient
+    call on the stack; given the gradient at the start position, L steps make
+    L calls, else L + 1. The result carries the gradient at its position.
+
+    A row whose position leaves the target domain (its gradient raises
+    OutOfDomain, whose ``rows`` marks it) stops there with its half-step
+    momentum and a NaN gradient, while the other rows go on; its potential
+    is +inf, so its proposal will be rejected.
     """
-    theta = state.position.copy()
-    p = state.momentum.copy()
-    grad = target.gradient(theta)
+    theta = np.asarray(state.position, dtype=float, order="C")
+    p = np.asarray(state.momentum, dtype=float, order="C")
+    if theta.ndim == 2 and len(theta) == 1:  # one row runs as one point: see _by_rows
+        one = None if gradient is None else gradient[0]
+        mass = mass if isinstance(mass, SpdFactor) else mass[0]
+        end = _trajectory(theta[0], p[0], one, target, mass, dt, steps)
+        return PhaseState(*(a[None] for a in end))
+    return PhaseState(*_trajectory(theta, p, gradient, target, mass, dt, steps))
+
+
+def _trajectory(theta, p, g, target, mass, dt, steps):
+    """leapfrog's integration: the end (position, momentum, gradient)."""
+    if g is None:
+        g = target.gradient(theta)
+    rows = None  # once a row has stopped: the indices of the rows still moving
     for _ in range(steps):
-        p_half = p - 0.5 * dt * grad
-        theta = theta + dt * solve(mass, p_half)
+        p_half = p - 0.5 * dt * g
+        theta = theta + dt * _solve(mass, p_half)
         try:
-            grad = target.gradient(theta)
-        except OutOfDomain:
-            return PhaseState(position=theta, momentum=p_half)
-        p = p_half - 0.5 * dt * grad
-    return PhaseState(position=theta, momentum=p)
+            g = target.gradient(theta)
+        except OutOfDomain as exc:  # the rows outside stop here
+            if theta.ndim == 1:
+                return theta, p_half, np.full_like(theta, np.nan)
+            left = exc.rows
+            if rows is None:
+                rows = np.arange(len(theta))
+                end = (theta.copy(), p_half.copy(), np.full_like(theta, np.nan))
+            end[0][rows[left]], end[1][rows[left]] = theta[left], p_half[left]
+            stay = ~left
+            rows, theta, p_half = rows[stay], theta[stay], p_half[stay]
+            if not rows.size:
+                break
+            if not isinstance(mass, SpdFactor):
+                mass = [m for m, keep in zip(mass, stay) if keep]
+            g = target.gradient(theta)
+        p = p_half - 0.5 * dt * g
+    if rows is not None:
+        if rows.size:
+            for whole, part in zip(end, (theta, p, g)):
+                whole[rows] = part
+        return end
+    return theta, p, g
 
 
 def hamiltonian(
@@ -190,59 +267,95 @@ def hamiltonian(
     mass: SpdFactor,
     include_logdet: bool = False,
 ) -> float:
-    """Total energy J(theta) + 0.5 p' M^-1 p, optionally + 0.5 log|M|.
+    """Total energy J(theta) + 0.5 p' M^-1 p of one point, optionally + 0.5 log|M|.
 
     The log-det term matters only when the mass matrix differs between
     the two endpoints being compared; with a constant mass it cancels.
     Returns +inf for out-of-domain positions, where the potential is +inf.
     """
-    h = target.potential(state.position) + _kinetic(state.momentum, mass)
+    p = state.momentum
+    h = target.potential(state.position) + 0.5 * float(p @ solve(mass, p))
     if include_logdet:
         h += 0.5 * mass.log_det
     return h
 
 
-def _kinetic(p: np.ndarray, mass: SpdFactor) -> float:
-    return 0.5 * float(p @ solve(mass, p))
+def _kinetic(p: np.ndarray, mass) -> np.ndarray:
+    """0.5 p_k' M_k^-1 p_k for each row, each to the bits of the 1-D form."""
+    return 0.5 * np.vecdot(p, _solve(mass, p))
 
 
-def _no_mass(theta):
-    """MH's mass policy: its proposals read no mass, so its points hold none."""
-    return None, 0.0
+class _Points(NamedTuple):
+    """K chain points, each evaluated once, when proposed."""
+
+    theta: np.ndarray  # (K, d)
+    j: np.ndarray  # (K,) potentials
+    grad: np.ndarray | None  # (K, d) gradients; None for MH, which reads none
+    mass: list  # one SpdFactor per row; None for MH, which reads none
+    lam: np.ndarray  # (K,) repair jitter of each mass; 0 for a constant mass
 
 
-def _point(theta, target, mass_at):
-    """The chain point (theta, J, mass, lam) at theta."""
-    mass, lam = mass_at(theta)
-    return theta, target.potential(theta), mass, lam
+def _select(accepted: list, new: _Points, old: _Points) -> _Points:
+    """Row by row, the new point where accepted, else the old one."""
+    if all(accepted):
+        return new
+    if not any(accepted):
+        return old
+    rows = np.array(accepted)
+    return _Points(
+        np.where(rows[:, None], new.theta, old.theta),
+        np.where(rows, new.j, old.j),
+        None if old.grad is None else np.where(rows[:, None], new.grad, old.grad),
+        [n if a else o for a, n, o in zip(accepted, new.mass, old.mass)],
+        np.where(rows, new.lam, old.lam),
+    )
 
 
-def _mh_step(point, target, mass_at, cfg, rng):
-    new = _point(mh_propose(point[0], cfg.dt, rng), target, mass_at)
-    accepted = mh_accept(point[1], new[1], rng.uniform())
-    return (new if accepted else point), accepted
+def _mh_step(points, target, mass_at, cfg, rngs):
+    """K MH transitions: one proposal and one uniform per chain, one potential call."""
+    theta = mh_propose(points.theta, cfg.dt, rngs)
+    j = _by_rows(target.potential, theta)
+    accepted = [
+        mh_accept(a, b, rng.uniform())
+        for a, b, rng in zip(points.j.tolist(), j.tolist(), rngs)
+    ]
+    new = _Points(theta, j, None, points.mass, points.lam)
+    return _select(accepted, new, points), accepted
 
 
-def _hamiltonian_step(point, target, mass_at, cfg, rng):
-    """One Hamiltonian transition point -> (point, accepted).
+def _hamiltonian_step(points, target, mass_at, cfg, rngs):
+    """K Hamiltonian transitions in lockstep: points -> (points, accepted).
 
-    The trajectory uses the current point's mass; mass_at(position) ->
-    (SpdFactor, lam) is evaluated at the endpoint only. An unrepairable or
-    out-of-domain endpoint ends with delta = -inf: the one accept test rejects it.
+    Each trajectory uses its point's mass; mass_at(position) -> (SpdFactor,
+    lam) is evaluated at each in-domain endpoint only, one row at a time. A row
+    whose endpoint is out of domain or cannot be repaired ends with delta =
+    -inf: its one accept test rejects it.
     """
-    theta, j_cur, mass, _ = point
-    p0 = sample_gaussian(mass, rng)
-    end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps)
-    new, delta = point, -np.inf
-    with suppress(OutOfDomain, RepairFailed):
-        new = _point(end.position, target, mass_at)
-    if new is not point:
-        _, j_end, m_end, _ = new
-        delta = (j_cur - j_end) + (_kinetic(p0, mass) - _kinetic(end.momentum, m_end))
-        if cfg.include_logdet:
-            delta += 0.5 * (mass.log_det - m_end.log_det)
-    accepted = delta >= 0.0 or rng.uniform() < np.exp(delta)
-    return (new if accepted else point), accepted
+    theta, j_cur, grad, masses, lams = points
+    mass = _shared(masses)
+    p0 = np.array([sample_gaussian(m, rng) for m, rng in zip(masses, rngs)])
+    end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps, grad)
+    j_end = _by_rows(target.potential, end.position)
+    ok = np.isfinite(j_end).tolist()
+    new_masses, new_lams = list(masses), lams.copy()
+    for k in range(len(rngs)):
+        if ok[k]:
+            try:
+                new_masses[k], new_lams[k] = mass_at(end.position[k])
+            except (OutOfDomain, RepairFailed):
+                ok[k] = False
+    kinetic = _by_rows(_kinetic, p0, mass) - _by_rows(_kinetic, end.momentum,
+                                                      _shared(new_masses))
+    accepted = []
+    for d, good, m, m_end, rng in zip(((j_cur - j_end) + kinetic).tolist(), ok, masses,
+                                      new_masses, rngs):
+        if not good:
+            d = -np.inf
+        elif cfg.include_logdet:
+            d += 0.5 * (m.log_det - m_end.log_det)
+        accepted.append(d >= 0.0 or rng.uniform() < np.exp(d))
+    new = _Points(end.position, j_end, end.gradient, new_masses, new_lams)
+    return _select(accepted, new, points), accepted
 
 
 def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float]:
@@ -255,7 +368,7 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
 
 
 class Kernel(NamedTuple):
-    step: Callable  # (point, target, mass_at, cfg, rng) -> (point, accepted)
+    step: Callable  # (points, target, mass_at, cfg, rngs) -> (points, accepted)
     specs: tuple  # the mass-spec classes the method takes
     default: Callable  # (target, pd_floor, beta) -> the method's default spec
 
@@ -287,36 +400,60 @@ def run_chain(
     mass_spec: MassSpec,
     cfg: SamplerConfig,
     init: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> ChainRecord:
     """Run burn_in + n_samples transitions from init; keep the last n_samples.
 
+    rng is one generator, or a sequence of K generators: then K chains run in
+    lockstep, as one (K, d) array, and the record's arrays gain a leading
+    axis of K. Chain k draws from rng[k] exactly the numbers, in the order,
+    that it would draw alone, and every kernel is row-exact, so row k equals a
+    run with rng[k] alone bit for bit, and rng[k] ends in the same state.
+    init is one start point of shape (target.dim,), or with K generators a
+    (K, target.dim) stack of them; another shape raises DimensionMismatch.
+
     KERNELS[cfg.method] gives the transition and the mass specs the method
     takes (MH takes any and builds no mass from it); another spec raises
-    ConfigMismatch. An init of shape other than (target.dim,) raises
-    DimensionMismatch. Deterministic for a fixed generator state.
+    ConfigMismatch. Deterministic for fixed generator states, and a run that
+    continues from the last samples with the same generators continues the
+    chains bit for bit.
     """
+    lockstep = isinstance(rng, Sequence)
+    rngs = list(rng) if lockstep else [rng]
+    k, dim = len(rngs), target.dim
     init = np.asarray(init, dtype=float)
-    if init.shape != (target.dim,):
-        raise DimensionMismatch(f"init shape {init.shape} vs target dim {target.dim}")
-    j_init = target.potential(init)
-    if not np.isfinite(j_init):
+    if init.shape != (dim,) and not (lockstep and init.shape == (k, dim)):
+        raise DimensionMismatch(f"init shape {init.shape} vs target dim {dim}")
+    theta = np.empty((k, dim))
+    theta[:] = init
+    j_init = _by_rows(target.potential, theta)
+    if not np.isfinite(j_init).all():
         raise ValueError("initial position is outside the target domain")
     step, specs, _ = KERNELS[cfg.method]
     if not isinstance(mass_spec, specs):
         raise ConfigMismatch(f"{cfg.method} takes no {type(mass_spec).__name__} mass")
-    mass_at = _no_mass if step is _mh_step else mass_spec.mass_at(target)
+    if step is _mh_step:
+        mass_at = None
+        points = _Points(theta, j_init, None, [None] * k, np.zeros(k))
+    else:
+        mass_at = mass_spec.mass_at(target)
+        masses, lams = zip(*map(mass_at, theta))
+        grad = _by_rows(target.gradient, theta)
+        points = _Points(theta, j_init, grad, list(masses), np.array(lams))
 
-    samples = np.empty((cfg.n_samples, target.dim))
-    accept_flags = np.empty(cfg.n_samples, dtype=bool)
-    potentials = np.empty(cfg.n_samples)
-    lambdas = np.empty(cfg.n_samples)
+    # stored transition-major, so that each transition writes whole rows
+    samples = np.empty((cfg.n_samples, k, dim))
+    accept_flags = np.empty((cfg.n_samples, k), dtype=bool)
+    potentials = np.empty((cfg.n_samples, k))
+    lambdas = np.empty((cfg.n_samples, k))
 
-    point = (init.copy(), j_init, *mass_at(init))
     for _ in range(cfg.burn_in):
-        point, _ = step(point, target, mass_at, cfg, rng)
+        points, _ = step(points, target, mass_at, cfg, rngs)
     for i in range(cfg.n_samples):
-        lambdas[i] = point[3]
-        point, accept_flags[i] = step(point, target, mass_at, cfg, rng)
-        samples[i], potentials[i] = point[0], point[1]
-    return ChainRecord(samples, accept_flags, potentials, repair_lambdas=lambdas)
+        lambdas[i] = points.lam
+        points, accept_flags[i] = step(points, target, mass_at, cfg, rngs)
+        samples[i], potentials[i] = points.theta, points.j
+    arrays = (samples, accept_flags, potentials, lambdas)
+    if lockstep:
+        return ChainRecord(*(np.swapaxes(a, 0, 1) for a in arrays))
+    return ChainRecord(*(a[:, 0] for a in arrays))

@@ -7,7 +7,13 @@ as long as it is applied consistently (it is, and tests pin it).
 
 A target is three methods: potential, gradient and hessian. Outside its
 domain potential returns +inf and gradient and hessian raise OutOfDomain;
-that is the only domain check the samplers rely on.
+that is the only domain check the samplers rely on. potential and gradient
+also take a (K, d) stack of points and evaluate it row by row, each row to
+the bits the single point gives: a row outside the domain gets a +inf
+potential, and gradient raises OutOfDomain with ``rows`` marking the rows
+outside. The kernels are ``np.matvec`` and ``np.vecdot``, which compute each
+row as the 1-D ``P @ r`` and ``r @ v`` do (a gemm ``R @ P`` does not) when
+the rows are contiguous, so the targets make every stack C-ordered first.
 
 GaussianTarget is held in precision form: Sigma^-1 is inverted once at
 construction, made exactly symmetric, and applied by one matrix-vector
@@ -28,7 +34,15 @@ from .linalg import DimensionMismatch, SpdFactor, factorize, inverse
 
 
 class OutOfDomain(Exception):
-    """Point lies outside the target's support."""
+    """Point lies outside the target's support.
+
+    rows: for a (K, d) stack, the boolean mask of the rows outside it; None
+    for a single point.
+    """
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class TargetModel:
@@ -36,7 +50,11 @@ class TargetModel:
 
     Subclasses provide potential(theta), gradient(theta) and hessian(theta).
     potential returns +inf outside the domain; gradient and hessian raise
-    OutOfDomain there. The samplers make no domain check of their own.
+    OutOfDomain there. potential and gradient also take a (K, d) stack and
+    answer row by row, bit for bit as for each row alone; a row outside the
+    domain gets a +inf potential, and gradient raises OutOfDomain whose
+    ``rows`` marks the rows outside. The samplers make no domain check of
+    their own.
     """
 
     dim: int
@@ -49,7 +67,6 @@ class TargetModel:
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
 
 @dataclass
 class GaussianTarget(TargetModel):
@@ -70,14 +87,13 @@ class GaussianTarget(TargetModel):
         self.precision += self.precision.T  # made exactly symmetric
         self.precision *= 0.5
 
-    def potential(self, theta: np.ndarray) -> float:
-        r = np.asarray(theta, dtype=float) - self.mean
-        return 0.5 * float(r @ (self.precision @ r))
+    def potential(self, theta: np.ndarray) -> float | np.ndarray:
+        r = np.ascontiguousarray(theta, dtype=float) - self.mean
+        return 0.5 * np.vecdot(r, np.matvec(self.precision, r))
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        r = np.asarray(theta, dtype=float) - self.mean
-        return self.precision @ r
-
+        r = np.ascontiguousarray(theta, dtype=float) - self.mean
+        return np.matvec(self.precision, r)
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         return self.precision.copy()
 
@@ -103,22 +119,29 @@ class LogNormalField(TargetModel):
 
     def _log(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta, log theta) as floats; the field's one domain check."""
-        theta = np.asarray(theta, dtype=float)
-        if not (theta > 0.0).all():
-            raise OutOfDomain("theta is outside the positive orthant")
+        theta = np.ascontiguousarray(theta, dtype=float)
+        inside = theta > 0.0
+        if not inside.all():
+            rows = None if theta.ndim == 1 else ~inside.all(axis=1)
+            raise OutOfDomain("theta is outside the positive orthant", rows)
         return theta, np.log(theta)
 
-    def potential(self, theta: np.ndarray) -> float:
+    def potential(self, theta: np.ndarray) -> float | np.ndarray:
         try:
             _, x = self._log(theta)
-        except OutOfDomain:
-            return np.inf
-        return self.log_space.potential(x) + float(np.sum(x))
+        except OutOfDomain as exc:
+            if exc.rows is None:
+                return np.inf
+            inside = ~exc.rows
+            x = np.log(np.asarray(theta, dtype=float)[inside])
+            j = np.full(len(inside), np.inf)
+            j[inside] = self.log_space.potential(x) + x.sum(axis=-1)
+            return j
+        return self.log_space.potential(x) + x.sum(axis=-1)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         theta, x = self._log(theta)
         return (self.log_space.gradient(x) + 1.0) / theta
-
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         theta, x = self._log(theta)
         v = self.log_space.gradient(x)

@@ -14,6 +14,7 @@ from hessmc import diagnostics
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
+    _fmt,
     build_target,
     exact_band,
     load_config,
@@ -22,7 +23,7 @@ from hessmc.cli import (
     run_experiment,
 )
 from hessmc.linalg import factorize
-from hessmc.samplers import METHODS
+from hessmc.samplers import KERNELS, METHODS, SamplerConfig, run_chain
 from hessmc.targets import LogNormalField, build_grid_covariance
 
 
@@ -213,6 +214,60 @@ class TestRunCommand:
         peak(1)  # first call: one-off allocations and caches
         sample_array = 2000 * 16 * 8
         assert peak(8) - peak(1) < 3 * sample_array
+
+    @pytest.mark.parametrize("method", ["HMAP_HMC", "HLOCAL_HMC"])
+    def test_hamiltonian_chains_do_not_accumulate_in_memory(self, tmp_path, method):
+        cfg = load_config(None, {
+            "target": {"rows": 4, "cols": 4},
+            "sampler": {"n_samples": 500},
+            "run": {"methods": [method], "output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(chains):
+            cfg["run"]["chains"] = chains
+            tracemalloc.start()
+            try:
+                assert run_experiment(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first call: one-off allocations and caches
+        sample_array = 500 * 16 * 8
+        assert peak(8) - peak(1) < 3 * sample_array
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_lockstep_chains_write_what_each_chain_gives_alone(self, tmp_path, thin):
+        # chains run in lockstep, in blocks of 10 of the 40 samples; chain c's
+        # samples and diag row, and the band on chain 0's first 15 samples
+        # (two blocks), are the bytes of run_chain with default_rng([seed, c])
+        cfg_path = small_config(tmp_path, sampler={"burn_in": 5, "thin": thin,
+                                                   "band_samples": 15},
+                                run={"chains": 3, "methods": list(METHODS)})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        cfg = load_config(str(cfg_path))
+        s, target = cfg["sampler"], build_target(cfg)
+        out = tmp_path / "out"
+        for method in METHODS:
+            spec = KERNELS[method].default(target, s["pd_floor"], s["beta"])
+            scfg = SamplerConfig(method, method_dt(cfg, method), s["leapfrog_steps"],
+                                 s["n_samples"], s["burn_in"], s["include_logdet"])
+            diag = (out / f"diag_{method}.csv").read_text().splitlines()
+            for chain in range(3):
+                rng = np.random.default_rng([s["seed"], chain])
+                rec = run_chain(target, spec, scfg, target.map_point(), rng)
+                samples = "".join(",".join(_fmt(v) for v in row) + "\n"
+                                  for row in rec.samples[::thin])
+                header = ",".join(f"x{i}" for i in range(target.dim)) + "\n"
+                assert (out / f"samples_{method}_{chain}.csv").read_text() == header + samples
+                d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
+                row = (chain, d.acceptance_rate, d.tau, d.n_eff, rec.repair_lambdas.max())
+                assert diag[chain + 1] == ",".join(_fmt(v) for v in row)
+                if chain == 0:
+                    band = diagnostics.credible_band(rec.samples[:15], s["credible_mass"])
+                    rows = (out / f"band_{method}.csv").read_text().splitlines()[1:]
+                    assert [r.split(",")[1:3] for r in rows] == [
+                        [_fmt(lo), _fmt(hi)] for lo, hi in zip(band.lower, band.upper)]
 
     def test_samples_round_trip_reproduces_diag(self, tmp_path):
         cfg_path = small_config(

@@ -309,3 +309,40 @@ def test_stored_inverse_solve_is_one_matvec(monkeypatch):
     assert not calls
     solve(bare, v)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_solve_rows_equals_solve_per_row(dim, k):
+    bare = factorize(_spd(dim, dim))
+    v = np.random.default_rng(k).standard_normal((k, dim))
+    for f in (bare, linalg.with_inverse(bare)):
+        x = linalg.solve_rows(f, v)
+        assert x.shape == (k, dim)
+        for row, expected in zip(x, v):
+            assert np.array_equal(row, solve(f, expected))
+
+
+def test_solve_rows_keeps_the_checks():
+    f = linalg.with_inverse(factorize(_spd(3, 3)))
+    for bad in (np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1))):
+        with pytest.raises(DimensionMismatch, match="stack"):
+            linalg.solve_rows(f, bad)
+    v = np.ones((2, 3))
+    v[1, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        linalg.solve_rows(f, v)
+
+
+def test_repair_scans_finiteness_once(monkeypatch):
+    # repair_to_pd's own scan covers its first attempt; a jittered attempt,
+    # whose matrix it has not scanned, is scanned by factorize
+    seen = []
+    check = linalg._check_symmetric
+    monkeypatch.setattr(linalg, "_check_symmetric",
+                        lambda m, finite=False: seen.append(finite) or check(m, finite))
+    repair_to_pd(np.eye(3), 0.3)
+    assert seen == [True]
+    seen.clear()
+    repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
+    assert seen == [True, False, False, False]

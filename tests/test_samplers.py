@@ -1,5 +1,6 @@
 """Tests for the four MCMC kernels and the leapfrog integrator."""
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,19 +65,25 @@ class NanCliffTarget(GaussianTarget):
 class WallTarget(GaussianTarget):
     """Standard normal whose domain ends at theta_0 = 1.
 
-    As TargetModel documents, its potential is +inf and its gradient raises
-    OutOfDomain past the wall.
+    As TargetModel documents, past the wall its potential is +inf and its
+    gradient raises OutOfDomain; in a (K, d) stack, a row past the wall gets a
+    +inf potential, and the gradient's OutOfDomain marks it in ``rows``.
     """
 
     def _past_wall(self, theta):
-        return bool(theta[0] > 1.0)
+        return np.asarray(theta)[..., 0] > 1.0
 
     def potential(self, theta):
-        return np.inf if self._past_wall(theta) else super().potential(theta)
+        past = self._past_wall(theta)
+        if np.ndim(theta) == 1:
+            return np.inf if past else super().potential(theta)
+        return np.where(past, np.inf, super().potential(theta))
 
     def gradient(self, theta):
-        if self._past_wall(theta):
-            raise OutOfDomain("gradient requested past the wall")
+        past = self._past_wall(theta)
+        if past.any():
+            rows = past if np.ndim(theta) == 2 else None
+            raise OutOfDomain("gradient requested past the wall", rows)
         return super().gradient(theta)
 
 
@@ -221,6 +228,43 @@ class TestLeapfrog:
         out = leapfrog(PhaseState(plain.map_point(), p0), target, mass, 0.05, 7)
         assert (target.gradients, target.checks) == (8, 8)
         assert np.all(out.position > 0.0)
+
+    def test_start_gradient_costs_no_call(self):
+        # given the gradient at the start, L steps make L gradient calls
+        plain = field_2x2()
+        target = CountedField(m=plain.m, sigma=plain.sigma)
+        mass = hmap_mass(plain, 1e-6)[0]
+        start = PhaseState(plain.map_point(), mass.lower_factor @ np.full(4, 0.2))
+        ref = leapfrog(start, plain, mass, 0.05, 7)
+        out = leapfrog(start, target, mass, 0.05, 7, plain.gradient(start.position))
+        assert target.checks == 7
+        assert np.array_equal(out.position, ref.position)
+        assert np.array_equal(out.momentum, ref.momentum)
+        assert np.array_equal(out.gradient, plain.gradient(out.position))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    def test_row_leaving_domain_stops_alone(self, per_row):
+        # row 0 crosses the wall at step 2 of 5 and stops there with its
+        # half-step momentum; rows 1 and 2 run all 5 steps, each as it would alone
+        target = WallTarget(np.zeros(1), factorize(np.eye(1)))
+        masses = [factorize(np.array([[m]])) for m in (1.0, 2.0, 0.5)]
+        if not per_row:
+            masses = [masses[0]] * 3
+        mass = masses if per_row else masses[0]
+        start = PhaseState(np.array([[0.0], [-0.5], [-0.2]]), np.array([[1.2], [0.3], [0.1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = leapfrog(start, target, mass, 0.5, 5)
+        for k in range(3):
+            alone = leapfrog(PhaseState(start.position[k], start.momentum[k]), target,
+                             masses[k], 0.5, 5)
+            assert np.array_equal(out.position[k], alone.position)
+            assert np.array_equal(out.momentum[k], alone.momentum)
+        assert out.position[0, 0] == pytest.approx(1.05)
+        assert (out.position[1:] < 1.0).all()
+        assert np.isnan(out.gradient[0]).all()
+        assert np.array_equal(out.gradient[1:], target.gradient(out.position[1:]))
+        assert target.potential(out.position).tolist()[0] == np.inf
 
     def test_energy_error_second_order(self):
         rng = np.random.default_rng(77)
@@ -619,12 +663,13 @@ class TestRunChain:
 
     @pytest.mark.parametrize(
         "method, dt, per_transition",
-        [("HMC", 0.05, 12), ("HMAP_HMC", 0.3, 12), ("HLOCAL_HMC", 0.3, 13)],
+        [("HMC", 0.05, 11), ("HMAP_HMC", 0.3, 11), ("HLOCAL_HMC", 0.3, 12)],
     )
     def test_domain_checked_only_by_target(self, method, dt, per_transition):
-        # L = 10 steps take 11 gradients, then the endpoint's potential (and,
-        # for HLOCAL_HMC, its Hessian) each check the domain once; the sampler
-        # adds no check of its own, and no trajectory here leaves the domain
+        # L = 10 steps take 10 gradients (the start point carries its own),
+        # then the endpoint's potential (and, for HLOCAL_HMC, its Hessian) each
+        # check the domain once; the sampler adds no check of its own, and no
+        # trajectory here leaves the domain
         plain = field_2x2()
         target = CountedField(m=plain.m, sigma=plain.sigma)
         spec = KERNELS[method].default(plain, 1e-6, 1.0)
@@ -742,3 +787,93 @@ class TestConstantMassInverse:
         assert 0.0 < inverted.accept_flags.mean() < 1.0
         assert np.array_equal(inverted.accept_flags, bare.accept_flags)
         np.testing.assert_allclose(inverted.samples, bare.samples, rtol=1e-12, atol=0)
+
+
+class TestLockstep:
+    """K chains in lockstep equal K single-generator runs bit for bit."""
+
+    def _runs(self, target, spec, cfg, init, seeds):
+        serial = []
+        for seed, start in zip(seeds, init):
+            rng = np.random.default_rng(seed)
+            serial.append((run_chain(target, spec, cfg, start, rng), rng.bit_generator.state))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        lock = run_chain(target, spec, cfg, init, rngs)
+        for k, (rec, state) in enumerate(serial):
+            for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
+                assert np.array_equal(getattr(lock, name)[k], getattr(rec, name)), name
+            assert rngs[k].bit_generator.state == state
+        return lock
+
+    @pytest.mark.parametrize(
+        "method, dt",
+        [("MH", 0.05), ("HMC", 0.05), ("HMAP_HMC", 0.3), ("HLOCAL_HMC", 0.3)],
+    )
+    def test_equals_serial(self, method, dt):
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        cfg = SamplerConfig(method=method, dt=dt, leapfrog_steps=5, n_samples=60,
+                            burn_in=10)
+        rng = np.random.default_rng(0)
+        init = target.map_point() * np.exp(0.05 * rng.standard_normal((3, 4)))
+        lock = self._runs(target, spec, cfg, init, [11, 12, 13])
+        assert lock.samples.shape == (3, 60, 4)
+        assert lock.accept_flags.shape == lock.potentials.shape == (3, 60)
+        assert 0.0 < lock.accept_flags.mean() < 1.0
+        # one start point is shared by every chain
+        shared = run_chain(target, spec, cfg, target.map_point(),
+                           [np.random.default_rng(s) for s in (11, 12, 13)])
+        again = run_chain(target, spec, cfg, np.tile(target.map_point(), (3, 1)),
+                          [np.random.default_rng(s) for s in (11, 12, 13)])
+        assert np.array_equal(shared.samples, again.samples)
+
+    def test_continuing_from_the_last_samples_continues_the_chains(self):
+        target = field_2x2()
+        spec = LocalHessian(1e-6)
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=40)
+        whole = run_chain(target, spec, cfg, target.map_point(),
+                          [np.random.default_rng(s) for s in (1, 2)])
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        half = replace(cfg, n_samples=20)
+        first = run_chain(target, spec, half, target.map_point(), rngs)
+        second = run_chain(target, spec, half, first.samples[:, -1], rngs)
+        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
+            joined = np.concatenate([getattr(first, name), getattr(second, name)], axis=1)
+            assert np.array_equal(joined, getattr(whole, name)), name
+
+    @pytest.mark.parametrize(
+        "target_cls, method, spec",
+        [(WallTarget, "HMC", ScaledIdentity()),
+         (WallTarget, "HLOCAL_HMC", LocalHessian(1.0)),
+         (CliffTarget, "HLOCAL_HMC", LocalHessian(1.0)),
+         (NanCliffTarget, "HLOCAL_HMC", LocalHessian(1.0))],
+    )
+    def test_one_bad_endpoint_rejects_that_chain_alone(self, target_cls, method, spec):
+        # chain 0's endpoint lies past theta_0 = 1, out of domain or with an
+        # unrepairable Hessian; chains 1 and 2 accept
+        target = target_cls(np.zeros(1), factorize(np.eye(1)))
+        cfg = SamplerConfig(method=method, dt=0.5, leapfrog_steps=1, n_samples=1)
+        init = np.array([[0.9], [-0.5], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lock = self._runs(target, spec, cfg, init, [3, 4, 5])
+        assert lock.accept_flags[:, 0].tolist() == [False, True, True]
+        assert lock.samples[0, 0, 0] == 0.9
+        assert lock.repair_lambdas[0, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2), (1, 4)])
+    def test_init_shape(self, shape):
+        # K generators take one start point or a (K, d) stack; one generator
+        # takes one start point only
+        target = field_2x2()
+        cfg = SamplerConfig(method="MH", dt=0.05, n_samples=2)
+        init = np.broadcast_to(target.map_point()[: shape[-1]], shape)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        if shape in ((4,), (3, 4)):
+            assert run_chain(target, ScaledIdentity(), cfg, init, rngs).samples.shape == (3, 2, 4)
+        else:
+            with pytest.raises(DimensionMismatch, match="init shape"):
+                run_chain(target, ScaledIdentity(), cfg, init, rngs)
+        with pytest.raises(DimensionMismatch, match="init shape"):
+            run_chain(target, ScaledIdentity(), cfg, np.ones((1, 4)),
+                      np.random.default_rng(0))

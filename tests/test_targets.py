@@ -1,4 +1,6 @@
 """Tests for the log-normal field and Gaussian targets."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -300,3 +302,44 @@ class TestPrecisionForm:
                 target.gradient(theta)
                 target.hessian(theta)
         assert calls == []
+
+
+class TestRowWise:
+    """potential and gradient on a (K, d) stack equal the 1-D calls bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    @pytest.mark.parametrize("rows", [2, 8, 12])
+    def test_stack_equals_single_points(self, rows, k):
+        # d = 4, 64, 144; a gemm R @ P would not give the 1-D bits
+        field = desk_field(rows, rows)
+        rng = np.random.default_rng(rows * 10 + k)
+        stack = field.map_point() * np.exp(0.05 * rng.standard_normal((k, field.dim)))
+        for target, points in ((field, stack), (field.log_space, np.log(stack))):
+            j, g = target.potential(points), target.gradient(points)
+            assert j.shape == (k,) and g.shape == (k, field.dim)
+            for i, point in enumerate(points):
+                assert j[i] == target.potential(point)
+                assert np.array_equal(g[i], target.gradient(point))
+            # a stack in another memory layout gives the same bits
+            transposed = np.asfortranarray(points)
+            assert np.array_equal(target.potential(transposed), j)
+            assert np.array_equal(target.gradient(transposed), g)
+
+    def test_row_outside_orthant(self):
+        field = desk_field(2, 2)
+        stack = np.tile(field.map_point(), (3, 1))
+        stack[1, 2] = -0.5
+        stack[2, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j = field.potential(stack)
+            with pytest.raises(OutOfDomain) as exc:
+                field.gradient(stack)
+        assert j[0] == field.potential(stack[0])
+        assert j[1] == j[2] == np.inf
+        assert exc.value.rows.tolist() == [False, True, True]
+
+    def test_single_point_outside_has_no_rows(self):
+        with pytest.raises(OutOfDomain) as exc:
+            lognormal_1d().gradient(np.array([-1.0]))
+        assert exc.value.rows is None
