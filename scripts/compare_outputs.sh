@@ -4,9 +4,13 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on three configs, and
-# compares the two output directories with `diff -r`. Exits 0 when every file
-# is byte-identical, 1 on any difference, 2 on a usage or run error.
+# runs `python3 -m hessmc run` from both source trees on four configs, and
+# compares the two output directories with `diff -r` and the two printed
+# summaries with `diff`. The `thin7` config keeps every seventh sample of
+# blocks of 150, so thinning must carry on across block boundaries.
+# Exits 0 when every file and summary is byte-identical, 1 on any difference,
+# 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
+# tree with itself: a check that the script and the reruns still work.
 # BLAS runs on one thread so that the comparison does not depend on threading.
 set -euo pipefail
 
@@ -34,21 +38,35 @@ JSON
 cat > "$work/chains8.json" <<JSON
 {$common, "run": {"chains": 8}}
 JSON
+cat > "$work/thin7.json" <<JSON
+{"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 7},
+ "run": {"chains": 3}}
+JSON
 
 status=0
-for config in desk field144 chains8; do
+mkdir "$work/stdout"
+for config in desk field144 chains8 thin7; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"
         OPENBLAS_NUM_THREADS=1 PYTHONPATH="$src" python3 -m hessmc run \
-            --config "$work/$config.json" --out "$work/out/$tree/$config" > /dev/null \
+            --config "$work/$config.json" --out "$work/out/$tree/$config" \
+            > "$work/stdout/$tree-$config" \
             || { echo "error: $config failed on $tree" >&2; exit 2; }
     done
-    if diff -r "$work/out/ref/$config" "$work/out/head/$config" > /dev/null; then
-        echo "$config: $(ls "$work/out/head/$config" | wc -l) files identical"
-    else
+    same=1
+    if ! diff "$work/stdout/ref-$config" "$work/stdout/head-$config" >&2; then
+        echo "$config: printed summaries differ" >&2
+        same=0
+    fi
+    if ! diff -r "$work/out/ref/$config" "$work/out/head/$config" > /dev/null; then
         echo "$config: outputs differ:" >&2
         diff -rq "$work/out/ref/$config" "$work/out/head/$config" >&2 || true
+        same=0
+    fi
+    if [ $same = 1 ]; then
+        echo "$config: $(ls "$work/out/head/$config" | wc -l) files and the printed summary identical"
+    else
         status=1
     fi
 done

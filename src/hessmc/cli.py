@@ -7,8 +7,11 @@ Usage:
 Config is a single JSON document with flat sections {target, sampler, run};
 SETTINGS gives every setting's default, tuned to the desk-scale 8x8-grid
 comparison, and its kind, which load_config checks for the file and flags.
-Output CSVs are comma-delimited with a header row, '%.17g' floats and LF
-line endings so reruns with the same config and seed are byte-identical.
+Output CSVs are comma-delimited with a header row, LF line endings and '%.17g'
+numbers (a float reads back as the float written, an integer column as
+integers), so reruns with the same config and seed are byte-identical;
+write_csv formats each line through one template and reuses the text of a
+sample row that repeats the row before it.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
 per chain), in blocks of ceil(n_samples / (chains + 1)) samples, each block
 continuing the chains from the last one's samples; chain c draws from the
@@ -247,18 +250,32 @@ def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
     )
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: Path, header: list[str] | None, rows) -> None:
-    """Write rows under a header line, or append them to path if header is None."""
+    """Write rows under a header line, or append them to path if header is None.
+
+    rows is a 2-D float array, or a list of tuples whose str items are written
+    as they are. Each line comes from one '%' template built from the first
+    row: '%.17g' for a number, '%s' for a str. An array row whose bits equal
+    the previous row's (a rejected transition) reuses that row's text.
+    """
     with open(path, "a" if header is None else "w", newline="\n") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
+        if len(rows) == 0:
+            return
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        if not isinstance(rows, np.ndarray):
+            for row in rows:
+                fh.write(line % row)
+            return
+        # compare bytes, not values: 0.0 == -0.0 and nan != nan. Row by row,
+        # as a whole-block compare of a strided block makes numpy buffer it.
+        last = None
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-            fh.write("\n")
+            key = row.tobytes()
+            if key != last:
+                text, last = line % tuple(row.tolist()), key
+            fh.write(text)
 
 
 def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
@@ -267,7 +284,8 @@ def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
     theta_map = target.map_point()
     out_dir = Path(cfg["run"]["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "map.csv", ["coordinate", "theta_map"], enumerate(theta_map))
+    write_csv(out_dir / "map.csv", ["coordinate", "theta_map"],
+              np.column_stack((np.arange(target.dim), theta_map)))
     return out_dir, target, theta_map
 
 
@@ -326,16 +344,15 @@ def run_experiment(cfg: dict) -> int:
         write_csv(
             out_dir / f"diag_{method}.csv",
             ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],
-            diag_rows,
+            np.array(diag_rows),
         )
-        write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"], rho_rows)
+        write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"],
+                  np.array(rho_rows, dtype=float))
         write_csv(
             out_dir / f"band_{method}.csv",
             ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],
-            (
-                (i, band.lower[i], band.upper[i], band_ref.lower[i], band_ref.upper[i])
-                for i in range(target.dim)
-            ),
+            np.column_stack((np.arange(target.dim), band.lower, band.upper,
+                             band_ref.lower, band_ref.upper)),
         )
 
         acce = float(np.mean([r[1] for r in diag_rows]))

@@ -102,8 +102,7 @@ def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
     if not 0.0 < mass <= 1.0:
         raise ValueError("mass must lie in (0, 1]")
     lo_q = (1.0 - mass) / 2.0
-    lower = np.quantile(samples, lo_q, axis=0, method="linear")
-    upper = np.quantile(samples, 1.0 - lo_q, axis=0, method="linear")
+    lower, upper = np.quantile(samples, [lo_q, 1.0 - lo_q], axis=0, method="linear")
     return CredibleBand(lower=lower, upper=upper)
 
 

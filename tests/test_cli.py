@@ -14,13 +14,13 @@ from hessmc import diagnostics
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
-    _fmt,
     build_target,
     exact_band,
     load_config,
     main,
     method_dt,
     run_experiment,
+    write_csv,
 )
 from hessmc.linalg import factorize
 from hessmc.samplers import KERNELS, METHODS, SamplerConfig, run_chain
@@ -38,6 +38,16 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def traced_peak(cfg):
+    """tracemalloc's peak over one run_experiment call."""
+    tracemalloc.start()
+    try:
+        assert run_experiment(cfg) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -148,6 +158,72 @@ class TestExactBand:
         assert np.allclose(emp.upper, band.upper, rtol=0.02)
 
 
+def expected_csv(header, rows):
+    """What write_csv must write, one value at a time: an oracle apart from it."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else f"{float(v):.17g}" for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestWriteCsv:
+    def write(self, tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        write_csv(path, header, rows)
+        return path.read_bytes().decode()
+
+    def test_signed_zeros_after_equal_rows(self, tmp_path):
+        # 0.0 == -0.0, so only the bits tell a reused line from a new one
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
+        text = self.write(tmp_path, ["a", "b"], rows)
+        assert text == "a,b\n0,1\n-0,1\n-0,1\n0,1\n0,2\n"
+        assert text == expected_csv(["a", "b"], rows)
+
+    def test_repeated_nan_and_infinities(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        rows = np.array([[nan, inf], [nan, inf], [-inf, nan], [-inf, nan], [1.5, -inf]])
+        text = self.write(tmp_path, ["a", "b"], rows)
+        assert text == "a,b\nnan,inf\nnan,inf\n-inf,nan\n-inf,nan\n1.5,-inf\n"
+        assert text == expected_csv(["a", "b"], rows)
+
+    def test_integer_index_column(self, tmp_path):
+        theta = np.array([0.1, 2.5e-300, 1e17, 7.0])
+        rows = np.column_stack((np.arange(4), theta))
+        text = self.write(tmp_path, ["coordinate", "theta"], rows)
+        assert text.splitlines()[4].startswith("3,")
+        assert text == expected_csv(["coordinate", "theta"], enumerate(theta))
+        assert self.write(tmp_path, ["i", "x"], [(3, 0.5)]) == "i,x\n3,0.5\n"
+
+    def test_append_continues_the_file(self, tmp_path):
+        rows = np.random.default_rng(0).standard_normal((6, 3))
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], rows[:4])
+        write_csv(path, None, rows[4:])
+        assert path.read_bytes().decode() == expected_csv(["a", "b", "c"], rows)
+
+    @pytest.mark.parametrize("rows", [np.empty((0, 3)), np.empty(0), []])
+    def test_no_rows_writes_the_header_alone(self, tmp_path, rows):
+        assert self.write(tmp_path, ["a", "b", "c"], rows) == "a,b,c\n"
+
+    def test_string_column(self, tmp_path):
+        rows = [("MH", 0.5, 1.25, 32.0), ("HLOCAL_HMC", 1 / 3, float("nan"), -0.0)]
+        text = self.write(tmp_path, ["method", "acce", "tau", "n_eff"], rows)
+        assert text.splitlines()[1] == "MH,0.5,1.25,32"
+        assert text == expected_csv(["method", "acce", "tau", "n_eff"], rows)
+
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_strided_block_with_repeated_rows(self, tmp_path, thin):
+        # a lockstep record (chains, n, d) whose chain 1 accepts 0.4 of its moves
+        rng = np.random.default_rng(thin)
+        moved = rng.uniform(size=60) < 0.4
+        chain = rng.standard_normal((60, 5))[np.maximum.accumulate(moved * np.arange(60))]
+        record = np.stack((rng.standard_normal((60, 5)), chain))
+        block = record[1, 2::thin]
+        assert block.flags.c_contiguous == (thin == 1)
+        assert np.all(block[1:] == block[:-1], axis=1).any()
+        assert self.write(tmp_path, None, block) == expected_csv(None, chain[2::thin])
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats takes most of a short CLI process's start-up time
     src = str(Path(hessmc.__file__).resolve().parents[1])
@@ -204,16 +280,28 @@ class TestRunCommand:
 
         def peak(chains):
             cfg["run"]["chains"] = chains
-            tracemalloc.start()
-            try:
-                assert run_experiment(cfg) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(cfg)
 
         peak(1)  # first call: one-off allocations and caches
         sample_array = 2000 * 16 * 8
         assert peak(8) - peak(1) < 3 * sample_array
+
+    def test_stored_samples_stream_to_disk(self, tmp_path):
+        # two band rows, so that the band's copy of chain 0 cannot set the peak
+        # and hide a writer that copies a block or builds its text in memory
+        cfg = load_config(None, {
+            "target": {"rows": 4, "cols": 4},
+            "sampler": {"n_samples": 2000, "thin": 1, "band_samples": 2},
+            "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(store_samples):
+            cfg["sampler"]["store_samples"] = store_samples
+            return traced_peak(cfg)
+
+        peak(True)  # first call: one-off allocations and caches
+        block_array = 1000 * 16 * 8  # one chain runs in blocks of n / 2 samples
+        assert peak(True) - peak(False) < block_array
 
     @pytest.mark.parametrize("method", ["HMAP_HMC", "HLOCAL_HMC"])
     def test_hamiltonian_chains_do_not_accumulate_in_memory(self, tmp_path, method):
@@ -225,12 +313,7 @@ class TestRunCommand:
 
         def peak(chains):
             cfg["run"]["chains"] = chains
-            tracemalloc.start()
-            try:
-                assert run_experiment(cfg) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(cfg)
 
         peak(1)  # first call: one-off allocations and caches
         sample_array = 500 * 16 * 8
@@ -256,18 +339,19 @@ class TestRunCommand:
             for chain in range(3):
                 rng = np.random.default_rng([s["seed"], chain])
                 rec = run_chain(target, spec, scfg, target.map_point(), rng)
-                samples = "".join(",".join(_fmt(v) for v in row) + "\n"
+                samples = "".join(",".join(f"{float(v):.17g}" for v in row) + "\n"
                                   for row in rec.samples[::thin])
                 header = ",".join(f"x{i}" for i in range(target.dim)) + "\n"
                 assert (out / f"samples_{method}_{chain}.csv").read_text() == header + samples
                 d = diagnostics.summarize_chain(rec.samples, rec.accept_flags)
                 row = (chain, d.acceptance_rate, d.tau, d.n_eff, rec.repair_lambdas.max())
-                assert diag[chain + 1] == ",".join(_fmt(v) for v in row)
+                assert diag[chain + 1] == ",".join(f"{float(v):.17g}" for v in row)
                 if chain == 0:
                     band = diagnostics.credible_band(rec.samples[:15], s["credible_mass"])
                     rows = (out / f"band_{method}.csv").read_text().splitlines()[1:]
                     assert [r.split(",")[1:3] for r in rows] == [
-                        [_fmt(lo), _fmt(hi)] for lo, hi in zip(band.lower, band.upper)]
+                        [f"{float(lo):.17g}", f"{float(hi):.17g}"]
+                        for lo, hi in zip(band.lower, band.upper)]
 
     def test_samples_round_trip_reproduces_diag(self, tmp_path):
         cfg_path = small_config(

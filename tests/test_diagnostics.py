@@ -152,6 +152,19 @@ class TestCredibleBand:
         band = credible_band(rng.standard_normal((100, 4)), 0.8)
         assert np.all(band.lower <= band.upper)
 
+    @pytest.mark.parametrize("n", [40, 400, 1000])
+    @pytest.mark.parametrize("mass", [0.95, 0.5, 1.0])
+    def test_equals_one_quantile_call_per_tail(self, n, mass):
+        # chains repeat a row on each rejection, so the rows carry ties
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 64))[np.sort(rng.integers(0, n, n))]
+        band = credible_band(x, mass)
+        lo_q = (1.0 - mass) / 2.0
+        lower = np.quantile(x, lo_q, axis=0, method="linear")
+        upper = np.quantile(x, 1.0 - lo_q, axis=0, method="linear")
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
 
 class TestSummarizeChain:
     def test_bundle_invariants(self):
