@@ -4,10 +4,12 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on four configs, and
+# runs `python3 -m hessmc run` from both source trees on five configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
-# blocks of 150, so thinning must carry on across block boundaries.
+# blocks of 150, so thinning must carry on across block boundaries. The
+# `rough` config (field variance 0.01) has HLOCAL_HMC endpoints whose
+# Hessian is indefinite, so the repair's jitter path is compared as well.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work.
@@ -43,9 +45,15 @@ cat > "$work/thin7.json" <<JSON
  "run": {"chains": 3}}
 JSON
 
+cat > "$work/rough.json" <<JSON
+{"target": {"variance": 0.01},
+ "sampler": {"n_samples": 300, "burn_in": 20, "store_samples": true, "thin": 1},
+ "run": {"chains": 3}}
+JSON
+
 status=0
 mkdir "$work/stdout"
-for config in desk field144 chains8 thin7; do
+for config in desk field144 chains8 thin7 rough; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

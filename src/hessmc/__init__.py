@@ -16,6 +16,7 @@ from .linalg import (
     RepairFailed,
     SpdFactor,
     factorize,
+    repair_rows,
     repair_to_pd,
     sample_gaussian,
     solve,

@@ -21,14 +21,22 @@ one finiteness and one equality scan, uncopied, and only an asymmetric one is
 measured for its asymmetry and symmetrized. :func:`repair_to_pd` scans its
 matrix for finiteness once, so its first attempt skips that scan.
 
-:func:`solve_rows` solves a stack of K right-hand sides, each row exactly as
-:func:`solve` would: ``np.matvec`` with a stored inverse, which gives every
-row the bits of the 1-D ``inv @ v`` (a gemm ``V @ inv.T`` does not), else one
-``dpotrs`` per row.
+The stacked forms check a whole stack once and then make the LAPACK call
+row by row, so each row gets the bits of the single-matrix call (scipy's
+batched Cholesky is no faster, and ``np.linalg.cholesky`` is not
+bit-identical). :func:`solve_rows` solves a stack of K right-hand sides
+against one factor: ``np.matvec`` with a stored inverse, which gives every
+row the bits of the 1-D ``inv @ v`` (a gemm ``V @ inv.T`` does not), else
+one ``dpotrs`` per row. :func:`solve` given K factors solves each row of a
+stack against its own. :func:`repair_rows` makes :func:`repair_to_pd`'s
+first attempt on a (K, d, d) stack: one finiteness and one exact-symmetry
+scan, then one ``dpotrf`` per row; only a row that fails goes on to the
+jitter escalation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,7 +119,11 @@ def factorize(matrix: np.ndarray, finite: bool = False) -> SpdFactor:
             entry is not finite.
         DimensionMismatch: the input is not square or not symmetric.
     """
-    sym = _check_symmetric(matrix, finite)
+    return _cholesky(_check_symmetric(matrix, finite))
+
+
+def _cholesky(sym: np.ndarray) -> SpdFactor:
+    """One ``dpotrf`` of a checked, exactly symmetric matrix."""
     lower, info = dpotrf(sym, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(
@@ -119,22 +131,38 @@ def factorize(matrix: np.ndarray, finite: bool = False) -> SpdFactor:
         )
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    # ndarray.sum is np.sum's reduce without its dispatch, so the same bits
+    log_det = 2.0 * float(np.log(np.diag(lower)).sum())
     return SpdFactor(dim=sym.shape[0], lower_factor=lower, log_det=log_det)
 
 
-def solve(f: SpdFactor, v: np.ndarray) -> np.ndarray:
+def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
     """Solve M @ x = v: ``f.inv @ v`` if f carries its inverse, else ``dpotrs``.
 
+    f may also be a sequence of K factors and v a (K, d) stack: each row is
+    solved against its own factor, to the bits this call gives it alone. The
+    stack is checked once; then each row takes one matvec or ``dpotrs``.
+
     Raises:
-        DimensionMismatch: v is not a vector of length ``f.dim``.
+        DimensionMismatch: v is not a vector of length ``f.dim``, or not a
+            (K, d) stack with K factors of dim d.
         ValueError: v has an inf or NaN entry.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (f.dim,):
+    shared = isinstance(f, SpdFactor)
+    if shared and v.shape != (f.dim,):
         raise DimensionMismatch(f"expected a vector of length {f.dim}, got {v.shape}")
+    if not shared and (
+        v.ndim != 2 or len(f) != len(v) or any(g.dim != v.shape[1] for g in f)
+    ):
+        raise DimensionMismatch(
+            f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
+        )
     if not np.isfinite(v).all():
         raise ValueError("array must not contain infs or NaNs")
+    if not shared:
+        return np.array([_potrs(g, row) if g.inv is None else g.inv @ row
+                         for g, row in zip(f, v)])
     if f.inv is not None:
         return f.inv @ v
     return _potrs(f, v)
@@ -203,21 +231,74 @@ def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
         DimensionMismatch: the matrix is not square or not symmetric.
         ValueError: floor is not finite and positive.
     """
-    if not 0.0 < floor < np.inf:
-        raise ValueError("floor must be finite and positive")
+    _check_floor(floor)
     matrix = np.asarray(matrix, dtype=float)
     if not np.isfinite(matrix).all():
         raise RepairFailed("matrix has a non-finite entry")
-    lam = 0.0
-    while True:
+    return _repair_finite(matrix, floor)
+
+
+def repair_rows(
+    stack: np.ndarray, floor: float
+) -> tuple[list[SpdFactor | None], np.ndarray]:
+    """:func:`repair_to_pd` for each matrix of a (K, d, d) stack.
+
+    The stack is scanned once for finiteness and once for exact symmetry;
+    each finite row that is exactly symmetric is factorized by one
+    ``dpotrf`` (any other finite row by :func:`factorize`, which checks and
+    symmetrizes it), and only a row whose Cholesky fails goes on to the
+    jitter escalation. Each row's factor and lam have the bits
+    :func:`repair_to_pd` gives that row alone.
+
+    Returns:
+        (factors, lams): one factor per row, None where the repair fails
+        (a non-finite entry, or lam past the cap), and the (K,) jitters.
+
+    Raises:
+        DimensionMismatch: the stack is not (K, d, d), or a row is not
+            symmetric.
+        ValueError: floor is not finite and positive.
+    """
+    _check_floor(floor)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected a (K, d, d) stack, got shape {stack.shape}")
+    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    exact = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
+    factors, lams = [None] * len(stack), np.zeros(len(stack))
+    for k, matrix in enumerate(stack):
+        if finite[k]:
+            try:
+                factors[k], lams[k] = _repair_finite(matrix, floor, exact[k])
+            except RepairFailed:
+                pass
+    return factors, lams
+
+
+def _check_floor(floor: float) -> None:
+    if not 0.0 < floor < np.inf:
+        raise ValueError("floor must be finite and positive")
+
+
+def _repair_finite(
+    matrix: np.ndarray, floor: float, exact: bool = False
+) -> tuple[SpdFactor, float]:
+    """repair_to_pd of a matrix known to be finite; exact: it is known to be
+    exactly symmetric, so the first attempt is a bare ``dpotrf``."""
+    try:
+        return (_cholesky(matrix) if exact else factorize(matrix, finite=True)), 0.0
+    except NotPositiveDefinite:
+        return _jitter(matrix, floor)
+
+
+def _jitter(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
+    """The escalation after a failed first attempt on a finite matrix: lam =
+    floor, 2*floor, ... on the symmetric part that attempt accepted."""
+    matrix = 0.5 * (matrix + matrix.T)
+    lam = floor
+    while lam <= REPAIR_CAP * floor:
         try:
-            jittered = matrix + lam * np.eye(len(matrix)) if lam else matrix
-            return factorize(jittered, finite=not lam), lam
+            return factorize(matrix + lam * np.eye(len(matrix))), lam
         except NotPositiveDefinite:
-            if lam == 0.0:  # jitter the symmetric part that factorize accepted
-                matrix = 0.5 * (matrix + matrix.T)
-            lam = floor if lam == 0.0 else 2.0 * lam
-            if lam > REPAIR_CAP * floor:
-                raise RepairFailed(
-                    f"jitter escalated past {REPAIR_CAP:g} * floor without success"
-                ) from None
+            lam *= 2.0
+    raise RepairFailed(f"jitter escalated past {REPAIR_CAP:g} * floor without success")

@@ -3,22 +3,27 @@
 ``run_chain`` is the one way to run a transition (``n_samples=1`` runs one).
 Given K generators it runs K chains in lockstep as one (K, d) array: each
 leapfrog step makes one gradient call and one mass solve for all of them,
-while every chain keeps its own accept test, its own generator, drawn in the
-order it would draw alone, and (for HLOCAL_HMC) its own Hessian, repair and
-``dpotrs``. The target kernels are row-exact (see ``targets``), so each chain
-is bit for bit the chain its generator gives alone; one generator is K = 1.
+and each transition one mass-policy call for all endpoints (for HLOCAL_HMC
+one stacked Hessian, checked once and factorized row by row, and each solve
+one checked ``solve`` with one ``dpotrs`` per chain), while every chain
+keeps its own accept test, its own mass and its own generator, drawn in the
+order it would draw alone. The target kernels and the stacked LAPACK calls
+are row-exact (see ``targets`` and ``linalg``), so each chain is bit for bit
+the chain its generator gives alone; one generator is K = 1.
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
 proposed, so a trajectory of L steps makes L gradient calls.
 MH draws a uniform every transition (``mh_accept``); the Hamiltonian
 transition makes its own accept test and draws one only when its energy change
 is negative. ``KERNELS`` declares each method's transition, the mass specs it
-takes and its default spec. A spec's ``mass_at(target)`` is its mass policy
-``theta -> (SpdFactor, lam)``, and the Hamiltonian kernels are one transition
-that differs only in that policy: HMC and HMAP_HMC use a constant mass
-(``beta * I`` or the Hessian at the MAP, each inverted once so that every
-``solve`` is one matvec), HLOCAL_HMC the local target Hessian,
-computed once per point, reused as the next trajectory's start mass and frozen
-during the leapfrog steps, with both endpoint log-determinant terms retained.
+takes and its default spec. A spec's ``mass_at(target)`` is its mass policy,
+which maps a (K, d) stack of points to K (SpdFactor, lam) pairs: a list of
+factors, None where the mass cannot be built, and a (K,) array of jitters.
+The Hamiltonian kernels are one transition that differs only in that policy:
+HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian at the MAP,
+each inverted once so that every ``solve`` is one matvec), HLOCAL_HMC the
+local target Hessian, computed once per point, reused as the next
+trajectory's start mass and frozen during the leapfrog steps, with both
+endpoint log-determinant terms retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
@@ -27,8 +32,10 @@ proposals never read one, so its points carry no mass, no gradient and lam 0.
 
 The target alone judges its domain, as ``TargetModel`` documents (+inf
 potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
-the rows of a stack outside it); ``run_chain`` refuses a start point of the
-wrong shape or of infinite potential.
+the rows of a stack outside it). A transition builds an endpoint's mass only
+where its potential is finite, so a Hessian is asked for inside the domain
+only; ``run_chain`` refuses a start point of the wrong shape or of infinite
+potential, and raises RepairFailed if a start point's mass cannot be built.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .linalg import (
     RepairFailed,
     SpdFactor,
     factorize,
+    repair_rows,
     repair_to_pd,
     sample_gaussian,
     solve,
@@ -98,12 +106,13 @@ class FixedSpd:
     factor: SpdFactor
 
     def mass_at(self, target: TargetModel):
-        return lambda theta: (self.factor, 0.0)
+        return lambda theta: ([self.factor] * len(theta), np.zeros(len(theta)))
 
 
 @dataclass(frozen=True)
 class LocalHessian:
-    """Mass matrix refrozen from the local Hessian each trajectory."""
+    """Mass matrix refrozen from the local Hessian each trajectory: one
+    stacked Hessian and one ``repair_rows`` for a stack of points."""
 
     floor: float = 1e-6
 
@@ -111,7 +120,7 @@ class LocalHessian:
         _check_positive("floor", self.floor)
 
     def mass_at(self, target: TargetModel):
-        return lambda theta: repair_to_pd(target.hessian(theta), self.floor)
+        return lambda theta: repair_rows(_by_rows(target.hessian, theta), self.floor)
 
 
 MassSpec = Union[ScaledIdentity, FixedSpd, LocalHessian]
@@ -177,9 +186,9 @@ def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
 def _solve(mass, v: np.ndarray) -> np.ndarray:
     """M^-1 v for one point, or M_k^-1 v_k for each row of a stack; mass is
     one factor for every row or a sequence of one per row."""
-    if not isinstance(mass, SpdFactor):
-        return np.array([solve(m, row) for m, row in zip(mass, v)])
-    return solve(mass, v) if v.ndim == 1 else solve_rows(mass, v)
+    if isinstance(mass, SpdFactor) and v.ndim == 2:
+        return solve_rows(mass, v)
+    return solve(mass, v)
 
 
 def _by_rows(fn, stack: np.ndarray, *args):
@@ -326,10 +335,11 @@ def _mh_step(points, target, mass_at, cfg, rngs):
 def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     """K Hamiltonian transitions in lockstep: points -> (points, accepted).
 
-    Each trajectory uses its point's mass; mass_at(position) -> (SpdFactor,
-    lam) is evaluated at each in-domain endpoint only, one row at a time. A row
-    whose endpoint is out of domain or cannot be repaired ends with delta =
-    -inf: its one accept test rejects it.
+    Each trajectory uses its point's mass; mass_at is called once, on the
+    stack of in-domain endpoints (those of finite potential, which by the
+    target contract its Hessian accepts). A row whose endpoint is out of
+    domain or whose mass cannot be built ends with delta = -inf: its one
+    accept test rejects it.
     """
     theta, j_cur, grad, masses, lams = points
     mass = _shared(masses)
@@ -337,13 +347,17 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps, grad)
     j_end = _by_rows(target.potential, end.position)
     ok = np.isfinite(j_end).tolist()
+    rows = [k for k, inside in enumerate(ok) if inside]
     new_masses, new_lams = list(masses), lams.copy()
-    for k in range(len(rngs)):
-        if ok[k]:
-            try:
-                new_masses[k], new_lams[k] = mass_at(end.position[k])
-            except (OutOfDomain, RepairFailed):
+    if rows:
+        # every endpoint inside, the common case, skips a fancy-indexed copy
+        inside = end.position if len(rows) == len(ok) else end.position[rows]
+        got, got_lams = mass_at(inside)
+        for k, m, lam in zip(rows, got, got_lams.tolist()):
+            if m is None:
                 ok[k] = False
+            else:
+                new_masses[k], new_lams[k] = m, lam
     kinetic = _by_rows(_kinetic, p0, mass) - _by_rows(_kinetic, end.momentum,
                                                       _shared(new_masses))
     accepted = []
@@ -437,9 +451,11 @@ def run_chain(
         points = _Points(theta, j_init, None, [None] * k, np.zeros(k))
     else:
         mass_at = mass_spec.mass_at(target)
-        masses, lams = zip(*map(mass_at, theta))
+        masses, lams = mass_at(theta)
+        if any(m is None for m in masses):
+            raise RepairFailed("a start point's mass cannot be repaired")
         grad = _by_rows(target.gradient, theta)
-        points = _Points(theta, j_init, grad, list(masses), np.array(lams))
+        points = _Points(theta, j_init, grad, masses, lams)
 
     # stored transition-major, so that each transition writes whole rows
     samples = np.empty((cfg.n_samples, k, dim))

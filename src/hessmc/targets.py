@@ -7,13 +7,14 @@ as long as it is applied consistently (it is, and tests pin it).
 
 A target is three methods: potential, gradient and hessian. Outside its
 domain potential returns +inf and gradient and hessian raise OutOfDomain;
-that is the only domain check the samplers rely on. potential and gradient
-also take a (K, d) stack of points and evaluate it row by row, each row to
-the bits the single point gives: a row outside the domain gets a +inf
-potential, and gradient raises OutOfDomain with ``rows`` marking the rows
-outside. The kernels are ``np.matvec`` and ``np.vecdot``, which compute each
-row as the 1-D ``P @ r`` and ``r @ v`` do (a gemm ``R @ P`` does not) when
-the rows are contiguous, so the targets make every stack C-ordered first.
+that is the only domain check the samplers rely on. All three also take a
+(K, d) stack of points and evaluate it row by row, each row to the bits the
+single point gives (hessian returns a (K, d, d) stack): a row outside the
+domain gets a +inf potential, and gradient and hessian raise OutOfDomain
+with ``rows`` marking the rows outside. The kernels are ``np.matvec`` and
+``np.vecdot``, which compute each row as the 1-D ``P @ r`` and ``r @ v`` do
+(a gemm ``R @ P`` does not) when the rows are contiguous, so the targets
+make every stack C-ordered first; a Hessian is elementwise products only.
 
 GaussianTarget is held in precision form: Sigma^-1 is inverted once at
 construction, made exactly symmetric, and applied by one matrix-vector
@@ -50,11 +51,11 @@ class TargetModel:
 
     Subclasses provide potential(theta), gradient(theta) and hessian(theta).
     potential returns +inf outside the domain; gradient and hessian raise
-    OutOfDomain there. potential and gradient also take a (K, d) stack and
-    answer row by row, bit for bit as for each row alone; a row outside the
-    domain gets a +inf potential, and gradient raises OutOfDomain whose
-    ``rows`` marks the rows outside. The samplers make no domain check of
-    their own.
+    OutOfDomain there. All three also take a (K, d) stack and answer row by
+    row, bit for bit as for each row alone (hessian with a (K, d, d) stack);
+    a row outside the domain gets a +inf potential, and gradient and hessian
+    raise OutOfDomain whose ``rows`` marks the rows outside. The samplers
+    make no domain check of their own.
     """
 
     dim: int
@@ -94,8 +95,11 @@ class GaussianTarget(TargetModel):
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         r = np.ascontiguousarray(theta, dtype=float) - self.mean
         return np.matvec(self.precision, r)
+
     def hessian(self, theta: np.ndarray) -> np.ndarray:
-        return self.precision.copy()
+        """The precision, or a (K, d, d) stack of it for a (K, d) stack."""
+        shape = np.shape(theta)[:-1] + self.precision.shape
+        return np.broadcast_to(self.precision, shape).copy()
 
 
 @dataclass
@@ -142,12 +146,21 @@ class LogNormalField(TargetModel):
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         theta, x = self._log(theta)
         return (self.log_space.gradient(x) + 1.0) / theta
+
     def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """D^-1 P D^-1 - diag((P (log theta - m) + 1) / theta^2), D = diag(theta).
+
+        A (K, d) stack gives a (K, d, d) stack, built in one buffer: the
+        outer products 1/theta_i * 1/theta_j, scaled by P in place, then the
+        diagonal updated through a strided view.
+        """
         theta, x = self._log(theta)
         v = self.log_space.gradient(x)
         inv_theta = 1.0 / theta
-        h = self.log_space.precision * np.outer(inv_theta, inv_theta)
-        h[np.diag_indices_from(h)] -= (v + 1.0) * inv_theta**2
+        h = inv_theta[..., :, None] * inv_theta[..., None, :]
+        h *= self.log_space.precision
+        diagonal = h.reshape(*h.shape[:-2], -1)[..., :: self.dim + 1]
+        diagonal -= (v + 1.0) * inv_theta**2
         return h
 
     def map_point(self) -> np.ndarray:

@@ -346,3 +346,80 @@ def test_repair_scans_finiteness_once(monkeypatch):
     seen.clear()
     repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
     assert seen == [True, False, False, False]
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_solve_takes_one_factor_per_row(dim, monkeypatch):
+    # each row of a stack against its own factor, checked once for the stack
+    factors = [factorize(_spd(dim, seed)) for seed in range(3)]
+    factors[1] = linalg.with_inverse(factors[1])
+    v = np.random.default_rng(dim).standard_normal((3, dim))
+    expected = [solve(f, row) for f, row in zip(factors, v)]
+    scans = []
+    monkeypatch.setattr(linalg.np, "isfinite", _counting(scans, np.isfinite))
+    x = solve(factors, v)
+    assert len(scans) == 1
+    monkeypatch.undo()
+    assert x.shape == (3, dim)
+    for row, ref in zip(x, expected):
+        assert np.array_equal(row, ref)
+    for bad in (factors[:2], factors[:2] + [factorize(np.eye(dim + 1))]):
+        with pytest.raises(DimensionMismatch, match="stack"):
+            solve(bad, v)
+    with pytest.raises(DimensionMismatch, match="stack"):
+        solve(factors, v[0])
+    v[2, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve(factors, v)
+
+
+def _repair_stack(dim):
+    """Rows that repair_to_pd takes at lam = 0, jitters, symmetrizes, and
+    fails on (non-finite, unrepairable)."""
+    pd = _spd(dim, dim)
+    indefinite = pd - 1.5 * np.linalg.eigvalsh(pd)[-1] * np.eye(dim)
+    near = pd + 1e-12 * np.triu(np.ones((dim, dim)), 1)  # within SYMMETRY_RTOL
+    non_finite = pd.copy()
+    non_finite[-1, 0] = non_finite[0, -1] = np.nan
+    return np.array([pd, indefinite, near, non_finite, -1e300 * np.eye(dim)])
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_repair_rows_equals_repair_to_pd_per_row(dim):
+    stack = _repair_stack(dim)
+    factors, lams = linalg.repair_rows(stack, 1e-3)
+    assert lams.shape == (len(stack),)
+    for matrix, f, lam in zip(stack, factors, lams):
+        try:
+            ref, ref_lam = repair_to_pd(matrix, 1e-3)
+        except RepairFailed:
+            assert f is None
+            continue
+        assert lam == ref_lam
+        assert np.array_equal(f.lower_factor, ref.lower_factor)
+        assert f.log_det == ref.log_det
+    assert [f is None for f in factors] == [False, False, False, True, True]
+    assert lams[0] == lams[2] == 0.0 < lams[1]
+
+
+def test_repair_rows_checks_the_stack_once(monkeypatch):
+    # exactly symmetric PD rows: one dpotrf each and no per-row factorize,
+    # so no per-row shape, finiteness or symmetry check
+    calls, checks = [], []
+    monkeypatch.setattr(linalg, "dpotrf", _counting(calls, linalg.dpotrf))
+    monkeypatch.setattr(linalg, "factorize", _counting(checks, linalg.factorize))
+    stack = np.array([_spd(4, seed) for seed in range(8)])
+    factors, lams = linalg.repair_rows(stack, 1e-3)
+    assert len(calls) == 8 and checks == []
+    assert not lams.any() and all(f is not None for f in factors)
+
+
+def test_repair_rows_keeps_the_checks():
+    with pytest.raises(DimensionMismatch, match="stack"):
+        linalg.repair_rows(np.eye(3), 1e-3)
+    with pytest.raises(DimensionMismatch, match="stack"):
+        linalg.repair_rows(np.ones((2, 3, 4)), 1e-3)
+    with pytest.raises(DimensionMismatch, match="not symmetric"):
+        linalg.repair_rows(np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1e-3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        linalg.repair_rows(np.array([np.eye(2)]), np.nan)

@@ -49,17 +49,24 @@ def field_2x2():
 
 
 class CliffTarget(GaussianTarget):
-    """Standard normal whose Hessian cannot be repaired beyond theta_0 = 1."""
+    """Standard normal whose Hessian cannot be repaired beyond theta_0 = 1.
+
+    As TargetModel documents, a (K, d) stack gets a (K, d, d) stack of
+    Hessians, each row the Hessian of that row alone.
+    """
+
+    beyond = -1e300
 
     def hessian(self, theta):
-        return super().hessian(theta) if theta[0] <= 1.0 else np.array([[-1e300]])
+        if np.ndim(theta) == 2:
+            return np.array([self.hessian(row) for row in theta])
+        return super().hessian(theta) if theta[0] <= 1.0 else np.array([[self.beyond]])
 
 
-class NanCliffTarget(GaussianTarget):
+class NanCliffTarget(CliffTarget):
     """Standard normal whose Hessian is NaN beyond theta_0 = 1."""
 
-    def hessian(self, theta):
-        return super().hessian(theta) if theta[0] <= 1.0 else np.array([[np.nan]])
+    beyond = np.nan
 
 
 class WallTarget(GaussianTarget):
@@ -399,7 +406,8 @@ class TestHmapMass:
 
 @pytest.mark.parametrize("beta", [1.0, 2.5, 1e-3])
 def test_scaled_identity_factor_is_closed_form_cholesky(beta):
-    mass, lam = ScaledIdentity(beta).mass_at(field_2x2())(None)
+    target = field_2x2()
+    (mass,), (lam,) = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
     ref = factorize(beta * np.eye(4))
     assert lam == 0.0
     assert np.array_equal(mass.lower_factor, ref.lower_factor)
@@ -860,6 +868,38 @@ class TestLockstep:
         assert lock.accept_flags[:, 0].tolist() == [False, True, True]
         assert lock.samples[0, 0, 0] == 0.9
         assert lock.repair_lambdas[0, 0] == 0.0
+
+    def test_jitter_inside_lockstep(self):
+        # the 8x8 desk target at variance 1e-2 has endpoints whose Hessian is
+        # indefinite: at seed 0 one of 3 chains is repaired up to lam 256, so
+        # zero and nonzero jitters meet in the same lockstep transitions
+        cfg = cli.load_config(None, {"target": {"variance": 0.01}})
+        target = cli.build_target(cfg)
+        s = cfg["sampler"]
+        spec = KERNELS["HLOCAL_HMC"].default(target, s["pd_floor"], s["beta"])
+        scfg = SamplerConfig("HLOCAL_HMC", cli.DESK_DT["HLOCAL_HMC"],
+                             leapfrog_steps=s["leapfrog_steps"], n_samples=300,
+                             burn_in=20)
+        init = np.tile(target.map_point(), (3, 1))
+        lock = self._runs(target, spec, scfg, init, [[0, c] for c in range(3)])
+        lams = lock.repair_lambdas
+        assert lams.max() == 256.0
+        assert (lams == 0.0).any() and (lams > 0.0).any()
+        assert (lams[:, lams.max(axis=0) > 0.0] == 0.0).any()
+
+    def test_one_hessian_call_per_transition(self, monkeypatch):
+        # K = 8 endpoints take one stacked Hessian, not 8; the start points one
+        target = field_2x2()
+        calls = []
+        hessian = LogNormalField.hessian
+        monkeypatch.setattr(LogNormalField, "hessian",
+                            lambda self, x: calls.append(x.shape) or hessian(self, x))
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=30,
+                            burn_in=5)
+        run_chain(target, LocalHessian(1e-6), cfg, target.map_point(),
+                  [np.random.default_rng(s) for s in range(8)])
+        assert len(calls) == 1 + cfg.burn_in + cfg.n_samples
+        assert calls[0] == (8, 4)
 
     @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2), (1, 4)])
     def test_init_shape(self, shape):

@@ -305,7 +305,8 @@ class TestPrecisionForm:
 
 
 class TestRowWise:
-    """potential and gradient on a (K, d) stack equal the 1-D calls bit for bit."""
+    """potential, gradient and hessian on a (K, d) stack equal the 1-D calls
+    bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     @pytest.mark.parametrize("rows", [2, 8, 12])
@@ -324,6 +325,31 @@ class TestRowWise:
             transposed = np.asfortranarray(points)
             assert np.array_equal(target.potential(transposed), j)
             assert np.array_equal(target.gradient(transposed), g)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("rows", [2, 8, 12])
+    def test_hessian_stack_equals_single_points(self, rows, k):
+        # d = 4, 64, 144: a (K, d, d) stack whose rows are the 1-D Hessians
+        field = desk_field(rows, rows)
+        rng = np.random.default_rng(rows * 10 + k)
+        stack = field.map_point() * np.exp(0.3 * rng.standard_normal((k, field.dim)))
+        for target, points in ((field, stack), (field.log_space, np.log(stack))):
+            h = target.hessian(points)
+            assert h.shape == (k, field.dim, field.dim)
+            for i, point in enumerate(points):
+                assert np.array_equal(h[i], target.hessian(point))
+            assert np.array_equal(target.hessian(np.asfortranarray(points)), h)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_hessian_row_outside_orthant(self, bad):
+        field = desk_field(2, 2)
+        stack = np.tile(field.map_point(), (3, 1))
+        stack[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain) as exc:
+                field.hessian(stack)
+        assert exc.value.rows.tolist() == [False, True, False]
 
     def test_row_outside_orthant(self):
         field = desk_field(2, 2)
