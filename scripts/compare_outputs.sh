@@ -8,8 +8,10 @@
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
-# `rough` config (field variance 0.01) has HLOCAL_HMC endpoints whose
-# Hessian is indefinite, so the repair's jitter path is compared as well.
+# `rough` config (field variance 0.01, 8 chains) has HLOCAL_HMC endpoints
+# whose Hessian is indefinite, so the repair's jitter path is compared as
+# well, and trajectories that leave the domain midway, so the rows that stop
+# early and the rows that go on are compared too.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work.
@@ -46,9 +48,7 @@ cat > "$work/thin7.json" <<JSON
 JSON
 
 cat > "$work/rough.json" <<JSON
-{"target": {"variance": 0.01},
- "sampler": {"n_samples": 300, "burn_in": 20, "store_samples": true, "thin": 1},
- "run": {"chains": 3}}
+{"target": {"variance": 0.01}, $common, "run": {"chains": 8}}
 JSON
 
 status=0

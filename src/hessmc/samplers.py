@@ -32,10 +32,11 @@ proposals never read one, so its points carry no mass, no gradient and lam 0.
 
 The target alone judges its domain, as ``TargetModel`` documents (+inf
 potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
-the rows of a stack outside it). A transition builds an endpoint's mass only
-where its potential is finite, so a Hessian is asked for inside the domain
-only; ``run_chain`` refuses a start point of the wrong shape or of infinite
-potential, and raises RepairFailed if a start point's mass cannot be built.
+the rows of a stack outside it). A trajectory row that leaves it stops there
+(``leapfrog``), and the mass policy takes such an endpoint at its start point,
+so a Hessian is asked for inside the domain only. ``run_chain`` refuses a
+start point of the wrong shape or of infinite potential, and raises
+RepairFailed if a start point's mass cannot be built.
 """
 
 from __future__ import annotations
@@ -166,10 +167,13 @@ class ChainRecord:
 def mh_propose(theta: np.ndarray, dt: float, rng) -> np.ndarray:
     """Isotropic Gaussian proposal with standard deviation dt per coordinate.
 
-    A (K, d) stack of points takes a sequence of K generators, one per row.
+    A (K, d) stack of points takes a sequence of K generators, one per row;
+    another count raises DimensionMismatch.
     """
     if theta.ndim == 1:
         return theta + dt * rng.standard_normal(theta.shape[0])
+    if len(rng) != len(theta):
+        raise DimensionMismatch(f"{len(rng)} generators for {len(theta)} rows")
     if len(theta) == 1:  # one generator: no list of rows to stack
         return theta + dt * rng[0].standard_normal(theta.shape)
     return theta + dt * np.array([r.standard_normal(theta.shape[1]) for r in rng])
@@ -217,17 +221,21 @@ def leapfrog(
     """Explicit leapfrog: half-kick, drift through M^-1, half-kick, L times.
 
     state holds one point or a (K, d) stack of them, and mass is one SpdFactor
-    for every row or a sequence of one per row. Each step makes one gradient
-    call on the stack; given the gradient at the start position, L steps make
-    L calls, else L + 1. The result carries the gradient at its position.
+    for every row or a sequence of one per row (another count raises
+    DimensionMismatch). Each step makes one gradient call on the stack; given
+    the gradient at the start position, L steps make L calls, else L + 1.
+    The result carries the gradient at its position.
 
     A row whose position leaves the target domain (its gradient raises
     OutOfDomain, whose ``rows`` marks it) stops there with its half-step
-    momentum and a NaN gradient, while the other rows go on; its potential
-    is +inf, so its proposal will be rejected.
+    momentum and a NaN gradient; its potential is +inf, so its proposal will
+    be rejected. The other rows finish that step and run the steps left as
+    one stack, each as it would alone.
     """
     theta = np.asarray(state.position, dtype=float, order="C")
     p = np.asarray(state.momentum, dtype=float, order="C")
+    if not isinstance(mass, SpdFactor) and len(mass) != len(theta):
+        raise DimensionMismatch(f"{len(mass)} masses for {len(theta)} rows")
     if theta.ndim == 2 and len(theta) == 1:  # one row runs as one point: see _by_rows
         one = None if gradient is None else gradient[0]
         mass = mass if isinstance(mass, SpdFactor) else mass[0]
@@ -240,33 +248,25 @@ def _trajectory(theta, p, g, target, mass, dt, steps):
     """leapfrog's integration: the end (position, momentum, gradient)."""
     if g is None:
         g = target.gradient(theta)
-    rows = None  # once a row has stopped: the indices of the rows still moving
-    for _ in range(steps):
+    for step in range(steps):
         p_half = p - 0.5 * dt * g
         theta = theta + dt * _solve(mass, p_half)
         try:
             g = target.gradient(theta)
         except OutOfDomain as exc:  # the rows outside stop here
+            g = np.full_like(theta, np.nan)
             if theta.ndim == 1:
-                return theta, p_half, np.full_like(theta, np.nan)
-            left = exc.rows
-            if rows is None:
-                rows = np.arange(len(theta))
-                end = (theta.copy(), p_half.copy(), np.full_like(theta, np.nan))
-            end[0][rows[left]], end[1][rows[left]] = theta[left], p_half[left]
-            stay = ~left
-            rows, theta, p_half = rows[stay], theta[stay], p_half[stay]
-            if not rows.size:
-                break
-            if not isinstance(mass, SpdFactor):
-                mass = [m for m, keep in zip(mass, stay) if keep]
-            g = target.gradient(theta)
+                return theta, p_half, g
+            go = ~exc.rows
+            if go.any():  # the rest finish this step, then run the steps left
+                if not isinstance(mass, SpdFactor):
+                    mass = [m for m, keep in zip(mass, go) if keep]
+                g_go = target.gradient(theta[go])
+                theta[go], p_half[go], g[go] = _trajectory(
+                    theta[go], p_half[go] - 0.5 * dt * g_go, g_go, target, mass, dt,
+                    steps - step - 1)
+            return theta, p_half, g
         p = p_half - 0.5 * dt * g
-    if rows is not None:
-        if rows.size:
-            for whole, part in zip(end, (theta, p, g)):
-                whole[rows] = part
-        return end
     return theta, p, g
 
 
@@ -283,14 +283,14 @@ def hamiltonian(
     Returns +inf for out-of-domain positions, where the potential is +inf.
     """
     p = state.momentum
-    h = target.potential(state.position) + 0.5 * float(p @ solve(mass, p))
+    h = target.potential(state.position) + _kinetic(p, mass)
     if include_logdet:
         h += 0.5 * mass.log_det
     return h
 
 
 def _kinetic(p: np.ndarray, mass) -> np.ndarray:
-    """0.5 p_k' M_k^-1 p_k for each row, each to the bits of the 1-D form."""
+    """0.5 p' M^-1 p of one point, or of each row of a stack as of that row alone."""
     return 0.5 * np.vecdot(p, _solve(mass, p))
 
 
@@ -335,29 +335,25 @@ def _mh_step(points, target, mass_at, cfg, rngs):
 def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     """K Hamiltonian transitions in lockstep: points -> (points, accepted).
 
-    Each trajectory uses its point's mass; mass_at is called once, on the
-    stack of in-domain endpoints (those of finite potential, which by the
-    target contract its Hessian accepts). A row whose endpoint is out of
-    domain or whose mass cannot be built ends with delta = -inf: its one
-    accept test rejects it.
+    Each trajectory uses its point's mass; mass_at is called once, on all K
+    endpoints, with an endpoint of infinite potential replaced by its start
+    point: that row is rejected anyway, and so the policy is asked inside
+    the domain only. A row whose endpoint is out of domain or whose mass
+    cannot be built ends with delta = -inf, so its one accept test rejects
+    it, and keeps its old mass for the kinetic term.
     """
-    theta, j_cur, grad, masses, lams = points
+    theta, j_cur, grad, masses, _ = points
     mass = _shared(masses)
     p0 = np.array([sample_gaussian(m, rng) for m, rng in zip(masses, rngs)])
     end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps, grad)
     j_end = _by_rows(target.potential, end.position)
-    ok = np.isfinite(j_end).tolist()
-    rows = [k for k, inside in enumerate(ok) if inside]
-    new_masses, new_lams = list(masses), lams.copy()
-    if rows:
-        # every endpoint inside, the common case, skips a fancy-indexed copy
-        inside = end.position if len(rows) == len(ok) else end.position[rows]
-        got, got_lams = mass_at(inside)
-        for k, m, lam in zip(rows, got, got_lams.tolist()):
-            if m is None:
-                ok[k] = False
-            else:
-                new_masses[k], new_lams[k] = m, lam
+    inside = np.isfinite(j_end)
+    ok = inside.tolist()
+    # every endpoint inside, the common case, passes the endpoints uncopied
+    at = end.position if all(ok) else np.where(inside[:, None], end.position, theta)
+    got, new_lams = mass_at(at)
+    ok = [good and m is not None for good, m in zip(ok, got)]
+    new_masses = [m if good else old for good, m, old in zip(ok, got, masses)]
     kinetic = _by_rows(_kinetic, p0, mass) - _by_rows(_kinetic, end.momentum,
                                                       _shared(new_masses))
     accepted = []
@@ -434,6 +430,8 @@ def run_chain(
     """
     lockstep = isinstance(rng, Sequence)
     rngs = list(rng) if lockstep else [rng]
+    if not rngs:
+        raise ValueError("run_chain takes at least one generator")
     k, dim = len(rngs), target.dim
     init = np.asarray(init, dtype=float)
     if init.shape != (dim,) and not (lockstep and init.shape == (k, dim)):

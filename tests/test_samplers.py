@@ -73,12 +73,18 @@ class WallTarget(GaussianTarget):
     """Standard normal whose domain ends at theta_0 = 1.
 
     As TargetModel documents, past the wall its potential is +inf and its
-    gradient raises OutOfDomain; in a (K, d) stack, a row past the wall gets a
-    +inf potential, and the gradient's OutOfDomain marks it in ``rows``.
+    gradient and hessian raise OutOfDomain; in a (K, d) stack, a row past the
+    wall gets a +inf potential, and OutOfDomain marks it in ``rows``.
     """
 
     def _past_wall(self, theta):
         return np.asarray(theta)[..., 0] > 1.0
+
+    def _inside(self, theta, what):
+        past = self._past_wall(theta)
+        if past.any():
+            rows = past if np.ndim(theta) == 2 else None
+            raise OutOfDomain(f"{what} requested past the wall", rows)
 
     def potential(self, theta):
         past = self._past_wall(theta)
@@ -87,11 +93,12 @@ class WallTarget(GaussianTarget):
         return np.where(past, np.inf, super().potential(theta))
 
     def gradient(self, theta):
-        past = self._past_wall(theta)
-        if past.any():
-            rows = past if np.ndim(theta) == 2 else None
-            raise OutOfDomain("gradient requested past the wall", rows)
+        self._inside(theta, "gradient")
         return super().gradient(theta)
+
+    def hessian(self, theta):
+        self._inside(theta, "hessian")
+        return super().hessian(theta)
 
 
 class CountedField(LogNormalField):
@@ -130,6 +137,14 @@ class TestMhPropose:
         rng = FixedStream(normals=[1.0, 1.0])
         y = mh_propose(np.array([3.0, 4.0]), 1e-15, rng)
         assert np.allclose(y, [3.0, 4.0])
+
+    @pytest.mark.parametrize("rows, count", [(3, 1), (1, 2)])
+    def test_generator_count_must_match_rows(self, rows, count):
+        # one generator for three rows would give them all the same noise, and
+        # a second generator for one row would go unused
+        rngs = [np.random.default_rng(s) for s in range(count)]
+        with pytest.raises(DimensionMismatch, match="generators for"):
+            mh_propose(np.zeros((rows, 2)), 0.1, rngs)
 
     def test_proposal_scale(self):
         rng = np.random.default_rng(0)
@@ -272,6 +287,47 @@ class TestLeapfrog:
         assert np.isnan(out.gradient[0]).all()
         assert np.array_equal(out.gradient[1:], target.gradient(out.position[1:]))
         assert target.potential(out.position).tolist()[0] == np.inf
+
+    # each row's start (theta_0, p_0), and the step of 5 at which it crosses
+    # the wall alone, with either the unit mass or its per-row mass (None:
+    # it never does); in "all-stop" the last rows moving stop together
+    NESTED = {
+        "some-stop": ([(-0.5, 1.0), (0.0, 0.6), (0.5, 1.2), (0.0, 0.3)], [3, None, 1, None]),
+        "all-stop": ([(-0.5, 1.0), (0.8, 1.2), (0.5, 1.2), (0.0, 2.0)], [3, 1, 1, 2]),
+    }
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("case", list(NESTED))
+    def test_rows_stopping_at_different_steps(self, case, per_row):
+        # after each stop the rows still moving run the steps left as one
+        # stack, in which rows stop again; each row ends as it would alone
+        target = WallTarget(np.zeros(1), factorize(np.eye(1)))
+        starts, stops = self.NESTED[case]
+        masses = [factorize(np.array([[m]])) for m in (1.0, 2.0, 0.5, 1.5)]
+        if not per_row:
+            masses = [masses[0]] * 4
+        start = PhaseState(*np.array(starts).T[:, :, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = leapfrog(start, target, masses if per_row else masses[0], 0.5, 5)
+        for k, stop in enumerate(stops):
+            alone = [leapfrog(PhaseState(start.position[k], start.momentum[k]), target,
+                              masses[k], 0.5, steps) for steps in range(1, 6)]
+            past = [s for s, a in enumerate(alone, 1) if target._past_wall(a.position)]
+            assert (past[0] if past else None) == stop
+            assert np.array_equal(out.position[k], alone[-1].position)
+            assert np.array_equal(out.momentum[k], alone[-1].momentum)
+            assert np.isnan(out.gradient[k]).all() == (stop is not None)
+        inside = [stop is None for stop in stops]
+        assert np.array_equal(out.gradient[inside], target.gradient(out.position[inside]))
+
+    @pytest.mark.parametrize("rows, count", [(1, 2), (3, 2)])
+    def test_mass_count_must_match_rows(self, rows, count):
+        # a one-row stack runs as one point, and would take mass[0] alone
+        state = PhaseState(np.zeros((rows, 2)), np.ones((rows, 2)))
+        mass = [factorize(np.eye(2))] * count
+        with pytest.raises(DimensionMismatch, match="masses for"):
+            leapfrog(state, gaussian_2d(), mass, 0.1, 3)
 
     def test_energy_error_second_order(self):
         rng = np.random.default_rng(77)
@@ -602,6 +658,14 @@ class TestRunChain:
     def test_include_logdet_numpy_bools_accepted(self, flag):
         cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.1, include_logdet=flag)
         assert cfg.include_logdet is flag
+
+    @pytest.mark.parametrize("method", list(KERNELS))
+    def test_no_generator_refused(self, method):
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        cfg = SamplerConfig(method=method, dt=0.05, leapfrog_steps=2, n_samples=2)
+        with pytest.raises(ValueError, match="at least one generator"):
+            run_chain(target, spec, cfg, target.map_point(), [])
 
     def test_start_outside_domain_raises(self):
         # the one domain check the samplers make: the start point they are given
