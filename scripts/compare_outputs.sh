@@ -4,10 +4,13 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on five configs, and
+# runs `python3 -m hessmc run` from both source trees on six configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
+# `tiny` config (10 samples, burn-in 5, 12 chains, every third sample kept)
+# runs ten blocks of one sample, so burn-in comes in the first block alone
+# and thinning carries on across nine block boundaries. The
 # `rough` config (field variance 0.01, 8 chains) has HLOCAL_HMC endpoints
 # whose Hessian is indefinite, so the repair's jitter path is compared as
 # well, and trajectories that leave the domain midway, so the rows that stop
@@ -50,10 +53,14 @@ JSON
 cat > "$work/rough.json" <<JSON
 {"target": {"variance": 0.01}, $common, "run": {"chains": 8}}
 JSON
+cat > "$work/tiny.json" <<JSON
+{"sampler": {"n_samples": 10, "burn_in": 5, "store_samples": true, "thin": 3},
+ "run": {"chains": 12}}
+JSON
 
 status=0
 mkdir "$work/stdout"
-for config in desk field144 chains8 thin7 rough; do
+for config in desk field144 chains8 thin7 rough tiny; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

@@ -24,9 +24,11 @@ from .linalg import (
 )
 from .samplers import (
     ChainRecord,
+    ChainState,
     ConfigMismatch,
     FixedSpd,
     LocalHessian,
+    NonFiniteGradient,
     PhaseState,
     SamplerConfig,
     ScaledIdentity,

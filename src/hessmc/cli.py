@@ -13,12 +13,17 @@ integers), so reruns with the same config and seed are byte-identical;
 write_csv formats each line through one template and reuses the text of a
 sample row that repeats the row before it.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
-per chain), in blocks of ceil(n_samples / (chains + 1)) samples, each block
-continuing the chains from the last one's samples; chain c draws from the
-stream ``np.random.default_rng([seed, c])`` and its output is the bytes that
-stream gives alone. A block's samples are written and reduced to spatial
-averages before the next block runs, so memory holds one block, chain 0's band
-rows and a few floats per sample, never every chain's record.
+per chain), in blocks of ceil(n_samples / (chains + 1)) samples, one
+``run_chain`` call each. A block continues the chains from the ``state`` the
+last block's record ends in, with the same generators, so no start point is
+evaluated twice and the blocks join to one run bit for bit; chain c draws
+from the stream ``np.random.default_rng([seed, c])`` and its output is the
+bytes that stream gives alone. A block's samples are written and reduced to
+spatial averages before the next block runs, and only its state outlives it,
+so memory holds one block, chain 0's band rows and a few floats per sample,
+never every chain's record. A run makes no numpy overflow or invalid-value
+warning: a chain judges such a value itself (as a rejected proposal, or as a
+numerical error below), so a known error prints its one line alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
 EXIT_CODES); config and target errors come before any output is written.
@@ -36,12 +41,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import diagnostics, linalg, samplers
 from .diagnostics import CredibleBand, ZeroVariance
 from .linalg import DimensionMismatch, NotPositiveDefinite, RepairFailed
-from .samplers import KERNELS, METHODS, SamplerConfig
+from .samplers import KERNELS, METHODS, NonFiniteGradient, SamplerConfig
 from .targets import LogNormalField, OutOfDomain, build_grid_covariance
 
 EXIT_OK = 0
@@ -108,6 +112,7 @@ class ConfigError(Exception):
 EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     DimensionMismatch: EXIT_CONFIG,
+    NonFiniteGradient: EXIT_NUMERICAL,
     NotPositiveDefinite: EXIT_NUMERICAL,
     OutOfDomain: EXIT_NUMERICAL,
     RepairFailed: EXIT_NUMERICAL,
@@ -242,6 +247,8 @@ def build_target(cfg: dict) -> LogNormalField:
 
 def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
     """Analytic per-coordinate quantiles of the log-normal marginals."""
+    from scipy.special import ndtri  # here, so that `hessmc map` never imports it
+
     z = ndtri((1.0 + mass) / 2.0)  # the standard normal quantile
     sd = np.sqrt(np.diag(target.sigma.matrix()))
     return CredibleBand(
@@ -290,6 +297,7 @@ def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
 
 
 @_exit_code
+@np.errstate(over="ignore", invalid="ignore")
 def run_experiment(cfg: dict) -> int:
     """Execute the configured comparison; write all CSV artifacts.
 
@@ -313,14 +321,14 @@ def run_experiment(cfg: dict) -> int:
         flags = np.empty((chains, n), dtype=bool)
         lams = np.zeros(chains)
         band_rows = np.empty((min(n, s["band_samples"]), target.dim))  # chain 0's
-        position = theta_map
+        position = theta_map  # then the state the last block ended in
         for start in range(0, n, block):
             size = min(block, n - start)
             burn_in = scfg.burn_in if start == 0 else 0
             rec = samplers.run_chain(target, mass_spec,
                                      replace(scfg, n_samples=size, burn_in=burn_in),
                                      position, rngs)
-            position = rec.samples[:, -1].copy()
+            position = rec.state
             averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
             flags[:, start : start + size] = rec.accept_flags
             lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
@@ -333,7 +341,7 @@ def run_experiment(cfg: dict) -> int:
                         [f"x{i}" for i in range(target.dim)] if start == 0 else None,
                         rec.samples[chain, -start % thin :: thin],
                     )
-            del rec  # free this block's samples before the next block runs
+            del rec  # free this block's samples: only its state goes on
         band = diagnostics.credible_band(band_rows, s["credible_mass"])
         del band_rows
         diag_rows, rho_rows = [], []

@@ -11,7 +11,9 @@ order it would draw alone. The target kernels and the stacked LAPACK calls
 are row-exact (see ``targets`` and ``linalg``), so each chain is bit for bit
 the chain its generator gives alone; one generator is K = 1.
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
-proposed, so a trajectory of L steps makes L gradient calls.
+proposed, so a trajectory of L steps makes L gradient calls, and each record
+ends in a ``ChainState`` (those points and the mass policy), from which a
+later ``run_chain`` continues the chains without evaluating them again.
 MH draws a uniform every transition (``mh_accept``); the Hamiltonian
 transition makes its own accept test and draws one only when its energy change
 is negative. ``KERNELS`` declares each method's transition, the mass specs it
@@ -35,8 +37,9 @@ potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
 the rows of a stack outside it). A trajectory row that leaves it stops there
 (``leapfrog``), and the mass policy takes such an endpoint at its start point,
 so a Hessian is asked for inside the domain only. ``run_chain`` refuses a
-start point of the wrong shape or of infinite potential, and raises
-RepairFailed if a start point's mass cannot be built.
+start point of the wrong shape or of infinite potential, raises
+NonFiniteGradient if a Hamiltonian start point's gradient is not finite and
+RepairFailed if its mass cannot be built.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ class ConfigMismatch(Exception):
     """Sampler method and mass specification do not fit together."""
 
 
+class NonFiniteGradient(ArithmeticError):
+    """A start point's gradient is not finite, so no trajectory can start there
+    (for the log-normal field, a positive MAP so small that 1/theta overflows)."""
+
+
 def _check_positive(name, value):
     """Refuse a bool, and any value that is not finite and positive."""
     if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
@@ -88,7 +96,8 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class ScaledIdentity:
-    """Mass matrix beta * I, factorized and inverted once per chain."""
+    """Mass matrix beta * I, factorized and inverted once per run of a chain: a
+    run continued from a ``ChainState`` keeps the factor of the run before."""
 
     beta: float = 1.0
 
@@ -154,6 +163,21 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
 
 
+@dataclass(frozen=True)
+class ChainState:
+    """Where a run ends: each chain's point as evaluated there (theta, J,
+    grad J, mass, lam) and the mass policy that built its mass, with the
+    method, mass spec and target of the run. ``run_chain`` takes it as init
+    and continues the chains from it with nothing evaluated again; it holds
+    no sample, so a continued run keeps no earlier record alive."""
+
+    points: _Points
+    mass_at: Callable | None  # the mass policy; None for MH, which builds no mass
+    method: str
+    mass_spec: MassSpec
+    target: TargetModel
+
+
 @dataclass
 class ChainRecord:
     """Retained chain output: burn-in already discarded."""
@@ -162,6 +186,7 @@ class ChainRecord:
     accept_flags: np.ndarray
     potentials: np.ndarray  # potentials[i] == J(samples[i])
     repair_lambdas: np.ndarray  # mass jitter per transition; 0 for a constant mass
+    state: ChainState  # where the last transition ended, to continue from
 
 
 def mh_propose(theta: np.ndarray, dt: float, rng) -> np.ndarray:
@@ -236,37 +261,44 @@ def leapfrog(
     p = np.asarray(state.momentum, dtype=float, order="C")
     if not isinstance(mass, SpdFactor) and len(mass) != len(theta):
         raise DimensionMismatch(f"{len(mass)} masses for {len(theta)} rows")
-    if theta.ndim == 2 and len(theta) == 1:  # one row runs as one point: see _by_rows
-        one = None if gradient is None else gradient[0]
+    if steps < 1:
+        raise ValueError("leapfrog takes at least one step")
+    one = theta.ndim == 2 and len(theta) == 1  # one row runs as one point: see _by_rows
+    if one:
+        theta, p = theta[0], p[0]
+        gradient = None if gradient is None else gradient[0]
         mass = mass if isinstance(mass, SpdFactor) else mass[0]
-        end = _trajectory(theta[0], p[0], one, target, mass, dt, steps)
-        return PhaseState(*(a[None] for a in end))
-    return PhaseState(*_trajectory(theta, p, gradient, target, mass, dt, steps))
+    if gradient is None:
+        gradient = target.gradient(theta)
+    p = p - 0.5 * dt * gradient
+    end = _trajectory(theta + dt * _solve(mass, p), p, target, mass, dt, steps - 1)
+    return PhaseState(*(a[None] for a in end)) if one else PhaseState(*end)
 
 
-def _trajectory(theta, p, g, target, mass, dt, steps):
-    """leapfrog's integration: the end (position, momentum, gradient)."""
-    if g is None:
-        g = target.gradient(theta)
-    for step in range(steps):
-        p_half = p - 0.5 * dt * g
-        theta = theta + dt * _solve(mass, p_half)
+def _trajectory(theta, p, target, mass, dt, steps):
+    """leapfrog's integration after its first drift, which reached theta with
+    the half-step momentum p: the end (position, momentum, gradient) after
+    `steps` more steps. Each gradient's half-kick is computed once and ends
+    its step and, but for the last, starts the next."""
+    for left in range(steps, -1, -1):
         try:
             g = target.gradient(theta)
         except OutOfDomain as exc:  # the rows outside stop here
             g = np.full_like(theta, np.nan)
             if theta.ndim == 1:
-                return theta, p_half, g
+                return theta, p, g
             go = ~exc.rows
-            if go.any():  # the rest finish this step, then run the steps left
+            if go.any():  # the rest go on from here as one stack
                 if not isinstance(mass, SpdFactor):
                     mass = [m for m, keep in zip(mass, go) if keep]
-                g_go = target.gradient(theta[go])
-                theta[go], p_half[go], g[go] = _trajectory(
-                    theta[go], p_half[go] - 0.5 * dt * g_go, g_go, target, mass, dt,
-                    steps - step - 1)
-            return theta, p_half, g
-        p = p_half - 0.5 * dt * g
+                theta[go], p[go], g[go] = _trajectory(theta[go], p[go], target, mass, dt,
+                                                      left)
+            return theta, p, g
+        kick = 0.5 * dt * g
+        p = p - kick
+        if left:
+            p = p - kick
+            theta = theta + dt * _solve(mass, p)
     return theta, p, g
 
 
@@ -409,7 +441,7 @@ def run_chain(
     target: TargetModel,
     mass_spec: MassSpec,
     cfg: SamplerConfig,
-    init: np.ndarray,
+    init: np.ndarray | ChainState,
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> ChainRecord:
     """Run burn_in + n_samples transitions from init; keep the last n_samples.
@@ -421,18 +453,59 @@ def run_chain(
     run with rng[k] alone bit for bit, and rng[k] ends in the same state.
     init is one start point of shape (target.dim,), or with K generators a
     (K, target.dim) stack of them; another shape raises DimensionMismatch.
+    A start point of infinite potential raises ValueError, and for a
+    Hamiltonian method one whose gradient is not finite NonFiniteGradient
+    and one whose mass cannot be built RepairFailed.
+
+    init may instead be the ``state`` of an earlier record: then the chains
+    go on from the points that record ended in, with their masses, and no
+    start point is evaluated. Run with the same generators, the records of a
+    run and of its continuation join to the one longer run bit for bit. A
+    state of another method, mass spec or target raises ConfigMismatch, and
+    one of another chain count DimensionMismatch.
 
     KERNELS[cfg.method] gives the transition and the mass specs the method
     takes (MH takes any and builds no mass from it); another spec raises
-    ConfigMismatch. Deterministic for fixed generator states, and a run that
-    continues from the last samples with the same generators continues the
-    chains bit for bit.
+    ConfigMismatch. Deterministic for fixed generator states.
     """
     lockstep = isinstance(rng, Sequence)
     rngs = list(rng) if lockstep else [rng]
     if not rngs:
         raise ValueError("run_chain takes at least one generator")
-    k, dim = len(rngs), target.dim
+    k = len(rngs)
+    if isinstance(init, ChainState):
+        if (init.method != cfg.method or init.mass_spec is not mass_spec
+                or init.target is not target):
+            raise ConfigMismatch("the state comes from another method, mass spec or target")
+        if len(init.points.theta) != k:
+            raise DimensionMismatch(f"a state of {len(init.points.theta)} chains for {k}")
+        points, mass_at = init.points, init.mass_at
+    else:
+        points, mass_at = _start(target, mass_spec, cfg.method, init, lockstep, k)
+
+    # stored transition-major, so that each transition writes whole rows
+    samples = np.empty((cfg.n_samples, k, target.dim))
+    accept_flags = np.empty((cfg.n_samples, k), dtype=bool)
+    potentials = np.empty((cfg.n_samples, k))
+    lambdas = np.empty((cfg.n_samples, k))
+
+    step = KERNELS[cfg.method].step
+    for _ in range(cfg.burn_in):
+        points, _ = step(points, target, mass_at, cfg, rngs)
+    for i in range(cfg.n_samples):
+        lambdas[i] = points.lam
+        points, accept_flags[i] = step(points, target, mass_at, cfg, rngs)
+        samples[i], potentials[i] = points.theta, points.j
+    arrays = (samples, accept_flags, potentials, lambdas)
+    state = ChainState(points, mass_at, cfg.method, mass_spec, target)
+    if lockstep:
+        return ChainRecord(*(np.swapaxes(a, 0, 1) for a in arrays), state)
+    return ChainRecord(*(a[:, 0] for a in arrays), state)
+
+
+def _start(target, mass_spec, method, init, lockstep, k):
+    """run_chain's K start points, evaluated and checked, and the mass policy."""
+    dim = target.dim
     init = np.asarray(init, dtype=float)
     if init.shape != (dim,) and not (lockstep and init.shape == (k, dim)):
         raise DimensionMismatch(f"init shape {init.shape} vs target dim {dim}")
@@ -441,33 +514,16 @@ def run_chain(
     j_init = _by_rows(target.potential, theta)
     if not np.isfinite(j_init).all():
         raise ValueError("initial position is outside the target domain")
-    step, specs, _ = KERNELS[cfg.method]
+    step, specs, _ = KERNELS[method]
     if not isinstance(mass_spec, specs):
-        raise ConfigMismatch(f"{cfg.method} takes no {type(mass_spec).__name__} mass")
+        raise ConfigMismatch(f"{method} takes no {type(mass_spec).__name__} mass")
     if step is _mh_step:
-        mass_at = None
-        points = _Points(theta, j_init, None, [None] * k, np.zeros(k))
-    else:
-        mass_at = mass_spec.mass_at(target)
-        masses, lams = mass_at(theta)
-        if any(m is None for m in masses):
-            raise RepairFailed("a start point's mass cannot be repaired")
-        grad = _by_rows(target.gradient, theta)
-        points = _Points(theta, j_init, grad, masses, lams)
-
-    # stored transition-major, so that each transition writes whole rows
-    samples = np.empty((cfg.n_samples, k, dim))
-    accept_flags = np.empty((cfg.n_samples, k), dtype=bool)
-    potentials = np.empty((cfg.n_samples, k))
-    lambdas = np.empty((cfg.n_samples, k))
-
-    for _ in range(cfg.burn_in):
-        points, _ = step(points, target, mass_at, cfg, rngs)
-    for i in range(cfg.n_samples):
-        lambdas[i] = points.lam
-        points, accept_flags[i] = step(points, target, mass_at, cfg, rngs)
-        samples[i], potentials[i] = points.theta, points.j
-    arrays = (samples, accept_flags, potentials, lambdas)
-    if lockstep:
-        return ChainRecord(*(np.swapaxes(a, 0, 1) for a in arrays))
-    return ChainRecord(*(a[:, 0] for a in arrays))
+        return _Points(theta, j_init, None, [None] * k, np.zeros(k)), None
+    grad = _by_rows(target.gradient, theta)
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient("a start point's gradient is not finite")
+    mass_at = mass_spec.mass_at(target)
+    masses, lams = mass_at(theta)
+    if any(m is None for m in masses):
+        raise RepairFailed("a start point's mass cannot be repaired")
+    return _Points(theta, j_init, grad, masses, lams), mass_at

@@ -151,13 +151,14 @@ class LogNormalField(TargetModel):
         """D^-1 P D^-1 - diag((P (log theta - m) + 1) / theta^2), D = diag(theta).
 
         A (K, d) stack gives a (K, d, d) stack, built in one buffer: the
-        outer products 1/theta_i * 1/theta_j, scaled by P in place, then the
+        outer products 1/theta_i * 1/theta_j (one einsum, which fills it
+        faster than a broadcast product), scaled by P in place, then the
         diagonal updated through a strided view.
         """
         theta, x = self._log(theta)
         v = self.log_space.gradient(x)
         inv_theta = 1.0 / theta
-        h = inv_theta[..., :, None] * inv_theta[..., None, :]
+        h = np.einsum("...i,...j->...ij", inv_theta, inv_theta)
         h *= self.log_space.precision
         diagonal = h.reshape(*h.shape[:-2], -1)[..., :: self.dim + 1]
         diagonal -= (v + 1.0) * inv_theta**2
@@ -202,9 +203,8 @@ def build_grid_covariance(
     width, height = extent_m
     xs = np.linspace(0.0, width, cols) if cols > 1 else np.array([0.5 * width])
     ys = np.linspace(0.0, height, rows) if rows > 1 else np.array([0.5 * height])
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    sq_dist = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys))
+    sq_dist = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):  # factorize reports a NaN
         k = variance * np.exp(-sq_dist / (2.0 * lengthscale_m**2))
     k[np.diag_indices_from(k)] += nugget

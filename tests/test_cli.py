@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hessmc
-from hessmc import diagnostics
+from hessmc import diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
@@ -23,7 +25,7 @@ from hessmc.cli import (
     write_csv,
 )
 from hessmc.linalg import factorize
-from hessmc.samplers import KERNELS, METHODS, SamplerConfig, run_chain
+from hessmc.samplers import KERNELS, METHODS, ChainState, SamplerConfig, run_chain
 from hessmc.targets import LogNormalField, build_grid_covariance
 
 
@@ -234,6 +236,17 @@ def test_cli_import_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_map_command_skips_scipy_special(tmp_path):
+    # only the run's analytic band needs ndtri, so `hessmc map` never imports it
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    code = ("import sys; from hessmc.cli import main; "
+            "print(main(['map', '--out', sys.argv[1]]), 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "False"]
+    assert (tmp_path / "map.csv").exists()
+
+
 class TestRunCommand:
     def test_smoke_outputs(self, tmp_path):
         cfg_path = small_config(tmp_path)
@@ -318,6 +331,30 @@ class TestRunCommand:
         peak(1)  # first call: one-off allocations and caches
         sample_array = 500 * 16 * 8
         assert peak(8) - peak(1) < 3 * sample_array
+
+    def test_only_the_state_outlives_a_block(self, tmp_path, monkeypatch):
+        # each block continues from the state the block before ended in, and
+        # that block's record and arrays are freed before the next one runs
+        blocks, inits = [], []
+        run_chain = samplers.run_chain
+
+        def checked(target, spec, scfg, init, rngs):
+            assert all(ref() is None for ref in blocks), "an earlier block is alive"
+            inits.append(init)
+            rec = run_chain(target, spec, scfg, init, rngs)
+            arrays = [a for a in vars(rec).values() if isinstance(a, np.ndarray)]
+            bases = [a.base for a in arrays if a.base is not None]
+            blocks.extend(weakref.ref(x) for x in (rec, *arrays, *bases))
+            return rec
+
+        monkeypatch.setattr(samplers, "run_chain", checked)
+        cfg_path = small_config(tmp_path, sampler={"burn_in": 5, "thin": 3},
+                                run={"chains": 3, "methods": list(METHODS)})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        # four blocks per method: the MAP, then three states
+        assert len(inits) == 4 * len(METHODS)
+        assert [isinstance(init, ChainState) for init in inits] == [False, True, True,
+                                                                   True] * len(METHODS)
 
     @pytest.mark.parametrize("thin", [1, 3])
     def test_lockstep_chains_write_what_each_chain_gives_alone(self, tmp_path, thin):
@@ -501,3 +538,35 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
     # every error but a chain that never moves is raised before any output
     if "ZeroVariance" not in err:
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("m_value", [-700.0, -720.0, -740.0, -745.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_tiny_positive_map_exits_numerical_without_warnings(tmp_path, capsys,
+                                                            m_value, method):
+    # the MAP exp(m - Sigma 1) is positive (about 4e-322 at m -740), but 1/theta
+    # or 1/theta^2 overflows: a start gradient that is not finite, a Hessian
+    # that cannot be repaired or a chain that never moves, each its own exit
+    # 3 and one error line, with no numpy warning before it
+    cfg = load_config(None, {"target": {"m_value": m_value},
+                             "sampler": {"n_samples": 40},
+                             "run": {"methods": [method],
+                                     "output_dir": str(tmp_path / "out")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_experiment(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_start_gradient_prints_one_line(tmp_path):
+    # in a process of its own: stderr holds the error line and nothing else
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"target": {"m_value": -740.0}}))
+    out = subprocess.run(
+        [sys.executable, "-m", "hessmc", "run", "--config", str(cfg_path),
+         "--method", "HMC", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 3
+    assert out.stderr == "error: NonFiniteGradient: a start point's gradient is not finite\n"

@@ -12,9 +12,11 @@ from hessmc.linalg import DimensionMismatch, factorize, sample_gaussian, solve
 from hessmc.samplers import (
     KERNELS,
     ChainRecord,
+    ChainState,
     ConfigMismatch,
     FixedSpd,
     LocalHessian,
+    NonFiniteGradient,
     PhaseState,
     SamplerConfig,
     ScaledIdentity,
@@ -321,6 +323,11 @@ class TestLeapfrog:
         inside = [stop is None for stop in stops]
         assert np.array_equal(out.gradient[inside], target.gradient(out.position[inside]))
 
+    def test_no_step_refused(self):
+        state = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="at least one step"):
+            leapfrog(state, gaussian_2d(), factorize(np.eye(2)), 0.1, 0)
+
     @pytest.mark.parametrize("rows, count", [(1, 2), (3, 2)])
     def test_mass_count_must_match_rows(self, rows, count):
         # a one-row stack runs as one point, and would take mass[0] alone
@@ -555,7 +562,12 @@ class TestRunChain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for a in vars(rec).values())
+        # the record's arrays and those of the state it ends in; MH's state
+        # carries no gradient and no mass
+        fields = dict(vars(rec))
+        points = fields.pop("state").points
+        assert points.grad is None and points.mass == [None]
+        held = sum(a.nbytes for a in (*fields.values(), points.theta, points.j, points.lam))
         assert peak <= held + 0.5 * target.dim**2 * 8
         assert not rec.repair_lambdas.any()
 
@@ -681,6 +693,20 @@ class TestRunChain:
         with pytest.raises(ValueError, match="outside the target domain"):
             run_chain(lognormal_1d(), LocalHessian(1e-6), cfg, np.array([-1.0]),
                       np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method, spec", [("HMC", ScaledIdentity()),
+                                              ("HLOCAL_HMC", LocalHessian(1e-6))])
+    def test_start_gradient_not_finite_raises_before_the_mass(self, method, spec,
+                                                              monkeypatch):
+        # theta = 1e-322 is inside the domain with a finite potential, but
+        # 1/theta overflows, so the gradient is inf; no mass is built there
+        monkeypatch.setattr(LogNormalField, "hessian", None)
+        cfg = SamplerConfig(method=method, dt=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteGradient, match="gradient is not finite"):
+                run_chain(field_2x2(), spec, cfg, np.full(4, 1e-322),
+                          np.random.default_rng(0))
 
     @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1)])
     @pytest.mark.parametrize("method", list(KERNELS))
@@ -981,3 +1007,98 @@ class TestLockstep:
         with pytest.raises(DimensionMismatch, match="init shape"):
             run_chain(target, ScaledIdentity(), cfg, np.ones((1, 4)),
                       np.random.default_rng(0))
+
+
+class TestContinueFromState:
+    """A run continued from the state its record ends in is the one longer run."""
+
+    def _calls(self, monkeypatch):
+        """Count the target's evaluations and the factorizations."""
+        calls = []
+        for name in ("potential", "gradient", "hessian"):
+            fn = getattr(LogNormalField, name)
+            monkeypatch.setattr(LogNormalField, name,
+                                lambda self, x, fn=fn, name=name:
+                                calls.append(name) or fn(self, x))
+        factorize_ = samplers.factorize
+        monkeypatch.setattr(samplers, "factorize",
+                            lambda m: calls.append("factorize") or factorize_(m))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "method, dt",
+        [("MH", 0.05), ("HMC", 0.05), ("HMAP_HMC", 0.9), ("HLOCAL_HMC", 0.3)],
+    )
+    def test_blocks_join_to_one_run(self, method, dt, k, monkeypatch):
+        # blocks of 5 with the burn-in in the first and a last block of 3; one
+        # chain runs with one generator, its records without a chain axis
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        cfg = SamplerConfig(method, dt, leapfrog_steps=5, n_samples=23, burn_in=4)
+        calls = self._calls(monkeypatch)
+
+        def generators():
+            rngs = [np.random.default_rng([9, c]) for c in range(k)]
+            return rngs if k > 1 else rngs[0]
+
+        rng = generators()
+        whole = run_chain(target, spec, cfg, target.map_point(), rng)
+        whole_calls, calls[:] = list(calls), []
+        rng_blocks, init, parts = generators(), target.map_point(), []
+        for start in range(0, cfg.n_samples, 5):
+            block = replace(cfg, n_samples=min(5, cfg.n_samples - start),
+                            burn_in=cfg.burn_in if start == 0 else 0)
+            rec = run_chain(target, spec, block, init, rng_blocks)
+            assert isinstance(rec.state, ChainState)
+            parts.append(rec)
+            init = rec.state
+        assert [len(r.accept_flags.T) for r in parts] == [5, 5, 5, 5, 3]
+        axis = 0 if k == 1 else 1
+        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
+            joined = np.concatenate([getattr(r, name) for r in parts], axis=axis)
+            assert np.array_equal(joined, getattr(whole, name)), name
+        assert 0.0 < whole.accept_flags.mean() < 1.0
+        # every generator ends where the one run leaves it, and no start point
+        # is evaluated again: the blocks make the one run's calls
+        for a, b in zip(np.atleast_1d(rng), np.atleast_1d(rng_blocks)):
+            assert a.bit_generator.state == b.bit_generator.state
+        assert calls == whole_calls
+        for got, want in zip(parts[-1].state.points, whole.state.points):
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want)
+
+    def test_state_of_another_run_refused(self):
+        target = field_2x2()
+        spec = ScaledIdentity()
+        cfg = SamplerConfig("HMC", 0.05, leapfrog_steps=5, n_samples=3)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        state = run_chain(target, spec, cfg, target.map_point(), rngs).state
+        drawn = [r.bit_generator.state for r in rngs]
+        other = SamplerConfig("HMAP_HMC", 0.05, leapfrog_steps=5, n_samples=3)
+        for bad_target, bad_spec, bad_cfg in (
+            (target, spec, replace(cfg, method="MH")),  # another method
+            (target, ScaledIdentity(), cfg),  # another spec, though an equal one
+            (target, FixedSpd(factorize(np.eye(4))), other),  # another method and spec
+            (field_2x2(), spec, cfg),  # another target, though an equal one
+        ):
+            with pytest.raises(ConfigMismatch, match="another method, mass spec"):
+                run_chain(bad_target, bad_spec, bad_cfg, state, rngs)
+        for bad_rngs in (rngs[:2], rngs[0], rngs + [np.random.default_rng(3)]):
+            with pytest.raises(DimensionMismatch, match="a state of 3 chains"):
+                run_chain(target, spec, cfg, state, bad_rngs)
+        # nothing was drawn, and the state still continues its own run
+        assert [r.bit_generator.state for r in rngs] == drawn
+        run_chain(target, spec, cfg, state, rngs)
+
+    def test_state_holds_no_sample(self):
+        # a continued run keeps only the (K, d) points alive, not the record
+        target = field_2x2()
+        cfg = SamplerConfig("HLOCAL_HMC", 0.3, leapfrog_steps=5, n_samples=50)
+        rec = run_chain(target, LocalHessian(1e-6), cfg, target.map_point(),
+                        [np.random.default_rng(s) for s in range(3)])
+        buffers = {id(a.base) for a in vars(rec).values() if isinstance(a, np.ndarray)}
+        for a in rec.state.points:
+            if isinstance(a, np.ndarray):
+                assert a.nbytes <= 3 * target.dim * 8
+                assert a.base is None or id(a.base) not in buffers
