@@ -12,6 +12,7 @@ from .diagnostics import (
 )
 from .linalg import (
     DimensionMismatch,
+    NonFiniteVector,
     NotPositiveDefinite,
     RepairFailed,
     SpdFactor,

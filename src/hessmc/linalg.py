@@ -9,17 +9,25 @@ The two hot kernels call LAPACK directly: :func:`factorize` is one ``dpotrf``
 and :func:`solve` one ``dpotrs``, the same routines ``scipy.linalg.cholesky``
 and ``cho_solve`` call, so results agree bit for bit without those wrappers'
 per-call overhead. A factor that carries its dense inverse (:func:`with_inverse`)
-is solved by one matvec instead: 3-4 us in place of 10.5 us at d = 144 (one
-thread of a 2-core x86 box, OpenBLAS). Only a chain's constant mass carries
-one. A mass refrozen at each point would spend at least 140 us inverting
-(``dpotri``; 320 us through :func:`inverse`) to save about 85 us over its 12
-solves, and any other factor (a covariance's, say) would hold a second d x d
-array for nothing.
+is solved by one matvec instead: a checked :func:`solve` at d = 144 took
+7-10 us that way against 20-27 us by ``dpotrs`` (best of 7, three runs, one
+thread of a shared 2-core x86 box, OpenBLAS). Only a chain's constant mass
+carries one. A mass refrozen at each point would spend 266-333 us inverting
+(``dpotri``; 552-812 us through :func:`inverse`) to save about 160 us over
+its 12 solves. Tried for HLOCAL_HMC (one ``dpotri`` per new mass, then a
+matvec per solve), it made a run slower, x1.24 on the desk target and x1.21
+with 8 chains (20 alternating in-process runs each), and it would change
+HLOCAL_HMC's output bytes. Any other factor (a covariance's, say) would hold
+a second d x d array for nothing.
 
 Each matrix is checked once per call: an exactly symmetric input passes after
 one finiteness and one equality scan, uncopied, and only an asymmetric one is
 measured for its asymmetry and symmetrized. :func:`repair_to_pd` scans its
-matrix for finiteness once, so its first attempt skips that scan.
+matrix for finiteness once, so its first attempt skips that scan. A vector or
+stack to solve against is checked by counting its finite entries, one C loop
+(``.all()`` goes through a Python wrapper, 0.5 us more a call). A refused
+stack marks its non-finite rows in :class:`NonFiniteVector`, which is how a
+diverging leapfrog trajectory stops those rows without a scan of its own.
 
 The stacked forms check a whole stack once and then make the LAPACK call
 row by row, so each row gets the bits of the single-matrix call (scipy's
@@ -60,6 +68,18 @@ class RepairFailed(Exception):
 
 class DimensionMismatch(Exception):
     """Vector or matrix dimensions are incompatible."""
+
+
+class NonFiniteVector(ValueError):
+    """A vector to solve against has an inf or NaN entry.
+
+    rows: for a (K, d) stack, the boolean mask of the rows with one; None
+    for a single vector.
+    """
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,7 @@ def _cholesky(sym: np.ndarray) -> SpdFactor:
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrf")
     # ndarray.sum is np.sum's reduce without its dispatch, so the same bits
-    log_det = 2.0 * float(np.log(np.diag(lower)).sum())
+    log_det = 2.0 * float(np.log(lower.diagonal()).sum())
     return SpdFactor(dim=sym.shape[0], lower_factor=lower, log_det=log_det)
 
 
@@ -141,31 +161,37 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
 
     f may also be a sequence of K factors and v a (K, d) stack: each row is
     solved against its own factor, to the bits this call gives it alone. The
-    stack is checked once; then each row takes one matvec or ``dpotrs``.
+    stack is checked once; then each row takes one matvec or ``dpotrs``,
+    written into one (K, d) result.
 
     Raises:
         DimensionMismatch: v is not a vector of length ``f.dim``, or not a
             (K, d) stack with K factors of dim d.
-        ValueError: v has an inf or NaN entry.
+        NonFiniteVector: v has an inf or NaN entry.
     """
     v = np.asarray(v, dtype=float)
-    shared = isinstance(f, SpdFactor)
-    if shared and v.shape != (f.dim,):
-        raise DimensionMismatch(f"expected a vector of length {f.dim}, got {v.shape}")
-    if not shared and (
-        v.ndim != 2 or len(f) != len(v) or any(g.dim != v.shape[1] for g in f)
-    ):
+    if isinstance(f, SpdFactor):
+        if v.shape != (f.dim,):
+            raise DimensionMismatch(f"expected a vector of length {f.dim}, got {v.shape}")
+        _check_finite(v)
+        return _potrs(f, v) if f.inv is None else f.inv @ v
+    if v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
         raise DimensionMismatch(
             f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
         )
-    if not np.isfinite(v).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if not shared:
-        return np.array([_potrs(g, row) if g.inv is None else g.inv @ row
-                         for g, row in zip(f, v)])
-    if f.inv is not None:
-        return f.inv @ v
-    return _potrs(f, v)
+    _check_finite(v)
+    x = np.empty(v.shape)
+    for k, (g, row) in enumerate(zip(f, v)):
+        x[k] = _potrs(g, row) if g.inv is None else g.inv @ row
+    return x
+
+
+def _dims_differ(factors: Sequence[SpdFactor], dim: int) -> bool:
+    """Whether a factor is not of dim; a loop, a quarter of ``any``'s cost."""
+    for g in factors:
+        if g.dim != dim:
+            return True
+    return False
 
 
 def solve_rows(f: SpdFactor, v: np.ndarray) -> np.ndarray:
@@ -176,16 +202,26 @@ def solve_rows(f: SpdFactor, v: np.ndarray) -> np.ndarray:
 
     Raises:
         DimensionMismatch: v is not of shape (K, f.dim).
-        ValueError: v has an inf or NaN entry.
+        NonFiniteVector: v has an inf or NaN entry.
     """
     v = np.ascontiguousarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != f.dim:
         raise DimensionMismatch(f"expected a (K, {f.dim}) stack, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(v)
     if f.inv is not None:
         return np.matvec(f.inv, v)
-    return np.array([_potrs(f, row) for row in v])
+    x = np.empty(v.shape)
+    for k, row in enumerate(v):
+        x[k] = _potrs(f, row)
+    return x
+
+
+def _check_finite(v: np.ndarray) -> None:
+    """Refuse a vector, or a stack of them, with an inf or NaN entry."""
+    finite = np.isfinite(v)
+    if np.count_nonzero(finite) != finite.size:
+        rows = None if v.ndim == 1 else ~finite.all(axis=1)
+        raise NonFiniteVector("array must not contain infs or NaNs", rows)
 
 
 def _potrs(f: SpdFactor, v: np.ndarray) -> np.ndarray:

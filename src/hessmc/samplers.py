@@ -36,7 +36,9 @@ The target alone judges its domain, as ``TargetModel`` documents (+inf
 potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
 the rows of a stack outside it). A trajectory row that leaves it stops there
 (``leapfrog``), and the mass policy takes such an endpoint at its start point,
-so a Hessian is asked for inside the domain only. ``run_chain`` refuses a
+so a Hessian is asked for inside the domain only. A row whose momentum stops
+being finite (a diverging trajectory) stops too, on ``solve``'s own refusal
+(NonFiniteVector), so no leapfrog step scans for it, and is rejected. ``run_chain`` refuses a
 start point of the wrong shape or of infinite potential, raises
 NonFiniteGradient if a Hamiltonian start point's gradient is not finite and
 RepairFailed if its mass cannot be built.
@@ -52,6 +54,7 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    NonFiniteVector,
     RepairFailed,
     SpdFactor,
     factorize,
@@ -254,8 +257,11 @@ def leapfrog(
     A row whose position leaves the target domain (its gradient raises
     OutOfDomain, whose ``rows`` marks it) stops there with its half-step
     momentum and a NaN gradient; its potential is +inf, so its proposal will
-    be rejected. The other rows finish that step and run the steps left as
-    one stack, each as it would alone.
+    be rejected. A row whose momentum stops being finite (a diverging
+    trajectory: ``solve`` raises NonFiniteVector, whose ``rows`` marks it)
+    stops before that drift, with that momentum, whose kinetic energy
+    ``_hamiltonian_step`` refuses. The other rows run the steps left as one
+    stack, each as it would alone. No array of the caller's is written.
     """
     theta = np.asarray(state.position, dtype=float, order="C")
     p = np.asarray(state.momentum, dtype=float, order="C")
@@ -270,36 +276,56 @@ def leapfrog(
         mass = mass if isinstance(mass, SpdFactor) else mass[0]
     if gradient is None:
         gradient = target.gradient(theta)
-    p = p - 0.5 * dt * gradient
-    end = _trajectory(theta + dt * _solve(mass, p), p, target, mass, dt, steps - 1)
+    end = _trajectory(theta, p - 0.5 * dt * gradient, gradient, target, mass, dt, steps)
     return PhaseState(*(a[None] for a in end)) if one else PhaseState(*end)
 
 
-def _trajectory(theta, p, target, mass, dt, steps):
-    """leapfrog's integration after its first drift, which reached theta with
-    the half-step momentum p: the end (position, momentum, gradient) after
-    `steps` more steps. Each gradient's half-kick is computed once and ends
-    its step and, but for the last, starts the next."""
-    for left in range(steps, -1, -1):
+def _trajectory(theta, p, g, target, mass, dt, steps):
+    """leapfrog after its first half-kick: `steps` steps from theta, whose
+    gradient is g, with the half-step momentum p. Each step drifts, takes the
+    gradient there, and with its half-kick ends this step and, but for the
+    last, starts the next. p is updated in place (leapfrog made it); theta
+    and g are not written. Returns the end (position, momentum, gradient).
+
+    Rows that diverge or leave the domain stop (see ``leapfrog``); the
+    other rows go on from before that drift (``_stop``)."""
+    for left in range(steps, 0, -1):
         try:
-            g = target.gradient(theta)
-        except OutOfDomain as exc:  # the rows outside stop here
-            g = np.full_like(theta, np.nan)
-            if theta.ndim == 1:
-                return theta, p, g
-            go = ~exc.rows
-            if go.any():  # the rest go on from here as one stack
-                if not isinstance(mass, SpdFactor):
-                    mass = [m for m, keep in zip(mass, go) if keep]
-                theta[go], p[go], g[go] = _trajectory(theta[go], p[go], target, mass, dt,
-                                                      left)
-            return theta, p, g
+            x = _solve(mass, p)
+        except NonFiniteVector as exc:  # these rows diverged: they stop here
+            return _stop(exc.rows, (theta, p, g), (theta, p, g), target, mass, dt, left)
+        x *= dt
+        x += theta  # the bits of theta + dt * M^-1 p, in the solve's fresh array
+        try:
+            g_x = target.gradient(x)
+        except OutOfDomain as exc:  # the rows outside stop there
+            return _stop(exc.rows, (x, p, np.full_like(x, np.nan)), (theta, p, g), target,
+                         mass, dt, left)
+        theta, g = x, g_x
         kick = 0.5 * dt * g
-        p = p - kick
-        if left:
-            p = p - kick
-            theta = theta + dt * _solve(mass, p)
+        p -= kick
+        if left > 1:
+            p -= kick
     return theta, p, g
+
+
+def _stop(rows, end, start, target, mass, dt, steps):
+    """A trajectory whose rows marked by rows (None: the one point) end at
+    end = (position, momentum, gradient). The other rows run the `steps`
+    steps left from start, the state before the drift that stopped the
+    marked rows, as one stack; a drift is row-exact, so redoing it gives
+    them the bits they had. Returns new arrays: start's are the caller's."""
+    if rows is None:
+        return end
+    end = tuple(np.array(a) for a in end)
+    go = ~rows
+    if go.any():
+        if not isinstance(mass, SpdFactor):
+            mass = [m for m, keep in zip(mass, go) if keep]
+        rest = _trajectory(*(a[go] for a in start), target, mass, dt, steps)
+        for a, b in zip(end, rest):
+            a[go] = b
+    return end
 
 
 def hamiltonian(
@@ -370,9 +396,10 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     Each trajectory uses its point's mass; mass_at is called once, on all K
     endpoints, with an endpoint of infinite potential replaced by its start
     point: that row is rejected anyway, and so the policy is asked inside
-    the domain only. A row whose endpoint is out of domain or whose mass
-    cannot be built ends with delta = -inf, so its one accept test rejects
-    it, and keeps its old mass for the kinetic term.
+    the domain only. A row whose endpoint is out of domain, whose mass
+    cannot be built or whose momentum is not finite (a diverged trajectory,
+    which the kinetic term's solve refuses) ends with delta = -inf, so its
+    one accept test rejects it; it keeps its old mass for the kinetic term.
     """
     theta, j_cur, grad, masses, _ = points
     mass = _shared(masses)
@@ -386,8 +413,14 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     got, new_lams = mass_at(at)
     ok = [good and m is not None for good, m in zip(ok, got)]
     new_masses = [m if good else old for good, m, old in zip(ok, got, masses)]
-    kinetic = _by_rows(_kinetic, p0, mass) - _by_rows(_kinetic, end.momentum,
-                                                      _shared(new_masses))
+    new_mass = _shared(new_masses)
+    try:
+        k_end = _by_rows(_kinetic, end.momentum, new_mass)
+    except NonFiniteVector as exc:  # a diverged trajectory, rejected below
+        stopped = np.ones(len(ok), dtype=bool) if exc.rows is None else exc.rows
+        ok = [good and not s for good, s in zip(ok, stopped.tolist())]
+        k_end = _by_rows(_kinetic, np.where(stopped[:, None], 0.0, end.momentum), new_mass)
+    kinetic = _by_rows(_kinetic, p0, mass) - k_end
     accepted = []
     for d, good, m, m_end, rng in zip(((j_cur - j_end) + kinetic).tolist(), ok, masses,
                                       new_masses, rngs):

@@ -125,7 +125,7 @@ class LogNormalField(TargetModel):
         """(theta, log theta) as floats; the field's one domain check."""
         theta = np.ascontiguousarray(theta, dtype=float)
         inside = theta > 0.0
-        if not inside.all():
+        if np.count_nonzero(inside) != inside.size:  # .all() pays a Python wrapper
             rows = None if theta.ndim == 1 else ~inside.all(axis=1)
             raise OutOfDomain("theta is outside the positive orthant", rows)
         return theta, np.log(theta)

@@ -559,6 +559,24 @@ def test_tiny_positive_map_exits_numerical_without_warnings(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cols, dt", [(2, 1e200), (1, 1e170)], ids=["1x2", "1x1"])
+@pytest.mark.parametrize("method", ["HMC", "HMAP_HMC", "HLOCAL_HMC"])
+def test_diverging_trajectories_exit_numerical_without_warnings(tmp_path, capsys,
+                                                                method, cols, dt):
+    # theta overflows, so the momentum stops being finite: each such
+    # trajectory is rejected, no chain moves, and the run ends in one
+    # ZeroVariance line with no numpy warning before it
+    cfg = load_config(None, {"target": {"rows": 1, "cols": cols},
+                             "sampler": {"dt": dt, "n_samples": 50},
+                             "run": {"methods": [method],
+                                     "output_dir": str(tmp_path / "out")}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_experiment(cfg) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ZeroVariance") and err.count("\n") == 1
+
+
 def test_non_finite_start_gradient_prints_one_line(tmp_path):
     # in a process of its own: stderr holds the error line and nothing else
     src = str(Path(hessmc.__file__).resolve().parents[1])

@@ -294,8 +294,10 @@ def test_stored_inverse_solve_keeps_every_check(dim):
         for value in (np.nan, np.inf, -np.inf):
             v = np.ones(dim)
             v[dim // 2] = value
-            with pytest.raises(ValueError, match="infs or NaNs"):
+            with pytest.raises(ValueError, match="infs or NaNs") as exc:
                 solve(f, v)
+            assert isinstance(exc.value, linalg.NonFiniteVector)
+            assert exc.value.rows is None
 
 
 def test_stored_inverse_solve_is_one_matvec(monkeypatch):
@@ -324,14 +326,40 @@ def test_solve_rows_equals_solve_per_row(dim, k):
 
 
 def test_solve_rows_keeps_the_checks():
-    f = linalg.with_inverse(factorize(_spd(3, 3)))
-    for bad in (np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1))):
-        with pytest.raises(DimensionMismatch, match="stack"):
-            linalg.solve_rows(f, bad)
-    v = np.ones((2, 3))
-    v[1, 1] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        linalg.solve_rows(f, v)
+    bare = factorize(_spd(3, 3))
+    for f in (bare, linalg.with_inverse(bare)):
+        for bad in (np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1))):
+            with pytest.raises(DimensionMismatch, match="stack"):
+                linalg.solve_rows(f, bad)
+        for value in (np.nan, np.inf, -np.inf):
+            v = np.ones((3, 3))
+            v[1, 1] = value
+            with pytest.raises(ValueError, match="infs or NaNs") as exc:
+                linalg.solve_rows(f, v)
+            assert exc.value.rows.tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_empty_stacks_keep_their_shape(dim):
+    # a (0, d) stack solves to a (0, d) stack on every path
+    bare = factorize(_spd(dim, dim))
+    v = np.empty((0, dim))
+    for x in (solve([], v), linalg.solve_rows(bare, v),
+              linalg.solve_rows(linalg.with_inverse(bare), v)):
+        assert x.shape == (0, dim)
+
+
+def test_solve_result_is_its_own_array():
+    # leapfrog scales and shifts the result in place: it must share no memory
+    bare = factorize(_spd(3, 3))
+    inverted = linalg.with_inverse(bare)
+    v, stack = np.ones(3), np.ones((2, 3))
+    for f in (bare, inverted):
+        for x, given in ((solve(f, v), v), (linalg.solve_rows(f, stack), stack),
+                         (solve([f, f], stack), stack)):
+            assert x.flags.writeable and not np.shares_memory(x, given)
+            assert not np.shares_memory(x, f.lower_factor)
+            assert f.inv is None or not np.shares_memory(x, f.inv)
 
 
 def test_repair_scans_finiteness_once(monkeypatch):
@@ -368,9 +396,11 @@ def test_solve_takes_one_factor_per_row(dim, monkeypatch):
             solve(bad, v)
     with pytest.raises(DimensionMismatch, match="stack"):
         solve(factors, v[0])
-    v[2, 0] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        solve(factors, v)
+    for value in (np.nan, np.inf, -np.inf):
+        v[2, 0] = value
+        with pytest.raises(ValueError, match="infs or NaNs") as exc:
+            solve(factors, v)
+        assert exc.value.rows.tolist() == [False, False, True]
 
 
 def _repair_stack(dim):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hessmc import cli, samplers
+from hessmc import cli, linalg, samplers
 from hessmc.linalg import DimensionMismatch, factorize, sample_gaussian, solve
 from hessmc.samplers import (
     KERNELS,
@@ -101,6 +101,16 @@ class WallTarget(GaussianTarget):
     def hessian(self, theta):
         self._inside(theta, "hessian")
         return super().hessian(theta)
+
+
+class SteepTarget(GaussianTarget):
+    """Standard normal whose gradient is +inf beyond theta_0 = 1, inside its
+    domain: a trajectory that crosses there diverges, its momentum turning
+    -inf with no floating-point warning. Each row of a stack is its own."""
+
+    def gradient(self, theta):
+        past = np.asarray(theta)[..., :1] > 1.0
+        return np.where(past, np.inf, super().gradient(theta))
 
 
 class CountedField(LogNormalField):
@@ -322,6 +332,54 @@ class TestLeapfrog:
             assert np.isnan(out.gradient[k]).all() == (stop is not None)
         inside = [stop is None for stop in stops]
         assert np.array_equal(out.gradient[inside], target.gradient(out.position[inside]))
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("case", list(NESTED))
+    def test_rows_diverging_at_different_steps(self, case, per_row):
+        # a row whose momentum stops being finite stops before its next drift,
+        # with that momentum; the others go on, each as it would alone
+        target = SteepTarget(np.zeros(1), factorize(np.eye(1)))
+        starts, stops = self.NESTED[case]
+        masses = [factorize(np.array([[m]])) for m in (1.0, 2.0, 0.5, 1.5)]
+        if not per_row:
+            masses = [masses[0]] * 4
+        start = PhaseState(*np.array(starts).T[:, :, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = leapfrog(start, target, masses if per_row else masses[0], 0.5, 5)
+            for k, stop in enumerate(stops):
+                alone = leapfrog(PhaseState(start.position[k], start.momentum[k]), target,
+                                 masses[k], 0.5, 5)
+                assert np.array_equal(out.position[k], alone.position)
+                assert np.array_equal(out.momentum[k], alone.momentum)
+                assert np.array_equal(out.gradient[k], alone.gradient)
+                # the stopped row ends where it crossed, its momentum -inf
+                assert np.isfinite(out.momentum[k]).all() == (stop is None)
+                assert np.isfinite(out.gradient[k]).all() == (stop is None)
+        crossed = [stop is not None for stop in stops]
+        assert (out.position[crossed, 0] > 1.0).all()
+        assert (out.momentum[crossed] == -np.inf).all()
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("given", [False, True], ids=["computed", "given"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_writes_no_array_of_the_caller(self, k, given, per_row):
+        # the half-kicks and drifts update leapfrog's own arrays in place
+        target = field_2x2()
+        rng = np.random.default_rng(k)
+        theta = target.map_point() * np.exp(0.05 * rng.standard_normal((k, 4)))
+        p = rng.standard_normal((k, 4))
+        masses = [hmap_mass(target, 1e-6)[0], factorize(np.eye(4)),
+                  linalg.with_inverse(factorize(2.0 * np.eye(4)))][:k]
+        mass = masses if per_row else masses[0]
+        grad = target.gradient(theta) if given else None
+        ref = leapfrog(PhaseState(theta, p), target, mass, 0.05, 4, grad)
+        for a in (theta, p) + ((grad,) if given else ()):
+            a.flags.writeable = False
+        out = leapfrog(PhaseState(theta, p), target, mass, 0.05, 4, grad)
+        for a, b in zip((ref.position, ref.momentum, ref.gradient),
+                        (out.position, out.momentum, out.gradient)):
+            assert np.array_equal(a, b)
 
     def test_no_step_refused(self):
         state = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -959,6 +1017,27 @@ class TestLockstep:
         assert lock.samples[0, 0, 0] == 0.9
         assert lock.repair_lambdas[0, 0] == 0.0
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize(
+        "method, spec",
+        [("HMC", ScaledIdentity()),
+         ("HMAP_HMC", FixedSpd(linalg.with_inverse(factorize(np.eye(1))))),
+         ("HLOCAL_HMC", LocalHessian(1.0))],
+    )
+    def test_one_diverging_chain_rejects_alone(self, method, spec, steps):
+        # chain 0 crosses theta_0 = 1, where the gradient is +inf: its
+        # momentum stops being finite, so it is rejected, and never carries
+        # a gradient that is not finite; chains 1 and 2 accept
+        target = SteepTarget(np.zeros(1), factorize(np.eye(1)))
+        cfg = SamplerConfig(method=method, dt=0.5, leapfrog_steps=steps, n_samples=1)
+        init = np.array([[0.9], [-0.5], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lock = self._runs(target, spec, cfg, init, [3, 4, 5])
+        assert lock.accept_flags[:, 0].tolist() == [False, True, True]
+        assert lock.samples[0, 0, 0] == 0.9
+        assert np.isfinite(lock.state.points.grad).all()
+
     def test_jitter_inside_lockstep(self):
         # the 8x8 desk target at variance 1e-2 has endpoints whose Hessian is
         # indefinite: at seed 0 one of 3 chains is repaired up to lam 256, so
@@ -1102,3 +1181,30 @@ class TestContinueFromState:
             if isinstance(a, np.ndarray):
                 assert a.nbytes <= 3 * target.dim * 8
                 assert a.base is None or id(a.base) not in buffers
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("method, dt", [("HMC", 0.05), ("HMAP_HMC", 0.9),
+                                            ("HLOCAL_HMC", 0.3)])
+    def test_writes_no_array_of_the_caller(self, method, dt, k):
+        # a start stack and a state's points may be read-only: the transitions
+        # write only arrays of their own
+        target = field_2x2()
+        spec = KERNELS[method].default(target, 1e-6, 1.0)
+        cfg = SamplerConfig(method, dt, leapfrog_steps=5, n_samples=10)
+
+        def generators():
+            return [np.random.default_rng([5, c]) for c in range(k)]
+
+        init = np.tile(target.map_point(), (k, 1))
+        whole = run_chain(target, spec, replace(cfg, n_samples=20), init, generators())
+        init.flags.writeable = False
+        rngs = generators()
+        first = run_chain(target, spec, cfg, init, rngs)
+        for a in first.state.points:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        second = run_chain(target, spec, cfg, first.state, rngs)
+        assert 0.0 < whole.accept_flags.mean() < 1.0
+        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
+            joined = np.concatenate([getattr(first, name), getattr(second, name)], axis=1)
+            assert np.array_equal(joined, getattr(whole, name)), name

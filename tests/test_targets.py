@@ -340,7 +340,7 @@ class TestRowWise:
                 assert np.array_equal(h[i], target.hessian(point))
             assert np.array_equal(target.hessian(np.asfortranarray(points)), h)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, -0.0, np.nan, -np.inf])
     def test_hessian_row_outside_orthant(self, bad):
         field = desk_field(2, 2)
         stack = np.tile(field.map_point(), (3, 1))
@@ -364,6 +364,28 @@ class TestRowWise:
         assert j[0] == field.potential(stack[0])
         assert j[1] == j[2] == np.inf
         assert exc.value.rows.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, -np.inf, -0.5])
+    def test_every_method_refuses_a_coordinate(self, bad):
+        # the one domain check refuses NaN, zeros of either sign and negative
+        # coordinates, for one point and in a stack, by the same rows
+        field = desk_field(2, 2)
+        point = field.map_point()
+        point[1] = bad
+        stack = np.tile(field.map_point(), (4, 1))
+        stack[[0, 2], 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert field.potential(point) == np.inf
+            j = field.potential(stack)
+            assert j[0] == j[2] == np.inf and np.isfinite(j[[1, 3]]).all()
+            for method in (field.gradient, field.hessian):
+                with pytest.raises(OutOfDomain) as exc:
+                    method(point)
+                assert exc.value.rows is None
+                with pytest.raises(OutOfDomain) as exc:
+                    method(stack)
+                assert exc.value.rows.tolist() == [True, False, True, False]
 
     def test_single_point_outside_has_no_rows(self):
         with pytest.raises(OutOfDomain) as exc:
