@@ -40,15 +40,52 @@ stack against its own. :func:`repair_rows` makes :func:`repair_to_pd`'s
 first attempt on a (K, d, d) stack: one finiteness and one exact-symmetry
 scan, then one ``dpotrf`` per row; only a row that fails goes on to the
 jitter escalation.
+
+``dpotrf`` and ``dpotrs`` come from ``scipy.linalg._flapack``, the compiled
+f2py module that ``scipy.linalg.lapack`` star-imports, loaded by its path
+and registered in ``sys.modules`` under its own name, so a later
+``import scipy.linalg`` reuses the same module and the same routines. The
+``scipy.linalg`` package's ``__init__`` is never run: through
+``scipy._lib._array_api`` it star-imports numpy, which imports
+``numpy.f2py``, ``ma``, ``polynomial`` and the rest of ``numpy.__all__``.
+Measured by rusage on one thread of a shared 2-core x86 box (Python 3.11,
+numpy 2.4, scipy 1.17): after ``import numpy`` (0.10-0.12 s of CPU),
+``from scipy.linalg.lapack import dpotrf`` took 0.27-0.34 s and this loader
+4-6 ms, and a process importing ``hessmc.cli`` went from 0.61-0.63 s to
+0.22-0.26 s of CPU in all.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded by path without ``scipy.linalg``."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else []
+    paths = [os.path.join(root, "linalg") for root in roots]
+    spec = PathFinder.find_spec(name, paths)
+    if spec is None:
+        raise ImportError(f"cannot find {name} in {paths}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module  # a later `import scipy.linalg` reuses it
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 SYMMETRY_RTOL = 1e-8

@@ -338,10 +338,14 @@ def hamiltonian(
 
     The log-det term matters only when the mass matrix differs between
     the two endpoints being compared; with a constant mass it cancels.
-    Returns +inf for out-of-domain positions, where the potential is +inf.
+    Returns +inf for out-of-domain positions, where the potential is +inf,
+    and for a momentum that is not finite (a diverged ``leapfrog`` row).
     """
-    p = state.momentum
-    h = target.potential(state.position) + _kinetic(p, mass)
+    h = target.potential(state.position)
+    try:
+        h += _kinetic(state.momentum, mass)
+    except NonFiniteVector:
+        return np.inf
     if include_logdet:
         h += 0.5 * mass.log_det
     return h

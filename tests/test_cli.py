@@ -247,6 +247,19 @@ def test_map_command_skips_scipy_special(tmp_path):
     assert (tmp_path / "map.csv").exists()
 
 
+def test_map_command_skips_scipy_linalg_package(tmp_path):
+    # hessmc.linalg loads scipy's compiled LAPACK module alone: the scipy.linalg
+    # package's __init__ would also import numpy.f2py, ma, polynomial and more
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    code = ("import sys; from hessmc.cli import main; "
+            "print(main(['map', '--out', sys.argv[1]]), "
+            "'scipy.linalg' in sys.modules, 'numpy.f2py' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "False", "False"]
+    assert (tmp_path / "map.csv").exists()
+
+
 class TestRunCommand:
     def test_smoke_outputs(self, tmp_path):
         cfg_path = small_config(tmp_path)

@@ -1,4 +1,9 @@
 """Tests for the SPD factorization services."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -224,6 +229,42 @@ def test_factorize_and_solve_match_scipy_bitwise(dim):
     b = a + 1e-12 * np.triu(np.ones((dim, dim)), 1)
     assert np.array_equal(factorize(b).lower_factor,
                           scipy.linalg.cholesky(0.5 * (b + b.T), lower=True))
+
+
+# Run in a fresh interpreter, since this module has imported scipy.linalg.
+SAME_LAPACK_CODE = """
+import sys
+import numpy as np
+{imports}
+import scipy.linalg
+from hessmc import linalg
+assert linalg._flapack is scipy.linalg.lapack._flapack
+assert linalg.dpotrf is scipy.linalg.lapack.dpotrf
+assert linalg.dpotrs is scipy.linalg.lapack.dpotrs
+b = np.random.default_rng(64).standard_normal((64, 64))
+a = b @ b.T + 64 * np.eye(64)
+a = 0.5 * (a + a.T)
+v = np.random.default_rng(65).standard_normal(64)
+f = linalg.factorize(a)
+lower = scipy.linalg.cholesky(a, lower=True)
+assert np.array_equal(f.lower_factor, lower)
+assert np.array_equal(linalg.solve(f, v), scipy.linalg.cho_solve((lower, True), v))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    # hessmc first: scipy.linalg then finds the LAPACK module hessmc loaded
+    "import hessmc; assert 'scipy.linalg' not in sys.modules",
+    "import scipy.linalg; import hessmc",
+])
+def test_same_lapack_routines_in_either_import_order(imports):
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", SAME_LAPACK_CODE.format(imports=imports)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 @pytest.mark.parametrize("dim", LAPACK_DIMS)

@@ -437,6 +437,14 @@ class TestHamiltonian:
         h = hamiltonian(st, target, mass, include_logdet=True)
         assert h == pytest.approx(0.5 + 0.5 * np.log(4.0), rel=1e-6)
 
+    @pytest.mark.parametrize("p", [-np.inf, np.inf, np.nan])
+    def test_non_finite_momentum_is_infinite_energy(self, p):
+        # a diverged leapfrog row: +inf, as for a position outside the domain
+        target = GaussianTarget(np.zeros(1), factorize(np.eye(1)))
+        st = PhaseState(np.array([0.5]), np.array([p]))
+        assert hamiltonian(st, target, factorize(np.eye(1))) == np.inf
+        assert hamiltonian(st, target, factorize(np.eye(1)), include_logdet=True) == np.inf
+
 
 class TestHmcStep:
     def test_tiny_dt_always_accepts(self):
