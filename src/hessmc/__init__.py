@@ -3,11 +3,8 @@
 from .diagnostics import (
     ChainDiagnostics,
     CredibleBand,
-    acceptance_rate,
-    autocorrelation,
     correlation_time,
     credible_band,
-    effective_samples,
     spatial_average,
 )
 from .linalg import (
@@ -17,11 +14,9 @@ from .linalg import (
     RepairFailed,
     SpdFactor,
     factorize,
-    repair_rows,
     repair_to_pd,
     sample_gaussian,
     solve,
-    solve_rows,
 )
 from .samplers import (
     ChainRecord,

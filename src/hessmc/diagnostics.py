@@ -1,4 +1,4 @@
-"""Chain-quality statistics: autocorrelation, correlation time, ESS, bands.
+"""Chain-quality statistics: correlation time, ESS, credible bands.
 
 The correlation time follows the paper's tau = 1 + sum_t rho_t (no factor
 of 2, unlike the textbook 1 + 2*sum). The sum is truncated by the
@@ -46,20 +46,12 @@ def _centered(series: np.ndarray) -> tuple[np.ndarray, float]:
     return x, denom
 
 
-def autocorrelation(series: np.ndarray, t: int) -> float:
-    """Lag-t sample autocorrelation with biased (lag-0) normalization."""
-    x, denom = _centered(series)
-    n = x.shape[0]
-    if not 0 <= t <= n - 1:
-        raise ValueError(f"lag {t} out of range for series of length {n}")
-    return float(x[: n - t] @ x[t:]) / denom
-
-
 def correlation_time(series: np.ndarray) -> tuple[float, np.ndarray]:
     """Integrated autocorrelation time of a scalar series.
 
-    Returns (tau, rho) where rho holds the autocorrelations actually
-    summed (lags 1..T*). tau is clamped to >= 1.
+    Returns (tau, rho) where rho holds the lag-t sample autocorrelations
+    (biased, lag-0 normalization) actually summed (lags 1..T*). tau is
+    clamped to >= 1.
     """
     x, denom = _centered(series)
     n = x.shape[0]
@@ -74,18 +66,6 @@ def correlation_time(series: np.ndarray) -> tuple[float, np.ndarray]:
         rho.append(r)
         total += r
     return max(1.0 + total, 1.0), np.array(rho)
-
-
-def effective_samples(n: int, tau: float) -> float:
-    """Effective sample count N / tau."""
-    return n / tau
-
-
-def acceptance_rate(flags: np.ndarray) -> float:
-    flags = np.asarray(flags)
-    if flags.size == 0:
-        raise ValueError("empty flag vector")
-    return float(np.mean(flags))
 
 
 def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
@@ -109,14 +89,19 @@ def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
 def summarize_chain(samples: np.ndarray, accept_flags: np.ndarray) -> ChainDiagnostics:
     """Diagnostics bundle computed on the spatial-average scalar.
 
-    samples is the (N, dim) chain, or its (N,) spatial average.
+    samples is the (N, dim) chain, or its (N,) spatial average. The
+    acceptance rate is the mean of accept_flags (ValueError if it is empty),
+    and the effective sample count N / tau.
     """
     samples = np.asarray(samples, dtype=float)
     series = samples if samples.ndim == 1 else spatial_average(samples)
     tau, rho = correlation_time(series)
+    flags = np.asarray(accept_flags)
+    if flags.size == 0:
+        raise ValueError("empty flag vector")
     return ChainDiagnostics(
-        acceptance_rate=acceptance_rate(accept_flags),
+        acceptance_rate=float(np.mean(flags)),
         rho=rho,
         tau=tau,
-        n_eff=effective_samples(len(series), tau),
+        n_eff=len(series) / tau,
     )

@@ -22,24 +22,25 @@ a second d x d array for nothing.
 
 Each matrix is checked once per call: an exactly symmetric input passes after
 one finiteness and one equality scan, uncopied, and only an asymmetric one is
-measured for its asymmetry and symmetrized. :func:`repair_to_pd` scans its
-matrix for finiteness once, so its first attempt skips that scan. A vector or
-stack to solve against is checked by counting its finite entries, one C loop
-(``.all()`` goes through a Python wrapper, 0.5 us more a call). A refused
-stack marks its non-finite rows in :class:`NonFiniteVector`, which is how a
-diverging leapfrog trajectory stops those rows without a scan of its own.
+measured for its asymmetry and symmetrized. A vector or stack to solve
+against is checked by counting its finite entries, one C loop (``.all()``
+goes through a Python wrapper, 0.5 us more a call). A refused stack marks its
+non-finite rows in :class:`NonFiniteVector`, which is how a diverging
+leapfrog trajectory stops those rows without a scan of its own.
 
-The stacked forms check a whole stack once and then make the LAPACK call
-row by row, so each row gets the bits of the single-matrix call (scipy's
-batched Cholesky is no faster, and ``np.linalg.cholesky`` is not
-bit-identical). :func:`solve_rows` solves a stack of K right-hand sides
-against one factor: ``np.matvec`` with a stored inverse, which gives every
-row the bits of the 1-D ``inv @ v`` (a gemm ``V @ inv.T`` does not), else
-one ``dpotrs`` per row. :func:`solve` given K factors solves each row of a
-stack against its own. :func:`repair_rows` makes :func:`repair_to_pd`'s
-first attempt on a (K, d, d) stack: one finiteness and one exact-symmetry
-scan, then one ``dpotrf`` per row; only a row that fails goes on to the
-jitter escalation.
+A stack is checked once and then handed to LAPACK row by row, so each row
+gets the bits of its call alone (scipy's batched Cholesky is no faster, and
+``np.linalg.cholesky`` is not bit-identical). :func:`solve` takes a vector
+or a (K, d) stack of them, against one factor or against K, one per row.
+One factor that carries its inverse solves a stack by one ``np.matvec``,
+which gives every row the bits of the 1-D ``inv @ v`` (a gemm
+``V @ inv.T`` does not); otherwise each row takes one ``dpotrs``, or its own
+factor's matvec. :func:`repair_to_pd` repairs a (K, d, d) stack (a single
+matrix is a one-row stack): one finiteness and one exact-symmetry scan,
+then one ``dpotrf`` per exactly symmetric row (any other finite row goes
+through :func:`factorize`, which checks and symmetrizes it). Only a row
+whose Cholesky fails goes on to the jitter escalation, and a row that
+cannot be repaired gets None.
 
 ``dpotrf`` and ``dpotrs`` come from ``scipy.linalg._flapack``, the compiled
 f2py module that ``scipy.linalg.lapack`` star-imports, loaded by its path
@@ -100,7 +101,8 @@ class NotPositiveDefinite(Exception):
 
 
 class RepairFailed(Exception):
-    """Jitter escalation exceeded the cap without reaching a PD matrix."""
+    """A mass cannot be built: its matrix is not finite, or jitter escalation
+    exceeded the cap without reaching a PD matrix (a None from repair_to_pd)."""
 
 
 class DimensionMismatch(Exception):
@@ -196,27 +198,34 @@ def _cholesky(sym: np.ndarray) -> SpdFactor:
 def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
     """Solve M @ x = v: ``f.inv @ v`` if f carries its inverse, else ``dpotrs``.
 
-    f may also be a sequence of K factors and v a (K, d) stack: each row is
-    solved against its own factor, to the bits this call gives it alone. The
-    stack is checked once; then each row takes one matvec or ``dpotrs``,
-    written into one (K, d) result.
+    v may also be a (K, d) stack, solved row by row, each row to the bits
+    this call gives it alone, into one (K, d) result: against one factor
+    (one ``np.matvec`` with its inverse, else one ``dpotrs`` per row), or
+    against a sequence of K factors, one per row. The stack is checked once.
 
     Raises:
-        DimensionMismatch: v is not a vector of length ``f.dim``, or not a
-            (K, d) stack with K factors of dim d.
+        DimensionMismatch: v is not a vector of length ``f.dim`` or a
+            (K, f.dim) stack, or not a (K, d) stack with K factors of dim d.
         NonFiniteVector: v has an inf or NaN entry.
     """
     v = np.asarray(v, dtype=float)
     if isinstance(f, SpdFactor):
-        if v.shape != (f.dim,):
-            raise DimensionMismatch(f"expected a vector of length {f.dim}, got {v.shape}")
+        if v.shape != (f.dim,) and (v.ndim != 2 or v.shape[1] != f.dim):
+            raise DimensionMismatch(
+                f"expected a vector of length {f.dim} or a (K, {f.dim}) stack, got {v.shape}"
+            )
         _check_finite(v)
-        return _potrs(f, v) if f.inv is None else f.inv @ v
-    if v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
-        raise DimensionMismatch(
-            f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
-        )
-    _check_finite(v)
+        if f.inv is not None:
+            return f.inv @ v if v.ndim == 1 else np.matvec(f.inv, v)
+        if v.ndim == 1:
+            return _potrs(f, v)
+        f = [f] * len(v)
+    else:
+        if v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
+            raise DimensionMismatch(
+                f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
+            )
+        _check_finite(v)
     x = np.empty(v.shape)
     for k, (g, row) in enumerate(zip(f, v)):
         x[k] = _potrs(g, row) if g.inv is None else g.inv @ row
@@ -229,28 +238,6 @@ def _dims_differ(factors: Sequence[SpdFactor], dim: int) -> bool:
         if g.dim != dim:
             return True
     return False
-
-
-def solve_rows(f: SpdFactor, v: np.ndarray) -> np.ndarray:
-    """Solve M @ x_k = v_k for each row v_k of a (K, f.dim) stack.
-
-    Each row gets the bits :func:`solve` gives it alone: one ``np.matvec``
-    for a factor that carries its inverse, else one ``dpotrs`` per row.
-
-    Raises:
-        DimensionMismatch: v is not of shape (K, f.dim).
-        NonFiniteVector: v has an inf or NaN entry.
-    """
-    v = np.ascontiguousarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[1] != f.dim:
-        raise DimensionMismatch(f"expected a (K, {f.dim}) stack, got {v.shape}")
-    _check_finite(v)
-    if f.inv is not None:
-        return np.matvec(f.inv, v)
-    x = np.empty(v.shape)
-    for k, row in enumerate(v):
-        x[k] = _potrs(f, row)
-    return x
 
 
 def _check_finite(v: np.ndarray) -> None:
@@ -284,55 +271,36 @@ def sample_gaussian(f: SpdFactor, rng: np.random.Generator) -> np.ndarray:
     return f.lower_factor @ z
 
 
-def repair_to_pd(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
-    """Factorize, adding diagonal jitter lam*I if the matrix is indefinite.
+def repair_to_pd(
+    stack: np.ndarray, floor: float
+) -> tuple[list[SpdFactor | None], np.ndarray]:
+    """Factorize each matrix of a (K, d, d) stack, adding diagonal jitter
+    lam*I to a row that is indefinite.
 
     lam runs through the doubling sequence 0, floor, 2*floor, 4*floor, ...
-    until the Cholesky succeeds; a non-finite matrix fails before any attempt.
-    Each attempt is one :func:`factorize`, which checks shape and symmetry;
-    the first skips the finiteness scan this function has just made.
+    until the row's Cholesky succeeds. The stack is scanned once for
+    finiteness and once for exact symmetry; each finite row that is exactly
+    symmetric is factorized by one ``dpotrf``, any other finite row by
+    :func:`factorize`, which checks and symmetrizes it. Only a row whose
+    Cholesky fails goes on to the jitter escalation, each attempt one
+    :func:`factorize` of the symmetric part the first attempt accepted.
 
     Args:
-        matrix: dense square symmetric matrix.
+        stack: (K, d, d) stack of dense symmetric matrices.
         floor: first nonzero jitter magnitude; must be finite and positive.
 
     Returns:
-        (factor of matrix + lam*I, lam).
-
-    Raises:
-        RepairFailed: lam exceeded floor * 1e12, or an entry is not finite.
-        DimensionMismatch: the matrix is not square or not symmetric.
-        ValueError: floor is not finite and positive.
-    """
-    _check_floor(floor)
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.isfinite(matrix).all():
-        raise RepairFailed("matrix has a non-finite entry")
-    return _repair_finite(matrix, floor)
-
-
-def repair_rows(
-    stack: np.ndarray, floor: float
-) -> tuple[list[SpdFactor | None], np.ndarray]:
-    """:func:`repair_to_pd` for each matrix of a (K, d, d) stack.
-
-    The stack is scanned once for finiteness and once for exact symmetry;
-    each finite row that is exactly symmetric is factorized by one
-    ``dpotrf`` (any other finite row by :func:`factorize`, which checks and
-    symmetrizes it), and only a row whose Cholesky fails goes on to the
-    jitter escalation. Each row's factor and lam have the bits
-    :func:`repair_to_pd` gives that row alone.
-
-    Returns:
-        (factors, lams): one factor per row, None where the repair fails
-        (a non-finite entry, or lam past the cap), and the (K,) jitters.
+        (factors, lams): the factor of each row + lam*I, None where the
+        repair fails (a non-finite entry, or lam past floor * 1e12), and
+        the (K,) jitters, 0 where it fails.
 
     Raises:
         DimensionMismatch: the stack is not (K, d, d), or a row is not
             symmetric.
         ValueError: floor is not finite and positive.
     """
-    _check_floor(floor)
+    if not 0.0 < floor < np.inf:
+        raise ValueError("floor must be finite and positive")
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatch(f"expected a (K, d, d) stack, got shape {stack.shape}")
@@ -340,33 +308,19 @@ def repair_rows(
     exact = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2)).tolist()
     factors, lams = [None] * len(stack), np.zeros(len(stack))
     for k, matrix in enumerate(stack):
-        if finite[k]:
-            try:
-                factors[k], lams[k] = _repair_finite(matrix, floor, exact[k])
-            except RepairFailed:
-                pass
+        if not finite[k]:
+            continue
+        try:
+            factors[k] = _cholesky(matrix) if exact[k] else factorize(matrix, finite=True)
+        except NotPositiveDefinite:
+            factors[k], lams[k] = _jitter(matrix, floor)
     return factors, lams
 
 
-def _check_floor(floor: float) -> None:
-    if not 0.0 < floor < np.inf:
-        raise ValueError("floor must be finite and positive")
-
-
-def _repair_finite(
-    matrix: np.ndarray, floor: float, exact: bool = False
-) -> tuple[SpdFactor, float]:
-    """repair_to_pd of a matrix known to be finite; exact: it is known to be
-    exactly symmetric, so the first attempt is a bare ``dpotrf``."""
-    try:
-        return (_cholesky(matrix) if exact else factorize(matrix, finite=True)), 0.0
-    except NotPositiveDefinite:
-        return _jitter(matrix, floor)
-
-
-def _jitter(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
+def _jitter(matrix: np.ndarray, floor: float) -> tuple[SpdFactor | None, float]:
     """The escalation after a failed first attempt on a finite matrix: lam =
-    floor, 2*floor, ... on the symmetric part that attempt accepted."""
+    floor, 2*floor, ... on the symmetric part that attempt accepted; (None,
+    0.0) once lam passes the cap."""
     matrix = 0.5 * (matrix + matrix.T)
     lam = floor
     while lam <= REPAIR_CAP * floor:
@@ -374,4 +328,4 @@ def _jitter(matrix: np.ndarray, floor: float) -> tuple[SpdFactor, float]:
             return factorize(matrix + lam * np.eye(len(matrix))), lam
         except NotPositiveDefinite:
             lam *= 2.0
-    raise RepairFailed(f"jitter escalated past {REPAIR_CAP:g} * floor without success")
+    return None, 0.0

@@ -2,14 +2,15 @@
 
 ``run_chain`` is the one way to run a transition (``n_samples=1`` runs one).
 Given K generators it runs K chains in lockstep as one (K, d) array: each
-leapfrog step makes one gradient call and one mass solve for all of them,
-and each transition one mass-policy call for all endpoints (for HLOCAL_HMC
-one stacked Hessian, checked once and factorized row by row, and each solve
-one checked ``solve`` with one ``dpotrs`` per chain), while every chain
-keeps its own accept test, its own mass and its own generator, drawn in the
-order it would draw alone. The target kernels and the stacked LAPACK calls
-are row-exact (see ``targets`` and ``linalg``), so each chain is bit for bit
-the chain its generator gives alone; one generator is K = 1.
+leapfrog step makes one gradient call and one ``solve`` for all of them
+(one matvec with a shared constant mass's inverse, or one ``dpotrs`` per
+chain against HLOCAL_HMC's masses), and each transition one mass-policy call
+for all endpoints (for HLOCAL_HMC one stacked Hessian and one
+``repair_to_pd`` of it, checked once and factorized row by row), while every
+chain keeps its own accept test, its own mass and its own generator, drawn
+in the order it would draw alone. The target kernels and the stacked LAPACK
+calls are row-exact (see ``targets`` and ``linalg``), so each chain is bit
+for bit the chain its generator gives alone; one generator is K = 1.
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
 proposed, so a trajectory of L steps makes L gradient calls, and each record
 ends in a ``ChainState`` (those points and the mass policy), from which a
@@ -58,11 +59,9 @@ from .linalg import (
     RepairFailed,
     SpdFactor,
     factorize,
-    repair_rows,
     repair_to_pd,
     sample_gaussian,
     solve,
-    solve_rows,
     with_inverse,
 )
 from .targets import LogNormalField, OutOfDomain, TargetModel
@@ -125,7 +124,7 @@ class FixedSpd:
 @dataclass(frozen=True)
 class LocalHessian:
     """Mass matrix refrozen from the local Hessian each trajectory: one
-    stacked Hessian and one ``repair_rows`` for a stack of points."""
+    stacked Hessian and one ``repair_to_pd`` of it for a stack of points."""
 
     floor: float = 1e-6
 
@@ -133,7 +132,7 @@ class LocalHessian:
         _check_positive("floor", self.floor)
 
     def mass_at(self, target: TargetModel):
-        return lambda theta: repair_rows(_by_rows(target.hessian, theta), self.floor)
+        return lambda theta: repair_to_pd(_by_rows(target.hessian, theta), self.floor)
 
 
 MassSpec = Union[ScaledIdentity, FixedSpd, LocalHessian]
@@ -215,14 +214,6 @@ def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
     return u < np.exp(delta)
 
 
-def _solve(mass, v: np.ndarray) -> np.ndarray:
-    """M^-1 v for one point, or M_k^-1 v_k for each row of a stack; mass is
-    one factor for every row or a sequence of one per row."""
-    if isinstance(mass, SpdFactor) and v.ndim == 2:
-        return solve_rows(mass, v)
-    return solve(mass, v)
-
-
 def _by_rows(fn, stack: np.ndarray, *args):
     """fn(stack, *args); a one-row stack is passed as its single point and the
     result given its row axis back, since 1-D ufuncs skip the broadcasting and
@@ -233,7 +224,8 @@ def _by_rows(fn, stack: np.ndarray, *args):
 
 
 def _shared(masses: list):
-    """The one factor every row holds, or the list of them if they differ."""
+    """The one factor every row holds, or the list of them if they differ:
+    ``solve`` takes a shared factor's stack in one matvec, not row by row."""
     first = masses[0]
     return first if len(masses) == 1 or all(m is first for m in masses) else masses
 
@@ -291,7 +283,7 @@ def _trajectory(theta, p, g, target, mass, dt, steps):
     other rows go on from before that drift (``_stop``)."""
     for left in range(steps, 0, -1):
         try:
-            x = _solve(mass, p)
+            x = solve(mass, p)
         except NonFiniteVector as exc:  # these rows diverged: they stop here
             return _stop(exc.rows, (theta, p, g), (theta, p, g), target, mass, dt, left)
         x *= dt
@@ -353,7 +345,7 @@ def hamiltonian(
 
 def _kinetic(p: np.ndarray, mass) -> np.ndarray:
     """0.5 p' M^-1 p of one point, or of each row of a stack as of that row alone."""
-    return 0.5 * np.vecdot(p, _solve(mass, p))
+    return 0.5 * np.vecdot(p, solve(mass, p))
 
 
 class _Points(NamedTuple):
@@ -442,8 +434,12 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
 
     For the log-normal target the MAP Hessian is D^-1 Sigma^-1 D^-1 with
     D = diag(theta_MAP), which is PD, so the repair is a no-op (lam = 0).
+    Raises RepairFailed if that Hessian is not finite or cannot be repaired.
     """
-    return repair_to_pd(target.hessian(target.map_point()), pd_floor)
+    factors, lams = repair_to_pd(target.hessian(target.map_point())[None], pd_floor)
+    if factors[0] is None:
+        raise RepairFailed("the MAP Hessian is not finite or cannot be repaired")
+    return factors[0], float(lams[0])
 
 
 class Kernel(NamedTuple):

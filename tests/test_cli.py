@@ -413,7 +413,7 @@ class TestRunCommand:
         diag = np.loadtxt(out / "diag_MH.csv", delimiter=",", skiprows=1)
         tau, _ = diagnostics.correlation_time(diagnostics.spatial_average(samples))
         assert tau == pytest.approx(diag[2], abs=1e-9)
-        n_eff = diagnostics.effective_samples(samples.shape[0], tau)
+        n_eff = samples.shape[0] / tau
         assert n_eff == pytest.approx(diag[3], abs=1e-9)
 
     def test_multiple_chains_distinct(self, tmp_path):
@@ -551,6 +551,19 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
     # every error but a chain that never moves is raised before any output
     if "ZeroVariance" not in err:
         assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/child.py wraps the functions it names in WRAPPED by getattr:
+    # a renamed or removed one breaks every traced benchmark run
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
+            "t = child.Tracer(); t.install(); print(len(t.names) == len(child.WRAPPED))")
+    out = subprocess.run([sys.executable, "-c", code, bench], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("m_value", [-700.0, -720.0, -740.0, -745.0])

@@ -1,17 +1,38 @@
-"""Tests for autocorrelation, correlation time, ESS and credible bands."""
+"""Tests for correlation time, ESS, acceptance rate and credible bands."""
 import numpy as np
 import pytest
 
 from hessmc.diagnostics import (
     ZeroVariance,
-    acceptance_rate,
-    autocorrelation,
     correlation_time,
     credible_band,
-    effective_samples,
     spatial_average,
     summarize_chain,
 )
+
+
+def autocorrelation(series, t):
+    """Lag-t sample autocorrelation with biased (lag-0) normalization: the
+    reference for the rho that correlation_time sums."""
+    series = np.asarray(series, dtype=float)
+    x = series - series.mean()
+    denom = float(x @ x)
+    if denom == 0.0 or np.all(series == series[0]):
+        raise ZeroVariance("series has zero variance")
+    n = x.shape[0]
+    if not 0 <= t <= n - 1:
+        raise ValueError(f"lag {t} out of range for series of length {n}")
+    return float(x[: n - t] @ x[t:]) / denom
+
+
+def ar1(phi, n, seed):
+    """x_k = phi * x_{k-1} + eps_k from x_0 = 0."""
+    eps = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = 0.0
+    for k in range(1, n):
+        x[k] = phi * x[k - 1] + eps[k]
+    return x
 
 
 class TestSpatialAverage:
@@ -62,14 +83,8 @@ class TestCorrelationTime:
         assert 0.8 <= tau <= 1.3
 
     def test_ar1(self):
-        rng = np.random.default_rng(4)
         phi = 0.9
-        n = 100_000
-        x = np.empty(n)
-        x[0] = 0.0
-        eps = rng.standard_normal(n)
-        for k in range(1, n):
-            x[k] = phi * x[k - 1] + eps[k]
+        x = ar1(phi, 100_000, 4)
         tau, rho = correlation_time(x)
         analytic = 1.0 + phi / (1.0 - phi)  # 10
         assert abs(tau - analytic) / analytic < 0.15
@@ -100,26 +115,48 @@ class TestCorrelationTime:
         with pytest.raises(ValueError):
             correlation_time(np.arange(5.0))
 
+    @pytest.mark.parametrize("phi, n", [(0.5, 400), (0.9, 2000), (0.99, 200)])
+    def test_rho_is_the_autocorrelation_at_every_summed_lag(self, phi, n):
+        # bit for bit; the sum stops before the first non-positive lag or at N/4
+        x = ar1(phi, n, n) + 5.0
+        tau, rho = correlation_time(x)
+        lags = len(rho)
+        assert lags > 0
+        assert rho.tolist() == [autocorrelation(x, t) for t in range(1, lags + 1)]
+        assert lags == n // 4 or autocorrelation(x, lags + 1) <= 0.0
+        assert tau == 1.0 + sum(rho.tolist())
+
+
+SERIES = np.random.default_rng(12).standard_normal(40)
+
 
 class TestEffectiveSamples:
-    def test_published_magnitudes(self):
-        assert effective_samples(25_000, 176.77) == pytest.approx(141.4, abs=0.1)
-        assert effective_samples(25_000, 123.41) == pytest.approx(202.6, abs=0.1)
+    def test_n_eff_is_n_over_tau(self):
+        # the paper's convention, N / tau (25,000 / 176.77 = 141.4), on the
+        # spatial average of a (N, dim) chain and on an (N,) series
+        samples = np.cumsum(np.random.default_rng(13).standard_normal((2000, 3)), axis=0)
+        for chain in (samples, spatial_average(samples)):
+            d = summarize_chain(chain, np.ones(2000, dtype=bool))
+            assert d.tau == correlation_time(spatial_average(samples))[0] > 10.0
+            assert d.n_eff == 2000 / d.tau
 
     def test_unit_tau(self):
-        assert effective_samples(1000, 1.0) == 1000
+        x = np.array([1.0, -1.0] * 500)
+        d = summarize_chain(x, np.ones(1000, dtype=bool))
+        assert d.tau == 1.0 and d.n_eff == 1000
 
 
 class TestAcceptanceRate:
     def test_all_true(self):
-        assert acceptance_rate(np.array([True] * 5)) == 1.0
+        assert summarize_chain(SERIES, np.array([True] * 5)).acceptance_rate == 1.0
 
     def test_half(self):
-        assert acceptance_rate(np.array([True, False, True, False])) == 0.5
+        flags = np.array([True, False, True, False])
+        assert summarize_chain(SERIES, flags).acceptance_rate == 0.5
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            acceptance_rate(np.array([], dtype=bool))
+        with pytest.raises(ValueError, match="empty"):
+            summarize_chain(SERIES, np.array([], dtype=bool))
 
 
 class TestCredibleBand:

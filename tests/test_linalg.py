@@ -12,7 +12,6 @@ from hessmc import linalg
 from hessmc.linalg import (
     DimensionMismatch,
     NotPositiveDefinite,
-    RepairFailed,
     SpdFactor,
     factorize,
     repair_to_pd,
@@ -24,6 +23,12 @@ from hessmc.linalg import (
 def _counting(calls, fn):
     """Wrap fn so that each call appends its arguments to calls."""
     return lambda *a, **k: calls.append(a) or fn(*a, **k)
+
+
+def _repair(matrix, floor):
+    """repair_to_pd of one matrix, as a one-row stack: (factor or None, lam)."""
+    factors, lams = repair_to_pd(np.asarray(matrix, dtype=float)[None], floor)
+    return factors[0], lams[0]
 
 
 class FixedNormals:
@@ -88,7 +93,7 @@ def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve(factorize(np.eye(2)), np.ones(3))
     with pytest.raises(DimensionMismatch):
-        solve(factorize(np.eye(2)), np.ones((2, 2)))  # columns, not rows
+        solve(factorize(np.eye(2)), np.ones((2, 3)))  # rows of the wrong length
     with pytest.raises(DimensionMismatch):
         solve(factorize(np.eye(1)), 1.0)
 
@@ -133,7 +138,7 @@ def test_repair_noop_on_pd():
     for dim in (1, 4, 9):
         b = rng.standard_normal((dim, dim))
         a = b.T @ b + 0.5 * np.eye(dim)
-        f, lam = repair_to_pd(a, 1e-6)
+        f, lam = _repair(a, 1e-6)
         assert lam == 0.0
         g = factorize(a)
         assert np.allclose(f.lower_factor, g.lower_factor)
@@ -141,7 +146,7 @@ def test_repair_noop_on_pd():
 
 def test_repair_indefinite():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])  # lambda_min = -1
-    f, lam = repair_to_pd(a, 0.5)
+    f, lam = _repair(a, 0.5)
     min_eig = np.linalg.eigvalsh(a)[0]
     assert lam >= -min_eig  # enough jitter to clear the negative eigenvalue
     assert lam < 1e12 * 0.5
@@ -152,14 +157,14 @@ def test_repair_indefinite():
 
 
 def test_repair_zero_matrix():
-    f, lam = repair_to_pd(np.zeros((2, 2)), 1.0)
+    f, lam = _repair(np.zeros((2, 2)), 1.0)
     assert lam == 1.0
     assert np.allclose(f.matrix(), np.eye(2))
 
 
 def test_repair_failure():
-    with pytest.raises(RepairFailed):
-        repair_to_pd(np.array([[-1e30]]), 1e-12)
+    # lam past the cap: the row gets None and lam 0
+    assert _repair(np.array([[-1e30]]), 1e-12) == (None, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -169,8 +174,7 @@ def test_repair_non_finite_fails_before_any_cholesky(bad, monkeypatch):
     calls = []
     for name in ("factorize", "dpotrf"):
         monkeypatch.setattr(linalg, name, _counting(calls, getattr(linalg, name)))
-    with pytest.raises(RepairFailed):
-        repair_to_pd(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0)
+    assert _repair(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0) == (None, 0.0)
     with pytest.raises(NotPositiveDefinite):
         factorize(np.array([[bad, 0.0], [0.0, 1.0]]))
     assert calls == []
@@ -181,7 +185,7 @@ def test_repair_rejects_non_finite_floor(bad):
     # a NaN floor passed "floor <= 0", and an indefinite matrix then never
     # reached the cap; a finite matrix shows it without escalating
     with pytest.raises(ValueError, match="finite and positive"):
-        repair_to_pd(np.eye(2), bad)
+        repair_to_pd(np.eye(2)[None], bad)
 
 
 def test_repair_jitters_the_symmetric_part():
@@ -190,7 +194,7 @@ def test_repair_jitters_the_symmetric_part():
     # first attempt symmetrized, so later attempts check an exact symmetry
     a = np.array([[-100.0, 1.0 + 5e-7], [1.0, -100.0]])
     sym = 0.5 * (a + a.T)
-    f, lam = repair_to_pd(a, 1.0)
+    f, lam = _repair(a, 1.0)
     assert lam == 128.0
     assert np.array_equal(f.lower_factor, factorize(sym + lam * np.eye(2)).lower_factor)
     with pytest.raises(DimensionMismatch):
@@ -279,7 +283,7 @@ def test_repair_jitter_matches_scipy_escalation_bitwise(dim):
             break
         except scipy.linalg.LinAlgError:
             lam = floor if lam == 0.0 else 2.0 * lam
-    f, got = repair_to_pd(a, floor)
+    f, got = _repair(a, floor)
     assert got == lam > 0.0
     assert np.array_equal(f.lower_factor, lower)
     assert f.lower_factor.flags.f_contiguous
@@ -297,19 +301,22 @@ def test_lapack_path_keeps_its_errors(dim):
 
 
 def test_repair_calls_factorize_once_per_attempt(monkeypatch):
-    # shape and symmetry are factorize's to check: one scan per attempt
+    # shape and symmetry are factorize's to check: one scan per attempt, but
+    # for the first attempt on an exactly symmetric row, a bare dpotrf
     calls, checks = [], []
     monkeypatch.setattr(linalg, "factorize", _counting(calls, linalg.factorize))
     monkeypatch.setattr(linalg, "_check_symmetric",
                         _counting(checks, linalg._check_symmetric))
-    repair_to_pd(np.eye(3), 0.3)
+    _repair(np.eye(3), 0.3)
+    assert len(calls) == len(checks) == 0
+    _repair(np.eye(3) + 1e-12 * np.triu(np.ones((3, 3)), 1), 0.3)
     assert len(calls) == len(checks) == 1
     calls.clear()
     checks.clear()
-    # lambda_min = -1: lam runs 0, 0.3, 0.6 and stops at 1.2
-    f, lam = repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
+    # lambda_min = -1: lam runs 0 (the bare dpotrf), 0.3, 0.6 and stops at 1.2
+    f, lam = _repair(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
     assert lam == pytest.approx(1.2)
-    assert len(calls) == len(checks) == 4
+    assert len(calls) == len(checks) == 3
 
 
 def test_factorize_stores_no_inverse():
@@ -326,12 +333,14 @@ def test_factorize_stores_no_inverse():
 
 @pytest.mark.parametrize("dim", LAPACK_DIMS)
 def test_stored_inverse_solve_keeps_every_check(dim):
-    # the matvec path refuses exactly what the dpotrs path refuses
+    # the matvec path refuses exactly what the dpotrs path refuses; a
+    # (K, dim) stack, (dim, dim) say, is K vectors to solve
     bare = factorize(_spd(dim, dim))
     for f in (bare, linalg.with_inverse(bare)):
-        for bad in (np.ones(dim + 1), np.ones((dim, 1)), np.ones((dim, dim)), 1.0):
+        for bad in (np.ones(dim + 1), np.ones((dim, dim + 1)), np.ones((2, dim, 1)), 1.0):
             with pytest.raises(DimensionMismatch, match="expected a vector"):
                 solve(f, bad)
+        assert solve(f, np.ones((dim, dim))).shape == (dim, dim)
         for value in (np.nan, np.inf, -np.inf):
             v = np.ones(dim)
             v[dim // 2] = value
@@ -357,26 +366,32 @@ def test_stored_inverse_solve_is_one_matvec(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 8])
 @pytest.mark.parametrize("dim", LAPACK_DIMS)
 def test_solve_rows_equals_solve_per_row(dim, k):
+    # a (K, d) stack against one factor: each row gets the bits of its
+    # contiguous 1-D solve, whatever the stack's memory layout
     bare = factorize(_spd(dim, dim))
-    v = np.random.default_rng(k).standard_normal((k, dim))
+    rng = np.random.default_rng(k)
+    v = rng.standard_normal((k, dim))
+    strided = rng.standard_normal((k, 2 * dim))[:, ::2]
+    stacks = (v, strided, np.asfortranarray(rng.standard_normal((k, dim))))
     for f in (bare, linalg.with_inverse(bare)):
-        x = linalg.solve_rows(f, v)
-        assert x.shape == (k, dim)
-        for row, expected in zip(x, v):
-            assert np.array_equal(row, solve(f, expected))
+        for stack in stacks:
+            x = solve(f, stack)
+            assert x.shape == (k, dim)
+            for row, given in zip(x, stack):
+                assert np.array_equal(row, solve(f, np.ascontiguousarray(given)))
 
 
 def test_solve_rows_keeps_the_checks():
     bare = factorize(_spd(3, 3))
     for f in (bare, linalg.with_inverse(bare)):
-        for bad in (np.ones(3), np.ones((2, 4)), np.ones((2, 3, 1))):
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 3, 1))):
             with pytest.raises(DimensionMismatch, match="stack"):
-                linalg.solve_rows(f, bad)
+                solve(f, bad)
         for value in (np.nan, np.inf, -np.inf):
             v = np.ones((3, 3))
             v[1, 1] = value
             with pytest.raises(ValueError, match="infs or NaNs") as exc:
-                linalg.solve_rows(f, v)
+                solve(f, v)
             assert exc.value.rows.tolist() == [False, True, False]
 
 
@@ -385,8 +400,7 @@ def test_empty_stacks_keep_their_shape(dim):
     # a (0, d) stack solves to a (0, d) stack on every path
     bare = factorize(_spd(dim, dim))
     v = np.empty((0, dim))
-    for x in (solve([], v), linalg.solve_rows(bare, v),
-              linalg.solve_rows(linalg.with_inverse(bare), v)):
+    for x in (solve([], v), solve(bare, v), solve(linalg.with_inverse(bare), v)):
         assert x.shape == (0, dim)
 
 
@@ -396,7 +410,7 @@ def test_solve_result_is_its_own_array():
     inverted = linalg.with_inverse(bare)
     v, stack = np.ones(3), np.ones((2, 3))
     for f in (bare, inverted):
-        for x, given in ((solve(f, v), v), (linalg.solve_rows(f, stack), stack),
+        for x, given in ((solve(f, v), v), (solve(f, stack), stack),
                          (solve([f, f], stack), stack)):
             assert x.flags.writeable and not np.shares_memory(x, given)
             assert not np.shares_memory(x, f.lower_factor)
@@ -404,16 +418,20 @@ def test_solve_result_is_its_own_array():
 
 
 def test_repair_scans_finiteness_once(monkeypatch):
-    # repair_to_pd's own scan covers its first attempt; a jittered attempt,
-    # whose matrix it has not scanned, is scanned by factorize
+    # repair_to_pd's own scan covers its first attempt (a bare dpotrf on an
+    # exactly symmetric row, no check at all); a jittered attempt, whose
+    # matrix it has not scanned, is scanned by factorize
     seen = []
     check = linalg._check_symmetric
     monkeypatch.setattr(linalg, "_check_symmetric",
                         lambda m, finite=False: seen.append(finite) or check(m, finite))
-    repair_to_pd(np.eye(3), 0.3)
-    assert seen == [True]
+    _repair(np.eye(3), 0.3)
+    assert seen == []
+    _repair(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
+    assert seen == [False, False, False]
     seen.clear()
-    repair_to_pd(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.3)
+    # asymmetric within SYMMETRY_RTOL: the first attempt is factorize's
+    _repair(np.array([[1.0, 2.0 + 1e-9], [2.0, 1.0]]), 0.3)
     assert seen == [True, False, False, False]
 
 
@@ -455,18 +473,37 @@ def _repair_stack(dim):
     return np.array([pd, indefinite, near, non_finite, -1e300 * np.eye(dim)])
 
 
+def _escalate(matrix, floor):
+    """The repair of one matrix, written out as a reference: None if it is not
+    finite, else factorize at lam = 0, then floor, 2*floor, ... on its
+    symmetric part, and None past floor * 1e12."""
+    if not np.isfinite(matrix).all():
+        return None, 0.0
+    try:
+        return factorize(matrix), 0.0
+    except NotPositiveDefinite:
+        pass
+    sym, lam = 0.5 * (matrix + matrix.T), floor
+    while lam <= 1e12 * floor:
+        try:
+            return factorize(sym + lam * np.eye(len(matrix))), lam
+        except NotPositiveDefinite:
+            lam *= 2.0
+    return None, 0.0
+
+
 @pytest.mark.parametrize("dim", LAPACK_DIMS)
 def test_repair_rows_equals_repair_to_pd_per_row(dim):
+    # each row of a stack gets the bits the one-matrix escalation gives it
     stack = _repair_stack(dim)
-    factors, lams = linalg.repair_rows(stack, 1e-3)
+    factors, lams = repair_to_pd(stack, 1e-3)
     assert lams.shape == (len(stack),)
     for matrix, f, lam in zip(stack, factors, lams):
-        try:
-            ref, ref_lam = repair_to_pd(matrix, 1e-3)
-        except RepairFailed:
+        ref, ref_lam = _escalate(matrix, 1e-3)
+        assert lam == ref_lam
+        if ref is None:
             assert f is None
             continue
-        assert lam == ref_lam
         assert np.array_equal(f.lower_factor, ref.lower_factor)
         assert f.log_det == ref.log_det
     assert [f is None for f in factors] == [False, False, False, True, True]
@@ -480,17 +517,17 @@ def test_repair_rows_checks_the_stack_once(monkeypatch):
     monkeypatch.setattr(linalg, "dpotrf", _counting(calls, linalg.dpotrf))
     monkeypatch.setattr(linalg, "factorize", _counting(checks, linalg.factorize))
     stack = np.array([_spd(4, seed) for seed in range(8)])
-    factors, lams = linalg.repair_rows(stack, 1e-3)
+    factors, lams = repair_to_pd(stack, 1e-3)
     assert len(calls) == 8 and checks == []
     assert not lams.any() and all(f is not None for f in factors)
 
 
 def test_repair_rows_keeps_the_checks():
     with pytest.raises(DimensionMismatch, match="stack"):
-        linalg.repair_rows(np.eye(3), 1e-3)
+        repair_to_pd(np.eye(3), 1e-3)
     with pytest.raises(DimensionMismatch, match="stack"):
-        linalg.repair_rows(np.ones((2, 3, 4)), 1e-3)
+        repair_to_pd(np.ones((2, 3, 4)), 1e-3)
     with pytest.raises(DimensionMismatch, match="not symmetric"):
-        linalg.repair_rows(np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1e-3)
+        repair_to_pd(np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1e-3)
     with pytest.raises(ValueError, match="finite and positive"):
-        linalg.repair_rows(np.array([np.eye(2)]), np.nan)
+        repair_to_pd(np.array([np.eye(2)]), np.nan)

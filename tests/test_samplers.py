@@ -522,7 +522,31 @@ class TestHlocalStep:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class MapStub:
+    """Target stand-in for hmap_mass: its MAP is 0, its Hessian the one given."""
+
+    def __init__(self, hessian):
+        self._hessian = np.asarray(hessian, dtype=float)
+
+    def map_point(self):
+        return np.zeros(len(self._hessian))
+
+    def hessian(self, theta):
+        return self._hessian
+
+
 class TestHmapMass:
+    @pytest.mark.parametrize("corner", [np.nan, -1e300], ids=["non-finite", "unrepairable"])
+    def test_raises_when_the_map_hessian_cannot_be_repaired(self, corner):
+        with pytest.raises(linalg.RepairFailed):
+            hmap_mass(MapStub([[corner, 0.0], [0.0, 1.0]]), 1e-6)
+
+    def test_returns_the_repaired_factor_and_its_jitter(self):
+        # -1 + lam: lam 0.5 and 1.0 leave no positive pivot, 2.0 does
+        mass, lam = hmap_mass(MapStub([[-1.0]]), 0.5)
+        assert isinstance(mass, linalg.SpdFactor) and type(lam) is float
+        assert lam == 2.0 and mass.matrix()[0, 0] == 1.0
+
     def test_diagonal_sigma(self):
         sigma = np.diag([0.5, 2.0])
         target = LogNormalField(m=np.array([0.2, -0.3]), sigma=factorize(sigma))
