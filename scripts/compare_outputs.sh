@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on six configs, and
+# runs `python3 -m hessmc run` from both source trees on ten configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
@@ -14,7 +14,12 @@
 # `rough` config (field variance 0.01, 8 chains) has HLOCAL_HMC endpoints
 # whose Hessian is indefinite, so the repair's jitter path is compared as
 # well, and trajectories that leave the domain midway, so the rows that stop
-# early and the rows that go on are compared too.
+# early and the rows that go on are compared too. Four MH-only configs (8x8
+# target, 50 samples) set `credible_mass` so that the analytic band's normal
+# quantile, ndtri((1 + mass) / 2), takes each path the default 0.95 does not:
+# `mass_centre` (0.2) the central approximation, `mass_tail` (0.999999) the
+# first tail one, `mass_far` (0.99999999999999) the far tail one, and
+# `mass_one` (1.0) the infinite quantile.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work.
@@ -58,9 +63,16 @@ cat > "$work/tiny.json" <<JSON
  "run": {"chains": 12}}
 JSON
 
+for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
+    cat > "$work/mass_${mass%%:*}.json" <<JSON
+{"sampler": {"n_samples": 50, "credible_mass": ${mass#*:}}, "run": {"methods": ["MH"]}}
+JSON
+done
+
 status=0
 mkdir "$work/stdout"
-for config in desk field144 chains8 thin7 rough tiny; do
+for config in desk field144 chains8 thin7 rough tiny \
+        mass_centre mass_tail mass_far mass_one; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

@@ -16,6 +16,7 @@ from hessmc import diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
+    _ndtri,
     build_target,
     exact_band,
     load_config,
@@ -160,6 +161,42 @@ class TestExactBand:
         assert np.allclose(emp.upper, band.upper, rtol=0.02)
 
 
+class TestNdtri:
+    """The Cephes port against scipy.special.ndtri, the routine it ports."""
+
+    @staticmethod
+    def assert_bitwise(q):
+        from scipy.special import ndtri
+
+        ours = np.array([_ndtri(float(v)) for v in q])
+        # compare bits: 0.0 == -0.0, so a lost sign would pass a value compare
+        assert np.array_equal(ours.view(np.int64), ndtri(q).view(np.int64))
+
+    def test_even_grid(self):
+        self.assert_bitwise(np.linspace(0.0, 1.0, 200_001))
+
+    def test_both_tails(self):
+        tail = np.logspace(-300, 0, 20_000)
+        self.assert_bitwise(tail)
+        self.assert_bitwise(1.0 - tail)
+
+    def test_band_quantiles(self):
+        mass = 1.0 - np.random.default_rng(20).uniform(size=20_000)  # in (0, 1]
+        self.assert_bitwise((1.0 + mass) / 2.0)
+
+    @pytest.mark.parametrize("edge", [np.exp(-2.0), 1.0 - 0.13533528323661269189,
+                                      np.exp(-32.0)])
+    def test_branch_edges(self, edge):
+        self.assert_bitwise(np.array([np.nextafter(edge, 0.0), edge,
+                                      np.nextafter(edge, 1.0)]))
+
+    def test_limits_and_domain(self):
+        assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf
+        assert np.signbit(_ndtri(0.5)) == np.signbit(0.0)
+        for q in (np.nan, -0.1, 1.5):
+            assert np.isnan(_ndtri(q))
+
+
 def expected_csv(header, rows):
     """What write_csv must write, one value at a time: an oracle apart from it."""
     lines = [] if header is None else [",".join(header)]
@@ -245,6 +282,22 @@ def test_map_command_skips_scipy_special(tmp_path):
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["0", "False"]
     assert (tmp_path / "map.csv").exists()
+
+
+def test_run_command_skips_scipy_special_and_linalg_package(tmp_path):
+    # the analytic band's quantile is a pure-Python port, so a run, like a map,
+    # loads nothing from scipy but its compiled LAPACK module
+    src = str(Path(hessmc.__file__).resolve().parents[1])
+    code = ("import sys; from hessmc.cli import main; "
+            "print(main(['run', '--config', sys.argv[1]]), "
+            "*(m in sys.modules for m in ('scipy.special', 'scipy.linalg', 'numpy.f2py')), "
+            "*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(small_config(tmp_path))],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines()[-1].split() == [
+        "0", "False", "False", "False", "scipy.linalg._flapack"]
+    assert (tmp_path / "out" / "band_MH.csv").exists()
 
 
 def test_map_command_skips_scipy_linalg_package(tmp_path):
