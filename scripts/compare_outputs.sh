@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on ten configs, and
+# runs `python3 -m hessmc run` from both source trees on eleven configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
@@ -19,7 +19,9 @@
 # quantile, ndtri((1 + mass) / 2), takes each path the default 0.95 does not:
 # `mass_centre` (0.2) the central approximation, `mass_tail` (0.999999) the
 # first tail one, `mass_far` (0.99999999999999) the far tail one, and
-# `mass_one` (1.0) the infinite quantile.
+# `mass_one` (1.0) the infinite quantile. The `nologdet` config (HMAP_HMC and
+# HLOCAL_HMC, 2 chains) sets `include_logdet` false, so the energy change is
+# compared without the endpoint log-determinant terms as well.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work.
@@ -58,6 +60,11 @@ JSON
 cat > "$work/rough.json" <<JSON
 {"target": {"variance": 0.01}, $common, "run": {"chains": 8}}
 JSON
+cat > "$work/nologdet.json" <<JSON
+{"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 1,
+             "include_logdet": false},
+ "run": {"chains": 2, "methods": ["HMAP_HMC", "HLOCAL_HMC"]}}
+JSON
 cat > "$work/tiny.json" <<JSON
 {"sampler": {"n_samples": 10, "burn_in": 5, "store_samples": true, "thin": 3},
  "run": {"chains": 12}}
@@ -71,7 +78,7 @@ done
 
 status=0
 mkdir "$work/stdout"
-for config in desk field144 chains8 thin7 rough tiny \
+for config in desk field144 chains8 thin7 rough tiny nologdet \
         mass_centre mass_tail mass_far mass_one; do
     for tree in ref head; do
         src="$work/ref/src"

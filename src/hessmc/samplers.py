@@ -16,11 +16,13 @@ proposed, so a trajectory of L steps makes L gradient calls, and each record
 ends in a ``ChainState`` (those points and the mass policy), from which a
 later ``run_chain`` continues the chains without evaluating them again.
 MH draws a uniform every transition (``mh_accept``); the Hamiltonian
-transition makes its own accept test and draws one only when its energy change
-is negative. ``KERNELS`` declares each method's transition, the mass specs it
-takes and its default spec. A spec's ``mass_at(target)`` is its mass policy,
-which maps a (K, d) stack of points to K (SpdFactor, lam) pairs: a list of
-factors, None where the mass cannot be built, and a (K,) array of jitters.
+transition only when the change of ``hamiltonian``'s energy is negative, and
+a rejection is an infinite end energy, so one accept test rejects a proposal
+that fails in any way. ``KERNELS`` declares each method's transition, the
+mass specs it takes and its default spec. A spec's ``mass_at(target)`` is
+its mass policy, which maps a (K, d) stack of points to K (SpdFactor, lam)
+pairs: a list of factors, None where the mass cannot be built, and a (K,)
+array of jitters.
 The Hamiltonian kernels are one transition that differs only in that policy:
 HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian at the MAP,
 each inverted once so that every ``solve`` is one matvec), HLOCAL_HMC the
@@ -39,10 +41,10 @@ the rows of a stack outside it). A trajectory row that leaves it stops there
 (``leapfrog``), and the mass policy takes such an endpoint at its start point,
 so a Hessian is asked for inside the domain only. A row whose momentum stops
 being finite (a diverging trajectory) stops too, on ``solve``'s own refusal
-(NonFiniteVector), so no leapfrog step scans for it, and is rejected. ``run_chain`` refuses a
-start point of the wrong shape or of infinite potential, raises
-NonFiniteGradient if a Hamiltonian start point's gradient is not finite and
-RepairFailed if its mass cannot be built.
+(NonFiniteVector), so no leapfrog step scans for it; its energy is +inf.
+``run_chain`` refuses a start point of the wrong shape or of infinite
+potential, raises NonFiniteGradient if a Hamiltonian start point's gradient
+is not finite and RepairFailed if its mass cannot be built.
 """
 
 from __future__ import annotations
@@ -251,8 +253,8 @@ def leapfrog(
     momentum and a NaN gradient; its potential is +inf, so its proposal will
     be rejected. A row whose momentum stops being finite (a diverging
     trajectory: ``solve`` raises NonFiniteVector, whose ``rows`` marks it)
-    stops before that drift, with that momentum, whose kinetic energy
-    ``_hamiltonian_step`` refuses. The other rows run the steps left as one
+    stops before that drift, with that momentum, whose energy is +inf
+    (``hamiltonian``). The other rows run the steps left as one
     stack, each as it would alone. No array of the caller's is written.
     """
     theta = np.asarray(state.position, dtype=float, order="C")
@@ -323,29 +325,37 @@ def _stop(rows, end, start, target, mass, dt, steps):
 def hamiltonian(
     state: PhaseState,
     target: TargetModel,
-    mass: SpdFactor,
+    mass: SpdFactor | Sequence[SpdFactor],
     include_logdet: bool = False,
-) -> float:
-    """Total energy J(theta) + 0.5 p' M^-1 p of one point, optionally + 0.5 log|M|.
+) -> float | np.ndarray:
+    """Total energy J(theta) + 0.5 p' M^-1 p, optionally + 0.5 log|M|, that
+    every Hamiltonian accept test compares: a float for one point, a (K,)
+    array for a (K, d) stack against one factor or K, each row the bits of
+    its call alone. +inf where J is +inf (outside the domain) or the momentum
+    is not finite (a diverged ``leapfrog`` row). The log-det term matters
+    only when the two endpoints compared have different masses."""
+    one = np.ndim(state.position) == 1
+    theta, p = np.atleast_2d(state.position, state.momentum)
+    h = _energy(_by_rows(target.potential, theta), p, mass, include_logdet)
+    return h[0] if one else h
 
-    The log-det term matters only when the mass matrix differs between
-    the two endpoints being compared; with a constant mass it cancels.
-    Returns +inf for out-of-domain positions, where the potential is +inf,
-    and for a momentum that is not finite (a diverged ``leapfrog`` row).
-    """
-    h = target.potential(state.position)
+
+def _energy(j, p, mass, include_logdet):
+    """J + 0.5 p' M^-1 p (+ 0.5 log|M|) of each row of a (K, d) stack p, given
+    its (K,) potentials j, against one factor or K. A row whose momentum
+    ``solve`` refuses (NonFiniteVector marks it) is +inf, as is one whose J is."""
+    mass = mass if isinstance(mass, SpdFactor) else _shared(mass)
+    v = p[0] if len(p) == 1 else p  # one row runs as one point: see _by_rows
     try:
-        h += _kinetic(state.momentum, mass)
-    except NonFiniteVector:
-        return np.inf
-    if include_logdet:
-        h += 0.5 * mass.log_det
-    return h
-
-
-def _kinetic(p: np.ndarray, mass) -> np.ndarray:
-    """0.5 p' M^-1 p of one point, or of each row of a stack as of that row alone."""
-    return 0.5 * np.vecdot(p, solve(mass, p))
+        e = 0.5 * np.vecdot(v, solve(mass, v))
+    except NonFiniteVector as exc:  # these rows diverged: J +inf, momentum 0
+        stopped = np.ones(1, dtype=bool) if exc.rows is None else exc.rows
+        return _energy(np.where(stopped, np.inf, j), np.where(stopped[:, None], 0.0, p),
+                       mass, include_logdet)
+    if include_logdet:  # the mass's terms first: one row's are scalars, not arrays
+        e = e + 0.5 * (mass.log_det if isinstance(mass, SpdFactor)
+                       else np.array([m.log_det for m in mass]))
+    return j + e
 
 
 class _Points(NamedTuple):
@@ -390,12 +400,12 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     """K Hamiltonian transitions in lockstep: points -> (points, accepted).
 
     Each trajectory uses its point's mass; mass_at is called once, on all K
-    endpoints, with an endpoint of infinite potential replaced by its start
-    point: that row is rejected anyway, and so the policy is asked inside
-    the domain only. A row whose endpoint is out of domain, whose mass
-    cannot be built or whose momentum is not finite (a diverged trajectory,
-    which the kinetic term's solve refuses) ends with delta = -inf, so its
-    one accept test rejects it; it keeps its old mass for the kinetic term.
+    endpoints, an endpoint of infinite potential replaced by its start point
+    (that row is rejected anyway), so the policy is asked inside the domain
+    only. delta = H(start) - H(end), each ``_energy`` with its own mass, and
+    a rejection is an infinite end energy: +inf out of domain or for a
+    diverged momentum, delta = -inf where the end mass cannot be built, so
+    one accept test per chain, with its one uniform, rejects it.
     """
     theta, j_cur, grad, masses, _ = points
     mass = _shared(masses)
@@ -403,27 +413,16 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps, grad)
     j_end = _by_rows(target.potential, end.position)
     inside = np.isfinite(j_end)
-    ok = inside.tolist()
     # every endpoint inside, the common case, passes the endpoints uncopied
-    at = end.position if all(ok) else np.where(inside[:, None], end.position, theta)
+    at = end.position if all(inside.tolist()) else np.where(inside[:, None], end.position, theta)
     got, new_lams = mass_at(at)
-    ok = [good and m is not None for good, m in zip(ok, got)]
-    new_masses = [m if good else old for good, m, old in zip(ok, got, masses)]
-    new_mass = _shared(new_masses)
-    try:
-        k_end = _by_rows(_kinetic, end.momentum, new_mass)
-    except NonFiniteVector as exc:  # a diverged trajectory, rejected below
-        stopped = np.ones(len(ok), dtype=bool) if exc.rows is None else exc.rows
-        ok = [good and not s for good, s in zip(ok, stopped.tolist())]
-        k_end = _by_rows(_kinetic, np.where(stopped[:, None], 0.0, end.momentum), new_mass)
-    kinetic = _by_rows(_kinetic, p0, mass) - k_end
+    new_masses = [old if m is None else m for m, old in zip(got, masses)]
+    delta = (_energy(j_cur, p0, mass, cfg.include_logdet)
+             - _energy(j_end, end.momentum, new_masses, cfg.include_logdet))
     accepted = []
-    for d, good, m, m_end, rng in zip(((j_cur - j_end) + kinetic).tolist(), ok, masses,
-                                      new_masses, rngs):
-        if not good:
+    for d, m, rng in zip(delta.tolist(), got, rngs):
+        if m is None:  # the end mass cannot be built: rejected, its uniform drawn
             d = -np.inf
-        elif cfg.include_logdet:
-            d += 0.5 * (m.log_det - m_end.log_det)
         accepted.append(d >= 0.0 or rng.uniform() < np.exp(d))
     new = _Points(end.position, j_end, end.gradient, new_masses, new_lams)
     return _select(accepted, new, points), accepted

@@ -445,6 +445,51 @@ class TestHamiltonian:
         assert hamiltonian(st, target, factorize(np.eye(1))) == np.inf
         assert hamiltonian(st, target, factorize(np.eye(1)), include_logdet=True) == np.inf
 
+    def _stack(self):
+        # four points of the 2x2 field, each with its own momentum and mass
+        target = field_2x2()
+        rng = np.random.default_rng(5)
+        theta = target.map_point() * np.exp(0.1 * rng.standard_normal((4, 4)))
+        p = rng.standard_normal((4, 4))
+        masses = [hmap_mass(target, 1e-6)[0], factorize(np.eye(4)),
+                  linalg.with_inverse(factorize(2.0 * np.eye(4))),
+                  factorize(target.hessian(theta[3]))]
+        return target, theta, p, masses
+
+    @pytest.mark.parametrize("include_logdet", [False, True])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one-factor", "k-factors"])
+    def test_stack_rows_are_single_point_calls(self, per_row, include_logdet):
+        target, theta, p, masses = self._stack()
+        mass = masses if per_row else masses[0]
+        h = hamiltonian(PhaseState(theta, p), target, mass, include_logdet)
+        assert h.shape == (4,)
+        for k in range(4):
+            alone = hamiltonian(PhaseState(theta[k], p[k]), target,
+                                masses[k] if per_row else masses[0], include_logdet)
+            assert np.ndim(alone) == 0 and np.isfinite(alone)
+            assert h[k] == alone
+        one = hamiltonian(PhaseState(theta[:1], p[:1]), target, masses[:1], include_logdet)
+        assert one.shape == (1,) and one[0] == h[0]
+
+    @pytest.mark.parametrize("include_logdet", [False, True])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one-factor", "k-factors"])
+    def test_infinite_exactly_at_bad_rows(self, per_row, include_logdet):
+        # row 0 lies outside the domain, rows 2 and 3 have a momentum that is
+        # not finite; row 1 keeps the bits of its single-point call
+        target, theta, p, masses = self._stack()
+        theta[0, 1] = -theta[0, 1]
+        p[2, 0], p[3, 3] = np.inf, np.nan
+        mass = masses if per_row else masses[0]
+        h = hamiltonian(PhaseState(theta, p), target, mass, include_logdet)
+        assert (h == np.inf).tolist() == [True, False, True, True]
+        assert h[1] == hamiltonian(PhaseState(theta[1], p[1]), target,
+                                   masses[1] if per_row else masses[0], include_logdet)
+        for rows in ([2], [2, 3]):  # a one-row stack, and every row stopped
+            bad = hamiltonian(PhaseState(theta[rows], p[rows]), target,
+                              [masses[r] for r in rows] if per_row else masses[0],
+                              include_logdet)
+            assert bad.tolist() == [np.inf] * len(rows)
+
 
 class TestHmcStep:
     def test_tiny_dt_always_accepts(self):
@@ -520,6 +565,40 @@ class TestHlocalStep:
         assert np.array_equal(rec.samples[0], theta)
         assert rec.repair_lambdas[0] == 0.0
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_accepts_on_the_public_energy(self):
+        # replay each of 3 lockstep chains from its generator: the momentum
+        # normals, then the uniform; its accept flag is the test on the
+        # change of ``hamiltonian``, start and end each with its own mass (an
+        # end outside the domain takes its start's, as the policy does)
+        target = field_2x2()
+        spec = LocalHessian(1e-6)
+        mass_at = spec.mass_at(target)
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=1,
+                            include_logdet=True)
+        seen = set()
+        for seed in range(6):
+            init = target.map_point() * np.exp(
+                0.3 * np.random.default_rng(seed).standard_normal((3, 4)))
+            rngs = [np.random.default_rng([seed, k]) for k in range(3)]
+            rec = run_chain(target, spec, cfg, init, rngs)
+            masses, _ = mass_at(init)
+            for k in range(3):
+                ref = np.random.default_rng([seed, k])
+                start = PhaseState(init[k], masses[k].lower_factor @ ref.standard_normal(4))
+                end = leapfrog(start, target, masses[k], cfg.dt, cfg.leapfrog_steps)
+                inside = np.isfinite(target.potential(end.position))
+                (end_mass,), _ = mass_at((end.position if inside else init[k])[None])
+                d = (hamiltonian(start, target, masses[k], include_logdet=True)
+                     - hamiltonian(end, target, end_mass, include_logdet=True))
+                accept = bool(d >= 0.0 or ref.uniform() < np.exp(d))
+                assert rec.accept_flags[k, 0] == accept
+                assert rngs[k].bit_generator.state == ref.bit_generator.state
+                seen.add((bool(d >= 0.0), accept, bool(inside)))
+        # accepted outright, accepted by the uniform, rejected inside the
+        # domain and rejected outside it all occur
+        assert seen == {(True, True, True), (False, True, True), (False, False, True),
+                        (False, False, False)}
 
 
 class MapStub:
@@ -1048,6 +1127,28 @@ class TestLockstep:
         assert lock.accept_flags[:, 0].tolist() == [False, True, True]
         assert lock.samples[0, 0, 0] == 0.9
         assert lock.repair_lambdas[0, 0] == 0.0
+
+    def test_unbuildable_end_mass_draws_its_uniform(self):
+        # chain 0 runs from -1.5 past the cliff to 1.29 and lowers the energy
+        # there (with the start mass in place of the end's), but its end mass
+        # cannot be built: its accept test rejects it after one momentum draw
+        # and one uniform, as any rejection; chains 1 and 2 go on as alone
+        target = CliffTarget(np.zeros(1), factorize(np.eye(1)))
+        unit = factorize(np.eye(1))
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=1.0, leapfrog_steps=1, n_samples=1)
+        init = np.array([[-1.5], [-0.5], [0.0]])
+        ref = np.random.default_rng(3)
+        start = PhaseState(init[0], ref.standard_normal(1))  # unit mass: p0 is the normal
+        end = leapfrog(start, target, unit, cfg.dt, cfg.leapfrog_steps)
+        assert end.position[0] > 1.0
+        assert hamiltonian(start, target, unit, True) >= hamiltonian(end, target, unit, True)
+        ref.uniform()
+        rngs = [np.random.default_rng(s) for s in (3, 4, 5)]
+        lock = run_chain(target, LocalHessian(1.0), cfg, init, rngs)
+        assert not lock.accept_flags[0, 0]
+        assert lock.samples[0, 0, 0] == -1.5
+        assert rngs[0].bit_generator.state == ref.bit_generator.state
+        self._runs(target, LocalHessian(1.0), cfg, init, [3, 4, 5])
 
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize(
