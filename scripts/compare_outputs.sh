@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on eleven configs, and
+# runs `python3 -m hessmc run` from both source trees on fourteen configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
@@ -21,10 +21,17 @@
 # first tail one, `mass_far` (0.99999999999999) the far tail one, and
 # `mass_one` (1.0) the infinite quantile. The `nologdet` config (HMAP_HMC and
 # HLOCAL_HMC, 2 chains) sets `include_logdet` false, so the energy change is
-# compared without the endpoint log-determinant terms as well.
+# compared without the endpoint log-determinant terms as well. Three configs
+# (HMAP_HMC and HLOCAL_HMC, 2 chains, 300 samples, burn-in 20, every sample
+# stored) move the field's scale through the forms '%.17g' takes, and so
+# through both paths of the CSV writer: `scale_up` (m_value 3, values near
+# 19, a '.' after two digits), `straddle` (m_value -9.2, about a third of
+# the values below 1e-4 in the same rows, so whole chunks go through the
+# template) and `scale_far` (m_value 40, values near 2e17, exponent notation).
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
-# tree with itself: a check that the script and the reruns still work.
+# tree with itself: a check that the script and the reruns still work; CI
+# compares a change against its base commit.
 # BLAS runs on one thread so that the comparison does not depend on threading.
 set -euo pipefail
 
@@ -70,6 +77,14 @@ cat > "$work/tiny.json" <<JSON
  "run": {"chains": 12}}
 JSON
 
+for scale in scale_up:3 straddle:-9.2 scale_far:40; do
+    cat > "$work/${scale%%:*}.json" <<JSON
+{"target": {"m_value": ${scale#*:}},
+ "sampler": {"n_samples": 300, "burn_in": 20, "store_samples": true, "thin": 1},
+ "run": {"chains": 2, "methods": ["HMAP_HMC", "HLOCAL_HMC"]}}
+JSON
+done
+
 for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
     cat > "$work/mass_${mass%%:*}.json" <<JSON
 {"sampler": {"n_samples": 50, "credible_mass": ${mass#*:}}, "run": {"methods": ["MH"]}}
@@ -79,7 +94,7 @@ done
 status=0
 mkdir "$work/stdout"
 for config in desk field144 chains8 thin7 rough tiny nologdet \
-        mass_centre mass_tail mass_far mass_one; do
+        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

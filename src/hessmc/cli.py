@@ -9,9 +9,10 @@ SETTINGS gives every setting's default, tuned to the desk-scale 8x8-grid
 comparison, and its kind, which load_config checks for the file and flags.
 Output CSVs are comma-delimited with a header row, LF line endings and '%.17g'
 numbers (a float reads back as the float written, an integer column as
-integers), so reruns with the same config and seed are byte-identical;
-write_csv formats each line through one template and reuses the text of a
-sample row that repeats the row before it.
+integers), so reruns with the same config and seed are byte-identical.
+write_csv formats a float array in numpy, chunk by chunk (_Formatter), to
+the bytes '%.17g' gives; the summary's rows and a chunk holding a value
+outside 1e-4 <= |x| < 1e16 go through one '%' template per line.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
 per chain), in blocks of ceil(n_samples / (chains + 1)) samples, one
 ``run_chain`` call each. A block continues the chains from the ``state`` the
@@ -325,32 +326,195 @@ def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
     )
 
 
+# '%.17g' of a float block in numpy, for write_csv. Where 1e-4 <= |x| < 1e16,
+# '%.17g' writes |x| in fixed notation as N * 10**(k - 16), N the 17-digit
+# integer nearest |x| * 10**s (ties to even), s = 16 - k, k = floor(log10 |x|).
+# s lies in [1, 20], so 10**s is an exact double, and Dekker's product (with
+# Veltkamp's split into 26-bit halves) gives |x| * 10**s = hi + lo exactly;
+# hi >= 2**53 is an even integer, so N = hi + rint(lo). N stays below 10**17:
+# the largest double under each power of ten from 1e-3 to 1e16 lies at least
+# 8.3e-17 of it below, more than half a unit in the 17th digit. Each value is a
+# 40-byte cell of five words: "-0.000" and N's leading digit, then four
+# groups of four digits, every digit followed by a '.', the last one by the
+# separator. A mask chosen by the sign, s and N's trailing zeros zeroes the
+# bytes the text leaves out, and bytes.translate drops the zeros.
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10 = np.array([float(10**s) for s in range(22)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_words() -> np.ndarray:
+    """Word g < 10**4: g's four digits, each followed by '.'; word 10**4 + d:
+    '-0.000', then the digit d and '.'."""
+    words = np.full((10**4 + 10, 8), ord("."), np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = words[: 10**4].reshape(10, 10, 10, 10, 8)
+    groups[..., 0] = digits[:, None, None, None]
+    groups[..., 2] = digits[:, None, None]
+    groups[..., 4] = digits[:, None]
+    groups[..., 6] = digits
+    words[10**4 :, :6] = np.frombuffer(b"-0.000", np.uint8)
+    words[10**4 :, 6] = digits
+    return words.view(np.uint64).ravel()
+
+
+def _group_zeros() -> np.ndarray:
+    """Twice the trailing zeros of each four-digit group g < 10**4."""
+    zeros = np.zeros((10, 10, 10, 10), np.int64)
+    zeros[..., 0] += 2
+    zeros[..., 0, 0] += 2
+    zeros[..., 0, 0, 0] += 2
+    zeros[0, 0, 0, 0] += 2
+    return zeros.ravel()
+
+
+def _cell_masks() -> np.ndarray:
+    """The five mask words of a cell, at row 34 s + 2 t + sign for a value
+    whose N has t trailing zeros; 0xff marks a byte of the text."""
+    point = 17 - np.arange(21)[:, None, None, None]  # N's digits before the point
+    digits = 17 - np.arange(17)[:, None, None]  # N's significant digits
+    keep = np.zeros((21, 17, 2, 40), bool)
+    keep[:, :, 1, 0] = True  # '-'
+    keep[..., 1:3] = point <= 0  # "0."
+    keep[..., 3:6] = np.arange(3) < -point
+    keep[..., 6::2] = np.arange(17) < np.maximum(point, digits)
+    keep[..., 7::2] = (np.arange(17) == point - 1) & (point < digits)
+    keep[..., 39] = True  # the separator
+    return (keep * np.uint8(255)).view(np.uint64).reshape(-1, 5)
+
+
+_WORDS = _digit_words()
+_ZEROS2 = _group_zeros()
+_MASKS = _cell_masks()
+# Bytes a value holds while a chunk is formatted: |x| and six more floats, s,
+# five groups, its sign, its cell and the cell's copy in the text
+# bytes.translate returns. write_csv sizes its chunks so that these come to
+# at most _CHUNK_BYTES (one row if a row holds more): an archive samples
+# block's write then stays below the peak that diagnostics.credible_band sets
+# later in the call.
+_VALUE_BYTES = 7 * 8 + 8 + 5 * 8 + 1 + 40 + 40
+_CHUNK_BYTES = 96 * 1024
+
+
+class _Formatter:
+    """The '%.17g' text of float blocks of up to rows x cols values in
+    1e-4 <= |x| < 1e16, from buffers allocated once."""
+
+    def __init__(self, rows: int, cols: int):
+        n = rows * cols
+        self.real = np.empty((6, n))  # the float steps, then the cells' masks
+        self.code = np.empty(n, np.int64)  # s, then each cell's mask row
+        self.groups = np.empty((n, 5), np.int64)
+        self.flags = np.empty(n, bool)  # a zero group's, then each sign
+        self.text = bytearray(40 * n)
+        self.cells = np.frombuffer(self.text, np.uint64).reshape(n, 5)
+        self.sep = np.full(cols, ord(","), np.uint8)
+        self.sep[-1] = ord("\n")
+
+    def write(self, fh, block: np.ndarray, size: np.ndarray) -> None:
+        """Write block's lines to fh, given size = |block|."""
+        rows, cols = block.shape
+        n = rows * cols
+        x = size.reshape(n)
+        t, hi, lo, ah, al, bl = (a[:n] for a in self.real)
+        s, groups, flags = self.code[:n], self.groups[:n], self.flags[:n]
+        np.log10(x, t)
+        np.floor(t, t)
+        np.subtract(16.0, t, t)
+        s[...] = t
+        np.multiply(x, _SPLIT, ah)
+        np.subtract(ah, x, al)
+        np.subtract(ah, al, ah)
+        np.subtract(x, ah, al)
+        while True:
+            _POW10.take(s, None, hi, "clip")
+            np.multiply(x, hi, hi)
+            _POW10_HI.take(s, None, t, "clip")
+            _POW10_LO.take(s, None, bl, "clip")
+            np.multiply(ah, t, lo)  # lo = x 10**s - hi, in Dekker's order
+            np.subtract(hi, lo, lo)
+            np.multiply(al, t, t)
+            np.subtract(lo, t, lo)
+            np.multiply(ah, bl, t)
+            np.subtract(lo, t, lo)
+            np.multiply(al, bl, t)
+            np.subtract(t, lo, lo)
+            if hi.min() > 1e16 and hi.max() < 1e17:
+                break
+            # log10 may miss k by one next to a power of ten: step s where the
+            # exact hi + lo is outside [1e16, 1e17)
+            low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+            high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+            if not (low.any() or high.any()):
+                break
+            s += low
+            s -= high
+        # the floats are spent: their rows hold integers from here on
+        last, zeros, more = self.real[:3, :n].view(np.int64)
+        np.rint(lo, lo)
+        np.copyto(groups[:, 0], hi, "unsafe")
+        np.copyto(last, lo, "unsafe")
+        groups[:, 0] += last  # N
+        np.divmod(groups[:, 0], 10**4, groups[:, 0], last)  # contiguous, for take
+        groups[:, 4] = last
+        for col in (3, 2, 1):
+            np.divmod(groups[:, 0], 10**4, groups[:, 0], groups[:, col])
+        groups[:, 0] += 10**4
+        _ZEROS2.take(last, None, zeros, "clip")
+        for col in (3, 2, 1):  # a zero group: count on into the one before it
+            np.equal(zeros, 8 * (4 - col), flags)
+            if not flags.any():
+                break
+            np.copyto(last, groups[:, col])
+            _ZEROS2.take(last, None, more, "clip")
+            more *= flags
+            zeros += more
+        np.signbit(block, flags.reshape(rows, cols))
+        np.multiply(s, 34, s)
+        s += zeros
+        s += flags
+        cells = self.cells[:n]
+        masks = self.real.reshape(-1)[: 5 * n].view(np.uint64).reshape(n, 5)
+        _WORDS.take(groups, None, cells, "clip")
+        _MASKS.take(s, 0, masks, "clip")
+        np.bitwise_and(cells, masks, cells)
+        cells.view(np.uint8).reshape(rows, cols, 40)[:, :, 39] = self.sep
+        self.cells[n:] = 0  # past a short last chunk: nothing to write
+        fh.write(self.text.translate(None, b"\0"))
+
+
 def write_csv(path: Path, header: list[str] | None, rows) -> None:
     """Write rows under a header line, or append them to path if header is None.
 
     rows is a 2-D float array, or a list of tuples whose str items are written
-    as they are. Each line comes from one '%' template built from the first
-    row: '%.17g' for a number, '%s' for a str. An array row whose bits equal
-    the previous row's (a rejected transition) reuses that row's text.
+    as they are. A float array goes through _Formatter in chunks of rows of at
+    most _CHUNK_BYTES; a chunk holding 0, inf, NaN, |x| < 1e-4 or |x| >= 1e16,
+    and a list, are written through one '%' template built from the first
+    row: '%.17g' for a number, '%s' for a str. The two paths write the same
+    bytes, and the formatter's buffers come with the first chunk it takes.
     """
-    with open(path, "a" if header is None else "w", newline="\n") as fh:
+    with open(path, "ab" if header is None else "wb") as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(header).encode() + b"\n")
         if len(rows) == 0:
             return
         line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
         if not isinstance(rows, np.ndarray):
             for row in rows:
-                fh.write(line % row)
+                fh.write((line % row).encode())
             return
-        # compare bytes, not values: 0.0 == -0.0 and nan != nan. Row by row,
-        # as a whole-block compare of a strided block makes numpy buffer it.
-        last = None
-        for row in rows:
-            key = row.tobytes()
-            if key != last:
-                text, last = line % tuple(row.tolist()), key
-            fh.write(text)
+        step = max(1, _CHUNK_BYTES // (_VALUE_BYTES * rows.shape[1]))
+        formatter = None
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            size = np.absolute(chunk)
+            if size.min() >= 1e-4 and size.max() < 1e16:  # a NaN fails both
+                formatter = formatter or _Formatter(min(step, len(rows)), rows.shape[1])
+                formatter.write(fh, chunk, size)
+                continue
+            for row in chunk:
+                fh.write((line % tuple(row.tolist())).encode())
 
 
 def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:

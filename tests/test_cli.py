@@ -1,21 +1,28 @@
 """Tests for the benchmark CLI: config handling, CSV outputs, exit codes."""
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import hessmc
-from hessmc import diagnostics, samplers
+from hessmc import cli, diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
+    _Formatter,
     _ndtri,
     build_target,
     exact_band,
@@ -28,6 +35,17 @@ from hessmc.cli import (
 from hessmc.linalg import factorize
 from hessmc.samplers import KERNELS, METHODS, ChainState, SamplerConfig, run_chain
 from hessmc.targets import LogNormalField, build_grid_covariance
+
+# hypothesis caches source constants at collection even with no database; keep
+# that cache out of the working directory
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hessmc-hypothesis")
+# Any float, and floats the numpy formatter takes (1e-4 <= |x| < 1e16), so
+# that a short block holds chunks of either path.
+ANY_FLOAT = (
+    st.floats()
+    | st.floats(1e-4, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e-4, exclude_min=True)
+)
 
 
 def small_config(tmp_path, **overrides):
@@ -205,6 +223,20 @@ def expected_csv(header, rows):
     return "".join(line + "\n" for line in lines)
 
 
+def assert_csv(text, header, rows):
+    """text must equal expected_csv(header, rows). A failure names the first
+    cell that differs: pytest's own diff of two long texts takes minutes."""
+    expected = expected_csv(header, rows)
+    if text == expected:
+        return
+    for i, (a, b) in enumerate(zip(text.split("\n"), expected.split("\n"))):
+        if a != b:
+            cells = enumerate(zip(a.split(","), b.split(",")))
+            j, u, v = next(((j, u, v) for j, (u, v) in cells if u != v), (None, a, b))
+            pytest.fail(f"line {i}, cell {j}: wrote {u!r}, expected {v!r}")
+    pytest.fail(f"wrote {len(text)} characters, expected {len(expected)}")
+
+
 class TestWriteCsv:
     def write(self, tmp_path, header, rows):
         path = tmp_path / "t.csv"
@@ -212,7 +244,7 @@ class TestWriteCsv:
         return path.read_bytes().decode()
 
     def test_signed_zeros_after_equal_rows(self, tmp_path):
-        # 0.0 == -0.0, so only the bits tell a reused line from a new one
+        # 0.0 == -0.0, so only the bits tell a row's zeros from the last row's
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
         text = self.write(tmp_path, ["a", "b"], rows)
         assert text == "a,b\n0,1\n-0,1\n-0,1\n0,1\n0,2\n"
@@ -261,6 +293,109 @@ class TestWriteCsv:
         assert block.flags.c_contiguous == (thin == 1)
         assert np.all(block[1:] == block[:-1], axis=1).any()
         assert self.write(tmp_path, None, block) == expected_csv(None, chain[2::thin])
+
+    def fast(self, block):
+        """block's lines as the numpy formatter writes them."""
+        size = np.absolute(block)
+        assert size.min() >= 1e-4 and size.max() < 1e16
+        fh = io.BytesIO()
+        _Formatter(*block.shape).write(fh, block, size)
+        return fh.getvalue().decode()
+
+    def chunks(self, tmp_path, header, rows):
+        """What write_csv writes, and the row count of each chunk the numpy
+        formatter took."""
+        taken, write = [], _Formatter.write
+
+        def counted(formatter, fh, block, size):
+            taken.append(len(block))
+            write(formatter, fh, block, size)
+
+        with mock.patch.object(_Formatter, "write", counted):
+            return self.write(tmp_path, header, rows), taken
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 5),
+           chunk=st.integers(1, 4))
+    def test_any_floats_in_any_block(self, tmp_path, data, rows, cols, chunk):
+        values = data.draw(st.lists(ANY_FLOAT, min_size=rows * cols,
+                                    max_size=rows * cols))
+        block = np.array(values).reshape(rows, cols)
+        # chunks of `chunk` rows, so that a short block crosses chunk edges
+        with mock.patch.object(cli, "_CHUNK_BYTES", chunk * cols * cli._VALUE_BYTES):
+            text = self.write(tmp_path, ["x"] * cols, block)
+        assert_csv(text, ["x"] * cols, block)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        values = np.stack((np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)))
+        values = np.concatenate((values, -values), axis=1).T.reshape(-1, 3)
+        assert_csv(self.write(tmp_path, None, values), None, values)
+        taken = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+        assert taken.size == 120  # 1e-4 to 1e15 and both neighbours, 1e16's lower
+        block = taken.reshape(-1, 8)
+        assert_csv(self.fast(block), None, block)
+
+    def test_ties_round_half_to_even(self):
+        # m / 4 with m odd near 1e15: exact doubles whose 18th digit is a 5
+        m = 4 * 10**15 + np.arange(1, 257, 2)
+        block = (m / 4.0).reshape(-1, 8)
+        assert np.all(block.ravel() * 4.0 == m)  # the ties are exact
+        text = self.fast(block)
+        assert text.startswith("1000000000000000.2,1000000000000000.8,")
+        assert_csv(text, None, block)
+
+    def test_digits_that_carry(self):
+        values = np.array([1 - 2**-53, np.nextafter(1e16, 0), 0.99999999999999994,
+                           9.9999999999999995e-5 + 1e-20, 999999999999999.94,
+                           0.1 + 2**-56, 123456789.98765432, 5e-4])
+        block = np.stack((values, -values))
+        assert_csv(self.fast(block), None, block)
+
+    def test_zeros_subnormals_and_the_largest_double(self, tmp_path):
+        tiny, huge = 5e-324, sys.float_info.max
+        rows = np.array([[0.0, -0.0, tiny, -tiny], [2.2e-308, huge, -huge, 1e16],
+                         [1e-5, 9.999e-5, 0.5, 1.5]])
+        text, taken = self.chunks(tmp_path, None, rows)
+        assert_csv(text, None, rows)
+        assert taken == []
+        assert self.write(tmp_path, None, rows).splitlines()[0] == (
+            "0,-0,4.9406564584124654e-324,-4.9406564584124654e-324")
+
+    def test_row_count_that_does_not_divide_the_chunk(self, tmp_path):
+        step = cli._CHUNK_BYTES // (cli._VALUE_BYTES * 64)
+        record = np.random.default_rng(3).lognormal(-1.0, 0.03, (2, 2 * step + 3, 64))
+        header = [f"x{i}" for i in range(64)]
+        for block in (record[1], record[0, 1::2]):  # the second is thinned, strided
+            text, taken = self.chunks(tmp_path, header, block)
+            assert_csv(text, header, block)
+            assert taken == [step] * (len(block) // step) + [len(block) % step]
+
+    @pytest.mark.parametrize("odd", [1e-5, 0.0, float("nan"), 2e16])
+    def test_value_the_formatter_leaves_in_mid_chunk(self, tmp_path, odd):
+        step = cli._CHUNK_BYTES // (cli._VALUE_BYTES * 64)
+        block = np.random.default_rng(4).lognormal(-1.0, 0.03, (3 * step, 64))
+        block[step + step // 2, 30] = odd  # the middle chunk goes through the template
+        text, taken = self.chunks(tmp_path, None, block)
+        assert_csv(text, None, block)
+        assert taken == [step, step]
+
+    def test_working_set_is_one_chunk(self, tmp_path):
+        # a desk-like 334 x 64 block, one chain's block of an archive MH call
+        record = np.random.default_rng(5).lognormal(-1.0, 0.03, (2, 334, 64))
+        path = tmp_path / "t.csv"
+        write_csv(path, [f"x{i}" for i in range(64)], record[1])  # one-off costs
+        tracemalloc.start()
+        try:
+            write_csv(path, None, record[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 96 KiB of formatter buffers, the file's 8 KiB buffer and small objects
+        assert peak < 112 * 1024
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        assert_csv("".join(lines[1:]), None, np.concatenate((record[1], record[1])))
 
 
 def test_cli_import_skips_scipy_stats():
