@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on fourteen configs, and
+# runs `python3 -m hessmc run` from both source trees on seventeen configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
@@ -28,6 +28,12 @@
 # 19, a '.' after two digits), `straddle` (m_value -9.2, about a third of
 # the values below 1e-4 in the same rows, so whole chunks go through the
 # template) and `scale_far` (m_value 40, values near 2e17, exponent notation).
+# Three HMC-only configs (300 samples unless said, burn-in 20, every sample
+# stored) set `beta`, so the mass beta * I is compared with beta != 1, where
+# its inverse's diagonal is not all ones: `beta_up` (beta 3, 2 chains, 600
+# samples), `beta_down` (field variance 0.01, beta 0.3, 8 chains, so one
+# factor solves an 8-row stack) and `beta_f144` (12x12 grid, beta 2.5,
+# 2 chains).
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work; CI
@@ -85,6 +91,19 @@ for scale in scale_up:3 straddle:-9.2 scale_far:40; do
 JSON
 done
 
+hmc='"sampler": {"burn_in": 20, "store_samples": true, "thin": 1'
+cat > "$work/beta_up.json" <<JSON
+{$hmc, "n_samples": 600, "beta": 3.0}, "run": {"chains": 2, "methods": ["HMC"]}}
+JSON
+cat > "$work/beta_down.json" <<JSON
+{"target": {"variance": 0.01},
+ $hmc, "n_samples": 300, "beta": 0.3}, "run": {"chains": 8, "methods": ["HMC"]}}
+JSON
+cat > "$work/beta_f144.json" <<JSON
+{"target": {"rows": 12, "cols": 12, "extent_m": [12000.0, 6000.0]},
+ $hmc, "n_samples": 300, "beta": 2.5}, "run": {"chains": 2, "methods": ["HMC"]}}
+JSON
+
 for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
     cat > "$work/mass_${mass%%:*}.json" <<JSON
 {"sampler": {"n_samples": 50, "credible_mass": ${mass#*:}}, "run": {"methods": ["MH"]}}
@@ -94,7 +113,8 @@ done
 status=0
 mkdir "$work/stdout"
 for config in desk field144 chains8 thin7 rough tiny nologdet \
-        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one; do
+        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one \
+        beta_up beta_down beta_f144; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

@@ -10,8 +10,9 @@ and :func:`solve` one ``dpotrs``, the same routines ``scipy.linalg.cholesky``
 and ``cho_solve`` call, so results agree bit for bit without those wrappers'
 per-call overhead. A factor that carries its dense inverse (:func:`with_inverse`)
 is solved by one matvec instead: a checked :func:`solve` at d = 144 took
-7-10 us that way against 20-27 us by ``dpotrs`` (best of 7, three runs, one
-thread of a shared 2-core x86 box, OpenBLAS). Only a chain's constant mass
+6.0-7.7 us that way against 16.4-17.0 us by ``dpotrs`` (best of 7 runs of
+2000 calls, three runs, one thread of a shared 2-core x86 box, OpenBLAS;
+7-10 against 20-27 us when first measured). Only a chain's constant mass
 carries one. A mass refrozen at each point would spend 266-333 us inverting
 (``dpotri``; 552-812 us through :func:`inverse`) to save about 160 us over
 its 12 solves. Tried for HLOCAL_HMC (one ``dpotri`` per new mass, then a
@@ -19,6 +20,19 @@ matvec per solve), it made a run slower, x1.24 on the desk target and x1.21
 with 8 chains (20 alternating in-process runs each), and it would change
 HLOCAL_HMC's output bytes. Any other factor (a covariance's, say) would hold
 a second d x d array for nothing.
+
+A diagonal factor (``beta * I``, HMC's mass: L has no nonzero entry off its
+diagonal) carries only its inverse's diagonal, a (d,) array, and
+:func:`solve` and :func:`sample_gaussian` apply it by one elementwise
+product. At d = 144 a checked solve took 1.9 us that way against 5.7-5.8 us
+by the dense matvec, an 8-row stack 4.0 us against 28-29 us and a draw
+3.9 us against 6.4 us (measured the same way, two runs). The bits are those of
+the dense products: each entry of ``inv @ v`` or ``L @ z`` is one nonzero
+product plus exact zeros. Only the sign of an entry that is itself a zero
+product can differ, and the samplers only add such an entry to a position
+or sum it into an energy. The diagonal is read off :func:`inverse`, the
+values the matvec multiplies by: ``1 / L_ii / L_ii`` differs from them in
+the last bit for some beta (2.5, 0.3 and 1e-3 among them).
 
 Each matrix is checked once per call: an exactly symmetric input passes after
 one finiteness and one equality scan, uncopied, and only an asymmetric one is
@@ -34,13 +48,13 @@ gets the bits of its call alone (scipy's batched Cholesky is no faster, and
 or a (K, d) stack of them, against one factor or against K, one per row.
 One factor that carries its inverse solves a stack by one ``np.matvec``,
 which gives every row the bits of the 1-D ``inv @ v`` (a gemm
-``V @ inv.T`` does not); otherwise each row takes one ``dpotrs``, or its own
-factor's matvec. :func:`repair_to_pd` repairs a (K, d, d) stack (a single
-matrix is a one-row stack): one finiteness and one exact-symmetry scan,
-then one ``dpotrf`` per exactly symmetric row (any other finite row goes
-through :func:`factorize`, which checks and symmetrizes it). Only a row
-whose Cholesky fails goes on to the jitter escalation, and a row that
-cannot be repaired gets None.
+``V @ inv.T`` does not), or by one product with its diagonal; otherwise each
+row takes one ``dpotrs``, or its own factor's matvec or product.
+:func:`repair_to_pd` repairs a (K, d, d) stack (a single matrix is a one-row
+stack): one finiteness and one exact-symmetry scan, then one ``dpotrf`` per
+exactly symmetric row (any other finite row goes through :func:`factorize`,
+which checks and symmetrizes it). Only a row whose Cholesky fails goes on to
+the jitter escalation, and a row that cannot be repaired gets None.
 
 ``dpotrf`` and ``dpotrs`` come from ``scipy.linalg._flapack``, the compiled
 f2py module that ``scipy.linalg.lapack`` star-imports, loaded by its path
@@ -130,8 +144,10 @@ class SpdFactor:
         lower_factor: lower-triangular L with L @ L.T equal to the matrix.
         log_det: log-determinant of the matrix (twice the sum of
             log-diagonal entries of L).
-        inv: the dense inverse, or None. When set, :func:`solve` is one
-            matvec with it instead of two triangular solves.
+        inv: the inverse, or None: the dense (d, d) inverse, or for a
+            diagonal matrix that inverse's diagonal, a (d,) array. When set,
+            :func:`solve` is one matvec with it, or one elementwise product
+            with the diagonal, instead of two triangular solves.
     """
 
     dim: int
@@ -196,12 +212,14 @@ def _cholesky(sym: np.ndarray) -> SpdFactor:
 
 
 def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
-    """Solve M @ x = v: ``f.inv @ v`` if f carries its inverse, else ``dpotrs``.
+    """Solve M @ x = v: ``f.inv @ v`` if f carries its dense inverse,
+    ``v * f.inv`` if it carries a diagonal one, else ``dpotrs``.
 
     v may also be a (K, d) stack, solved row by row, each row to the bits
     this call gives it alone, into one (K, d) result: against one factor
-    (one ``np.matvec`` with its inverse, else one ``dpotrs`` per row), or
-    against a sequence of K factors, one per row. The stack is checked once.
+    (one ``np.matvec`` with its inverse, one product with its diagonal, else
+    one ``dpotrs`` per row), or against a sequence of K factors, one per row.
+    The stack is checked once. The result is always a fresh array.
 
     Raises:
         DimensionMismatch: v is not a vector of length ``f.dim`` or a
@@ -216,6 +234,8 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
             )
         _check_finite(v)
         if f.inv is not None:
+            if f.inv.ndim == 1:
+                return v * f.inv
             return f.inv @ v if v.ndim == 1 else np.matvec(f.inv, v)
         if v.ndim == 1:
             return _potrs(f, v)
@@ -228,7 +248,10 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
         _check_finite(v)
     x = np.empty(v.shape)
     for k, (g, row) in enumerate(zip(f, v)):
-        x[k] = _potrs(g, row) if g.inv is None else g.inv @ row
+        if g.inv is None:
+            x[k] = _potrs(g, row)
+        else:
+            x[k] = row * g.inv if g.inv.ndim == 1 else g.inv @ row
     return x
 
 
@@ -261,13 +284,21 @@ def inverse(f: SpdFactor) -> np.ndarray:
 
 
 def with_inverse(f: SpdFactor) -> SpdFactor:
-    """The same factor carrying its dense inverse, for a mass reused all chain."""
-    return replace(f, inv=inverse(f))
+    """The same factor carrying its inverse, for a mass reused all chain: the
+    dense inverse, or for a diagonal matrix (L has no nonzero entry off its
+    diagonal; -0.0 counts as zero) that inverse's diagonal, a (d,) array."""
+    inv = inverse(f)
+    if np.count_nonzero(f.lower_factor) == f.dim:
+        inv = inv.diagonal().copy()
+    return replace(f, inv=inv)
 
 
 def sample_gaussian(f: SpdFactor, rng: np.random.Generator) -> np.ndarray:
-    """Draw one sample from N(0, M) as L @ z with z standard normal."""
+    """Draw one sample from N(0, M) as L @ z with z standard normal; for a
+    factor that carries a diagonal inverse, z times L's diagonal."""
     z = rng.standard_normal(f.dim)
+    if f.inv is not None and f.inv.ndim == 1:
+        return z * f.lower_factor.diagonal()
     return f.lower_factor @ z
 
 

@@ -3,8 +3,8 @@
 ``run_chain`` is the one way to run a transition (``n_samples=1`` runs one).
 Given K generators it runs K chains in lockstep as one (K, d) array: each
 leapfrog step makes one gradient call and one ``solve`` for all of them
-(one matvec with a shared constant mass's inverse, or one ``dpotrs`` per
-chain against HLOCAL_HMC's masses), and each transition one mass-policy call
+(one product with a shared constant mass's stored inverse, or one ``dpotrs``
+per chain against HLOCAL_HMC's masses), and each transition one mass-policy call
 for all endpoints (for HLOCAL_HMC one stacked Hessian and one
 ``repair_to_pd`` of it, checked once and factorized row by row), while every
 chain keeps its own accept test, its own mass and its own generator, drawn
@@ -24,11 +24,13 @@ its mass policy, which maps a (K, d) stack of points to K (SpdFactor, lam)
 pairs: a list of factors, None where the mass cannot be built, and a (K,)
 array of jitters.
 The Hamiltonian kernels are one transition that differs only in that policy:
-HMC and HMAP_HMC use a constant mass (``beta * I`` or the Hessian at the MAP,
-each inverted once so that every ``solve`` is one matvec), HLOCAL_HMC the
-local target Hessian, computed once per point, reused as the next
-trajectory's start mass and frozen during the leapfrog steps, with both
-endpoint log-determinant terms retained.
+HMC and HMAP_HMC use a constant mass, inverted once: ``beta * I``, which keeps
+only its inverse's diagonal, so that every ``solve`` and momentum draw is one
+elementwise product, or the Hessian at the MAP, whose ``solve`` is one
+matvec with its dense inverse. HLOCAL_HMC uses the local target Hessian,
+computed once per point, reused as the next trajectory's start mass and
+frozen during the leapfrog steps, with both endpoint log-determinant terms
+retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
@@ -101,7 +103,9 @@ class PhaseState:
 @dataclass(frozen=True)
 class ScaledIdentity:
     """Mass matrix beta * I, factorized and inverted once per run of a chain: a
-    run continued from a ``ChainState`` keeps the factor of the run before."""
+    run continued from a ``ChainState`` keeps the factor of the run before.
+    Being diagonal, the factor keeps its inverse's diagonal alone
+    (``linalg.with_inverse``), so a solve and a momentum draw cost O(d)."""
 
     beta: float = 1.0
 

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,21 @@ def _spd(dim, seed):
     return 0.5 * (a + a.T)
 
 
+def _diagonal(dim, beta=2.5):
+    """The factor of beta * I carrying its inverse, as HMC's mass does."""
+    return linalg.with_inverse(factorize(beta * np.eye(dim)))
+
+
+def _dense(f):
+    """f carrying its dense inverse: the oracle of a diagonal factor."""
+    return replace(f, inv=linalg.inverse(f))
+
+
+def _same_bits(a, b):
+    """Equal shape and bits: unlike array_equal, -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("dim", LAPACK_DIMS)
 def test_factorize_and_solve_match_scipy_bitwise(dim):
     a = _spd(dim, dim)
@@ -336,7 +352,7 @@ def test_stored_inverse_solve_keeps_every_check(dim):
     # the matvec path refuses exactly what the dpotrs path refuses; a
     # (K, dim) stack, (dim, dim) say, is K vectors to solve
     bare = factorize(_spd(dim, dim))
-    for f in (bare, linalg.with_inverse(bare)):
+    for f in (bare, linalg.with_inverse(bare), _diagonal(dim)):
         for bad in (np.ones(dim + 1), np.ones((dim, dim + 1)), np.ones((2, dim, 1)), 1.0):
             with pytest.raises(DimensionMismatch, match="expected a vector"):
                 solve(f, bad)
@@ -383,7 +399,7 @@ def test_solve_rows_equals_solve_per_row(dim, k):
 
 def test_solve_rows_keeps_the_checks():
     bare = factorize(_spd(3, 3))
-    for f in (bare, linalg.with_inverse(bare)):
+    for f in (bare, linalg.with_inverse(bare), _diagonal(3)):
         for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 3, 1))):
             with pytest.raises(DimensionMismatch, match="stack"):
                 solve(f, bad)
@@ -400,7 +416,8 @@ def test_empty_stacks_keep_their_shape(dim):
     # a (0, d) stack solves to a (0, d) stack on every path
     bare = factorize(_spd(dim, dim))
     v = np.empty((0, dim))
-    for x in (solve([], v), solve(bare, v), solve(linalg.with_inverse(bare), v)):
+    for x in (solve([], v), solve(bare, v), solve(linalg.with_inverse(bare), v),
+              solve(_diagonal(dim), v)):
         assert x.shape == (0, dim)
 
 
@@ -409,12 +426,64 @@ def test_solve_result_is_its_own_array():
     bare = factorize(_spd(3, 3))
     inverted = linalg.with_inverse(bare)
     v, stack = np.ones(3), np.ones((2, 3))
-    for f in (bare, inverted):
+    for f in (bare, inverted, _diagonal(3)):
         for x, given in ((solve(f, v), v), (solve(f, stack), stack),
                          (solve([f, f], stack), stack)):
             assert x.flags.writeable and not np.shares_memory(x, given)
             assert not np.shares_memory(x, f.lower_factor)
             assert f.inv is None or not np.shares_memory(x, f.inv)
+
+
+def test_only_a_diagonal_factor_keeps_a_diagonal_inverse():
+    # with_inverse reads the structure off L: a diagonal L, -0.0 entries
+    # included, keeps the diagonal of inverse(f); any other keeps all of it
+    for dim in LAPACK_DIMS:
+        f = factorize(np.diag(np.linspace(0.5, 3.0, dim)))
+        assert _diagonal(dim).inv.shape == linalg.with_inverse(f).inv.shape == (dim,)
+        assert _same_bits(linalg.with_inverse(f).inv, linalg.inverse(f).diagonal())
+    lower = np.diag([1.0, 2.0, 3.0, 4.0])
+    lower[2, 0] = -0.0
+    assert linalg.with_inverse(SpdFactor(4, lower, 0.0)).inv.shape == (4,)
+    assert linalg.with_inverse(factorize(_spd(4, 4))).inv.shape == (4, 4)
+    tridiagonal = np.eye(4) + 0.25 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    assert linalg.with_inverse(factorize(tridiagonal)).inv.shape == (4, 4)
+
+
+DIAGONAL_BETAS = (1.0, 2.5, 0.3, 1e-3, 12345.678, 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("beta", DIAGONAL_BETAS)
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_diagonal_factor_solves_and_draws_as_its_dense_inverse(dim, beta):
+    # each row of inv @ v and of L @ z is one nonzero product plus exact
+    # zeros, so one elementwise product gives the same bits
+    f = _diagonal(dim, beta)
+    dense = _dense(f)
+    rng = np.random.default_rng(dim)
+    v = rng.standard_normal(dim)
+    assert _same_bits(solve(f, v), solve(dense, v))
+    for k in (1, 3):
+        stacks = (rng.standard_normal((k, dim)), rng.standard_normal((k, 2 * dim))[:, ::2],
+                  np.asfortranarray(rng.standard_normal((k, dim))))
+        for stack in stacks:
+            assert _same_bits(solve(f, stack), solve(dense, stack))
+    draws = [sample_gaussian(g, np.random.default_rng(7)) for g in (f, dense)]
+    assert _same_bits(*draws)
+
+
+@pytest.mark.parametrize("beta", DIAGONAL_BETAS)
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_diagonal_factor_in_a_per_row_list(dim, beta):
+    # a list that mixes diagonal, dense and bare factors: each row gets the
+    # bits its own factor gives it alone
+    factors = [_diagonal(dim, beta), linalg.with_inverse(factorize(_spd(dim, 1))),
+               factorize(_spd(dim, 2)), factorize(beta * np.eye(dim)), _diagonal(dim, 1.0)]
+    oracle = [_dense(g) if g.inv is not None and g.inv.ndim == 1 else g for g in factors]
+    v = np.random.default_rng(dim).standard_normal((len(factors), dim))
+    x = solve(factors, v)
+    assert _same_bits(x, solve(oracle, v))
+    for row, g, given in zip(x, factors, v):
+        assert _same_bits(row, solve(g, given))
 
 
 def test_repair_scans_finiteness_once(monkeypatch):

@@ -1043,6 +1043,41 @@ class TestConstantMassInverse:
         assert np.array_equal(inverted.samples, bare.samples)
         assert np.array_equal(inverted.potentials, bare.potentials)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.5, 0.3])
+    def test_scaled_identity_carries_the_diagonal_of_its_inverse(self, beta):
+        # beta * I keeps a (d,) inverse, so a solve and a draw are O(d); the
+        # MAP mass, not diagonal, keeps its dense (d, d) inverse
+        cfg, target = cli_target(8, 8)
+        (mass,), _ = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
+        assert mass.inv.shape == (64,)
+        assert np.array_equal(mass.inv, linalg.inverse(mass).diagonal())
+        s = cfg["sampler"]
+        hmap = KERNELS["HMAP_HMC"].default(target, s["pd_floor"], s["beta"]).factor
+        assert hmap.inv.shape == (64, 64)
+
+    @pytest.mark.parametrize("chains", [1, 8])
+    @pytest.mark.parametrize("beta", [2.5, 0.3])
+    def test_diagonal_mass_chain_equals_the_dense_inverse_chain(self, beta, chains):
+        # HMC with beta * I gives the bits of a run whose factor carries the
+        # dense inverse, one chain or eight in lockstep
+        _, target = cli_target(8, 8)
+        spec = ScaledIdentity(beta)
+        (mass,), _ = spec.mass_at(target)(target.map_point()[None])
+        dense = FixedSpd(replace(mass, inv=linalg.inverse(mass)))
+        cfg = SamplerConfig(method="HMC", dt=cli.DESK_DT["HMC"], leapfrog_steps=10,
+                            n_samples=60, burn_in=5)
+
+        def rngs():  # one generator runs one chain, a list of them K in lockstep
+            if chains == 1:
+                return np.random.default_rng(0)
+            return [np.random.default_rng(seed) for seed in range(chains)]
+
+        records = [run_chain(target, m, cfg, target.map_point(), rngs()) for m in (spec, dense)]
+        assert 0.0 < records[0].accept_flags.mean() < 1.0
+        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
+            a, b = (getattr(r, name) for r in records)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
     def test_hmap_chain_matches_the_bare_factor(self):
         cfg, target = cli_target(8, 8)
         s = cfg["sampler"]
