@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on seventeen configs, and
+# runs `python3 -m hessmc run` from both source trees on eighteen configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config keeps every seventh sample of
 # blocks of 150, so thinning must carry on across block boundaries. The
@@ -33,7 +33,9 @@
 # its inverse's diagonal is not all ones: `beta_up` (beta 3, 2 chains, 600
 # samples), `beta_down` (field variance 0.01, beta 0.3, 8 chains, so one
 # factor solves an 8-row stack) and `beta_f144` (12x12 grid, beta 2.5,
-# 2 chains).
+# 2 chains). The `wide` config (24x24 grid, HMAP_HMC, 2 chains, 200 samples,
+# burn-in 20, every sample stored) has rows of 576 values, each larger than
+# the CSV writer's chunk budget, so its samples are formatted one row at a time.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work; CI
@@ -104,6 +106,11 @@ cat > "$work/beta_f144.json" <<JSON
  $hmc, "n_samples": 300, "beta": 2.5}, "run": {"chains": 2, "methods": ["HMC"]}}
 JSON
 
+cat > "$work/wide.json" <<JSON
+{"target": {"rows": 24, "cols": 24, "extent_m": [24000.0, 12000.0]},
+ $hmc, "n_samples": 200}, "run": {"chains": 2, "methods": ["HMAP_HMC"]}}
+JSON
+
 for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
     cat > "$work/mass_${mass%%:*}.json" <<JSON
 {"sampler": {"n_samples": 50, "credible_mass": ${mass#*:}}, "run": {"methods": ["MH"]}}
@@ -114,7 +121,7 @@ status=0
 mkdir "$work/stdout"
 for config in desk field144 chains8 thin7 rough tiny nologdet \
         scale_up straddle scale_far mass_centre mass_tail mass_far mass_one \
-        beta_up beta_down beta_f144; do
+        beta_up beta_down beta_f144 wide; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

@@ -10,9 +10,9 @@ comparison, and its kind, which load_config checks for the file and flags.
 Output CSVs are comma-delimited with a header row, LF line endings and '%.17g'
 numbers (a float reads back as the float written, an integer column as
 integers), so reruns with the same config and seed are byte-identical.
-write_csv formats a float array in numpy, chunk by chunk (_Formatter), to
-the bytes '%.17g' gives; the summary's rows and a chunk holding a value
-outside 1e-4 <= |x| < 1e16 go through one '%' template per line.
+write_csv formats a float array in numpy, chunk by chunk, to the bytes
+'%.17g' gives; the summary's rows and a chunk holding a value outside
+1e-4 <= |x| < 1e16 go through one '%' template per line.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
 per chain), in blocks of ceil(n_samples / (chains + 1)) samples, one
 ``run_chain`` call each. A block continues the chains from the ``state`` the
@@ -387,112 +387,76 @@ def _cell_masks() -> np.ndarray:
 _WORDS = _digit_words()
 _ZEROS2 = _group_zeros()
 _MASKS = _cell_masks()
-# Bytes a value holds while a chunk is formatted: |x| and six more floats, s,
-# five groups, its sign, its cell and the cell's copy in the text
-# bytes.translate returns. write_csv sizes its chunks so that these come to
-# at most _CHUNK_BYTES (one row if a row holds more): an archive samples
-# block's write then stays below the peak that diagnostics.credible_band sets
-# later in the call.
-_VALUE_BYTES = 7 * 8 + 8 + 5 * 8 + 1 + 40 + 40
+# Bytes a value holds at _format's peak, its bytes.translate: |x|, s, N's
+# leading digit and the trailing-zero count, a zero group's flag, and its
+# 40-byte cell three times: in the array, in its bytes and in what translate
+# makes before it drops the zeros. write_csv sizes its chunks so that these
+# come to at most _CHUNK_BYTES (one row if a row holds more): an archive
+# samples block's write then stays below the peak that
+# diagnostics.credible_band sets later in the call.
+_VALUE_BYTES = 4 * 8 + 1 + 3 * 40
 _CHUNK_BYTES = 96 * 1024
 
 
-class _Formatter:
-    """The '%.17g' text of float blocks of up to rows x cols values in
-    1e-4 <= |x| < 1e16, from buffers allocated once."""
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, N) of each value of x in 1e-4 <= x < 1e16: N the 17-digit integer
+    nearest x * 10**s."""
+    s = (16.0 - np.floor(np.log10(x))).astype(np.int64)
+    ah = x * _SPLIT
+    ah -= ah - x
+    al = x - ah
+    while True:
+        hi = x * _POW10.take(s)
+        bh, bl = _POW10_HI.take(s), _POW10_LO.take(s)
+        lo = (((ah * bh - hi) + al * bh) + ah * bl) + al * bl  # x 10**s - hi, exactly
+        if hi.min() > 1e16 and hi.max() < 1e17:
+            break
+        # log10 may miss k by one next to a power of ten: step s where the
+        # exact hi + lo is outside [1e16, 1e17)
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        if not (low.any() or high.any()):
+            break
+        s += low
+        s -= high
+    return s, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
-    def __init__(self, rows: int, cols: int):
-        n = rows * cols
-        self.real = np.empty((6, n))  # the float steps, then the cells' masks
-        self.code = np.empty(n, np.int64)  # s, then each cell's mask row
-        self.groups = np.empty((n, 5), np.int64)
-        self.flags = np.empty(n, bool)  # a zero group's, then each sign
-        self.text = bytearray(40 * n)
-        self.cells = np.frombuffer(self.text, np.uint64).reshape(n, 5)
-        self.sep = np.full(cols, ord(","), np.uint8)
-        self.sep[-1] = ord("\n")
 
-    def write(self, fh, block: np.ndarray, size: np.ndarray) -> None:
-        """Write block's lines to fh, given size = |block|."""
-        rows, cols = block.shape
-        n = rows * cols
-        x = size.reshape(n)
-        t, hi, lo, ah, al, bl = (a[:n] for a in self.real)
-        s, groups, flags = self.code[:n], self.groups[:n], self.flags[:n]
-        np.log10(x, t)
-        np.floor(t, t)
-        np.subtract(16.0, t, t)
-        s[...] = t
-        np.multiply(x, _SPLIT, ah)
-        np.subtract(ah, x, al)
-        np.subtract(ah, al, ah)
-        np.subtract(x, ah, al)
-        while True:
-            _POW10.take(s, None, hi, "clip")
-            np.multiply(x, hi, hi)
-            _POW10_HI.take(s, None, t, "clip")
-            _POW10_LO.take(s, None, bl, "clip")
-            np.multiply(ah, t, lo)  # lo = x 10**s - hi, in Dekker's order
-            np.subtract(hi, lo, lo)
-            np.multiply(al, t, t)
-            np.subtract(lo, t, lo)
-            np.multiply(ah, bl, t)
-            np.subtract(lo, t, lo)
-            np.multiply(al, bl, t)
-            np.subtract(t, lo, lo)
-            if hi.min() > 1e16 and hi.max() < 1e17:
-                break
-            # log10 may miss k by one next to a power of ten: step s where the
-            # exact hi + lo is outside [1e16, 1e17)
-            low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-            high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-            if not (low.any() or high.any()):
-                break
-            s += low
-            s -= high
-        # the floats are spent: their rows hold integers from here on
-        last, zeros, more = self.real[:3, :n].view(np.int64)
-        np.rint(lo, lo)
-        np.copyto(groups[:, 0], hi, "unsafe")
-        np.copyto(last, lo, "unsafe")
-        groups[:, 0] += last  # N
-        np.divmod(groups[:, 0], 10**4, groups[:, 0], last)  # contiguous, for take
-        groups[:, 4] = last
-        for col in (3, 2, 1):
-            np.divmod(groups[:, 0], 10**4, groups[:, 0], groups[:, col])
-        groups[:, 0] += 10**4
-        _ZEROS2.take(last, None, zeros, "clip")
-        for col in (3, 2, 1):  # a zero group: count on into the one before it
-            np.equal(zeros, 8 * (4 - col), flags)
-            if not flags.any():
-                break
-            np.copyto(last, groups[:, col])
-            _ZEROS2.take(last, None, more, "clip")
-            more *= flags
-            zeros += more
-        np.signbit(block, flags.reshape(rows, cols))
-        np.multiply(s, 34, s)
-        s += zeros
-        s += flags
-        cells = self.cells[:n]
-        masks = self.real.reshape(-1)[: 5 * n].view(np.uint64).reshape(n, 5)
-        _WORDS.take(groups, None, cells, "clip")
-        _MASKS.take(s, 0, masks, "clip")
-        np.bitwise_and(cells, masks, cells)
-        cells.view(np.uint8).reshape(rows, cols, 40)[:, :, 39] = self.sep
-        self.cells[n:] = 0  # past a short last chunk: nothing to write
-        fh.write(self.text.translate(None, b"\0"))
+def _format(fh, block: np.ndarray, size: np.ndarray) -> None:
+    """Write the '%.17g' lines of block to fh, given size = |block| with
+    every value in 1e-4 <= |x| < 1e16."""
+    s, n = _decimal(size.reshape(-1))
+    groups = np.empty((len(n), 5), np.int64)
+    for col in (4, 3, 2, 1):
+        n, groups[:, col] = np.divmod(n, 10**4)
+    groups[:, 0] = n + 10**4
+    zeros = _ZEROS2.take(groups[:, 4])
+    for col in (3, 2, 1):  # a zero group: count on into the one before it
+        zero = zeros == 8 * (4 - col)
+        if not zero.any():
+            break
+        zeros += _ZEROS2.take(groups[:, col]) * zero
+    s *= 34
+    s += zeros
+    s += np.signbit(block).reshape(-1)
+    cells = _WORDS.take(groups)
+    del groups  # not held at the peak that _VALUE_BYTES counts
+    cells &= _MASKS.take(s, axis=0)
+    text = cells.view(np.uint8).reshape(*block.shape, 40)
+    text[:, :, 39] = ord(",")
+    text[:, -1, 39] = ord("\n")
+    fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path: Path, header: list[str] | None, rows) -> None:
     """Write rows under a header line, or append them to path if header is None.
 
     rows is a 2-D float array, or a list of tuples whose str items are written
-    as they are. A float array goes through _Formatter in chunks of rows of at
+    as they are. A float array is formatted in numpy in chunks of rows of at
     most _CHUNK_BYTES; a chunk holding 0, inf, NaN, |x| < 1e-4 or |x| >= 1e16,
     and a list, are written through one '%' template built from the first
     row: '%.17g' for a number, '%s' for a str. The two paths write the same
-    bytes, and the formatter's buffers come with the first chunk it takes.
+    bytes.
     """
     with open(path, "ab" if header is None else "wb") as fh:
         if header is not None:
@@ -505,13 +469,11 @@ def write_csv(path: Path, header: list[str] | None, rows) -> None:
                 fh.write((line % row).encode())
             return
         step = max(1, _CHUNK_BYTES // (_VALUE_BYTES * rows.shape[1]))
-        formatter = None
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
             size = np.absolute(chunk)
             if size.min() >= 1e-4 and size.max() < 1e16:  # a NaN fails both
-                formatter = formatter or _Formatter(min(step, len(rows)), rows.shape[1])
-                formatter.write(fh, chunk, size)
+                _format(fh, chunk, size)
                 continue
             for row in chunk:
                 fh.write((line % tuple(row.tolist())).encode())

@@ -22,7 +22,6 @@ from hessmc import cli, diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
-    _Formatter,
     _ndtri,
     build_target,
     exact_band,
@@ -299,19 +298,19 @@ class TestWriteCsv:
         size = np.absolute(block)
         assert size.min() >= 1e-4 and size.max() < 1e16
         fh = io.BytesIO()
-        _Formatter(*block.shape).write(fh, block, size)
+        cli._format(fh, block, size)
         return fh.getvalue().decode()
 
     def chunks(self, tmp_path, header, rows):
         """What write_csv writes, and the row count of each chunk the numpy
         formatter took."""
-        taken, write = [], _Formatter.write
+        taken, write = [], cli._format
 
-        def counted(formatter, fh, block, size):
+        def counted(fh, block, size):
             taken.append(len(block))
-            write(formatter, fh, block, size)
+            write(fh, block, size)
 
-        with mock.patch.object(_Formatter, "write", counted):
+        with mock.patch.object(cli, "_format", counted):
             return self.write(tmp_path, header, rows), taken
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None,
@@ -381,18 +380,21 @@ class TestWriteCsv:
         assert_csv(text, None, block)
         assert taken == [step, step]
 
-    def test_working_set_is_one_chunk(self, tmp_path):
-        # a desk-like 334 x 64 block, one chain's block of an archive MH call
-        record = np.random.default_rng(5).lognormal(-1.0, 0.03, (2, 334, 64))
+    @pytest.mark.parametrize("cols", [64, 144])
+    def test_working_set_is_one_chunk(self, tmp_path, cols):
+        # a desk-like 334-row block, one chain's block of an archive MH call,
+        # at the desk and field144 row widths
+        record = np.random.default_rng(5).lognormal(-1.0, 0.03, (2, 334, cols))
         path = tmp_path / "t.csv"
-        write_csv(path, [f"x{i}" for i in range(64)], record[1])  # one-off costs
+        write_csv(path, [f"x{i}" for i in range(cols)], record[1])  # one-off costs
         tracemalloc.start()
         try:
             write_csv(path, None, record[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 96 KiB of formatter buffers, the file's 8 KiB buffer and small objects
+        # at most 96 KiB while a chunk's text is translated (cli._VALUE_BYTES),
+        # the file's 8 KiB buffer and small objects
         assert peak < 112 * 1024
         lines = path.read_bytes().decode().splitlines(keepends=True)
         assert_csv("".join(lines[1:]), None, np.concatenate((record[1], record[1])))

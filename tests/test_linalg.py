@@ -434,22 +434,36 @@ def test_solve_result_is_its_own_array():
             assert f.inv is None or not np.shares_memory(x, f.inv)
 
 
+DIAGONAL_BETAS = (1.0, 2.5, 0.3, 1e-3, 12345.678, 1e-300, 1e300)
+
+
 def test_only_a_diagonal_factor_keeps_a_diagonal_inverse():
     # with_inverse reads the structure off L: a diagonal L, -0.0 entries
     # included, keeps the diagonal of inverse(f); any other keeps all of it
     for dim in LAPACK_DIMS:
         f = factorize(np.diag(np.linspace(0.5, 3.0, dim)))
         assert _diagonal(dim).inv.shape == linalg.with_inverse(f).inv.shape == (dim,)
-        assert _same_bits(linalg.with_inverse(f).inv, linalg.inverse(f).diagonal())
+        for g in (f, *(factorize(beta * np.eye(dim)) for beta in DIAGONAL_BETAS)):
+            assert _same_bits(linalg.with_inverse(g).inv, linalg.inverse(g).diagonal())
     lower = np.diag([1.0, 2.0, 3.0, 4.0])
     lower[2, 0] = -0.0
     assert linalg.with_inverse(SpdFactor(4, lower, 0.0)).inv.shape == (4,)
+    assert _same_bits(linalg.with_inverse(SpdFactor(4, lower, 0.0)).inv,
+                      linalg.inverse(SpdFactor(4, lower, 0.0)).diagonal())
     assert linalg.with_inverse(factorize(_spd(4, 4))).inv.shape == (4, 4)
     tridiagonal = np.eye(4) + 0.25 * (np.eye(4, k=1) + np.eye(4, k=-1))
     assert linalg.with_inverse(factorize(tridiagonal)).inv.shape == (4, 4)
 
 
-DIAGONAL_BETAS = (1.0, 2.5, 0.3, 1e-3, 12345.678, 1e-300, 1e300)
+def test_diagonal_inverse_is_not_the_dense_inverse(monkeypatch):
+    # a diagonal factor's inverse is one solve against ones, not the O(d**3)
+    # inverse against the identity; a dense factor still takes inverse
+    calls = []
+    monkeypatch.setattr(linalg, "inverse", _counting(calls, linalg.inverse))
+    assert linalg.with_inverse(factorize(2.5 * np.eye(144))).inv.shape == (144,)
+    assert calls == []
+    assert linalg.with_inverse(factorize(_spd(4, 4))).inv.shape == (4, 4)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("beta", DIAGONAL_BETAS)
