@@ -6,8 +6,9 @@
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
 # runs `python3 -m hessmc run` from both source trees on eighteen configs, and
 # compares the two output directories with `diff -r` and the two printed
-# summaries with `diff`. The `thin7` config keeps every seventh sample of
-# blocks of 150, so thinning must carry on across block boundaries. The
+# summaries with `diff`. The `thin7` config (600 samples, 3 chains) keeps
+# every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
+# block budget, so thinning must carry on across nine block boundaries. The
 # `tiny` config (10 samples, burn-in 5, 12 chains, every third sample kept)
 # runs ten blocks of one sample, so burn-in comes in the first block alone
 # and thinning carries on across nine block boundaries. The

@@ -14,17 +14,21 @@ write_csv formats a float array in numpy, chunk by chunk, to the bytes
 '%.17g' gives; the summary's rows and a chunk holding a value outside
 1e-4 <= |x| < 1e16 go through one '%' template per line.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
-per chain), in blocks of ceil(n_samples / (chains + 1)) samples, one
-``run_chain`` call each. A block continues the chains from the ``state`` the
-last block's record ends in, with the same generators, so no start point is
-evaluated twice and the blocks join to one run bit for bit; chain c draws
-from the stream ``np.random.default_rng([seed, c])`` and its output is the
-bytes that stream gives alone. A block's samples are written and reduced to
-spatial averages before the next block runs, and only its state outlives it,
-so memory holds one block, chain 0's band rows and a few floats per sample,
-never every chain's record. A run makes no numpy overflow or invalid-value
-warning: a chain judges such a value itself (as a rejected proposal, or as a
-numerical error below), so a known error prints its one line alone.
+per chain), in blocks of at most 96 KiB of samples across the chains (one
+sample if one transition's samples are more) and at most
+ceil(n_samples / (chains + 1)) samples, one ``run_chain`` call each. A block
+continues the chains from the ``state`` the last block's record ends in, with
+the same generators, so no start point is evaluated twice and the blocks join
+to one run bit for bit; chain c draws from the stream
+``np.random.default_rng([seed, c])`` and its output is the bytes that stream
+gives alone. A block's samples are written and reduced to spatial averages
+before the next block runs, and only its state outlives it, so memory holds
+one block, chain 0's band rows and a few floats per sample, never every
+chain's record. The band's quantiles are taken in place on those rows, which
+are freed before the next method runs. A run makes no numpy overflow or
+invalid-value warning: a chain judges such a value itself (as a rejected
+proposal, or as a numerical error below), so a known error prints its one
+line alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
 EXIT_CODES); config and target errors come before any output is written.
@@ -391,11 +395,14 @@ _MASKS = _cell_masks()
 # leading digit and the trailing-zero count, a zero group's flag, and its
 # 40-byte cell three times: in the array, in its bytes and in what translate
 # makes before it drops the zeros. write_csv sizes its chunks so that these
-# come to at most _CHUNK_BYTES (one row if a row holds more): an archive
-# samples block's write then stays below the peak that
-# diagnostics.credible_band sets later in the call.
+# come to at most _CHUNK_BYTES (one row if a row holds more). A run that
+# stores its samples peaks while it writes a block: chain 0's band rows, one
+# block (_BLOCK_BYTES) and one chunk.
 _VALUE_BYTES = 4 * 8 + 1 + 3 * 40
 _CHUNK_BYTES = 96 * 1024
+# The most bytes of samples one block of run_experiment holds across its
+# chains; no more than a writer chunk, so a block adds little to the band rows.
+_BLOCK_BYTES = 96 * 1024
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -502,10 +509,12 @@ def run_experiment(cfg: dict) -> int:
     band_ref = exact_band(target, s["credible_mass"])
     keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
     n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
-    # Chain 0's band rows, up to one chain's record, are held beside each block:
-    # blocks of n K / (K + 1) samples keep the two under two serial records,
-    # the peak a serial run reaches with its record and the band's copy of it.
-    block = -(-n // (chains + 1))
+    # Chain 0's band rows are held beside one block at a time. A block holds
+    # at most _BLOCK_BYTES of samples across the chains (one sample if that
+    # is more) and at most ceil(n / (K + 1)) samples, so the two stay under
+    # two serial records however small the run.
+    block = min(-(-n // (chains + 1)),
+                max(1, _BLOCK_BYTES // (8 * target.dim * chains)))
     summary_rows = []
     for method in cfg["run"]["methods"]:
         mass_spec = KERNELS[method].default(target, s["pd_floor"], s["beta"])
@@ -526,8 +535,8 @@ def run_experiment(cfg: dict) -> int:
             averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
             flags[:, start : start + size] = rec.accept_flags
             lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
-            band_part = band_rows[start : start + size]
-            band_part[:] = rec.samples[0, : len(band_part)]
+            if start < len(band_rows):  # no view of band_rows outlives the block
+                band_rows[start : start + size] = rec.samples[0, : len(band_rows) - start]
             if s["store_samples"]:
                 for chain in range(chains):
                     write_csv(
@@ -536,7 +545,8 @@ def run_experiment(cfg: dict) -> int:
                         rec.samples[chain, -start % thin :: thin],
                     )
             del rec  # free this block's samples: only its state goes on
-        band = diagnostics.credible_band(band_rows, s["credible_mass"])
+        # the rows are dropped next, so their quantiles are taken in place
+        band = diagnostics.credible_band(band_rows, s["credible_mass"], overwrite=True)
         del band_rows
         diag_rows, rho_rows = [], []
         for chain in range(chains):
@@ -550,6 +560,7 @@ def run_experiment(cfg: dict) -> int:
         )
         write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"],
                   np.array(rho_rows, dtype=float))
+        del averages, flags, rho_rows  # so that none is held beside the next method's
         write_csv(
             out_dir / f"band_{method}.csv",
             ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],

@@ -68,11 +68,14 @@ def correlation_time(series: np.ndarray) -> tuple[float, np.ndarray]:
     return max(1.0 + total, 1.0), np.array(rho)
 
 
-def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
+def credible_band(samples: np.ndarray, mass: float,
+                  overwrite: bool = False) -> CredibleBand:
     """Per-coordinate central credible interval from empirical quantiles.
 
     Quantiles interpolate linearly between order statistics at rank
-    q*(N-1) (numpy's 'linear' method).
+    q*(N-1) (numpy's 'linear' method). With overwrite, a float array's rows
+    are reordered in place instead of in a copy (numpy's overwrite_input):
+    the same band, for a caller that drops the array afterwards.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -82,7 +85,8 @@ def credible_band(samples: np.ndarray, mass: float) -> CredibleBand:
     if not 0.0 < mass <= 1.0:
         raise ValueError("mass must lie in (0, 1]")
     lo_q = (1.0 - mass) / 2.0
-    lower, upper = np.quantile(samples, [lo_q, 1.0 - lo_q], axis=0, method="linear")
+    lower, upper = np.quantile(samples, [lo_q, 1.0 - lo_q], axis=0, method="linear",
+                               overwrite_input=overwrite)
     return CredibleBand(lower=lower, upper=upper)
 
 

@@ -516,7 +516,7 @@ class TestRunCommand:
             return traced_peak(cfg)
 
         peak(True)  # first call: one-off allocations and caches
-        block_array = 1000 * 16 * 8  # one chain runs in blocks of n / 2 samples
+        block_array = 1000 * 16 * 8  # one chain's blocks hold at most n / 2 samples
         assert peak(True) - peak(False) < block_array
 
     @pytest.mark.parametrize("method", ["HMAP_HMC", "HLOCAL_HMC"])
@@ -534,6 +534,67 @@ class TestRunCommand:
         peak(1)  # first call: one-off allocations and caches
         sample_array = 500 * 16 * 8
         assert peak(8) - peak(1) < 3 * sample_array
+
+    def test_a_second_method_holds_no_second_band(self, tmp_path):
+        # a method's band rows and per-sample arrays are freed before the next
+        # method runs, so two methods peak like the larger of the two alone
+        cfg = load_config(None, {
+            "target": {"rows": 4, "cols": 4},
+            "sampler": {"n_samples": 4000, "leapfrog_steps": 1},
+            "run": {"output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(*methods):
+            cfg["run"]["methods"] = list(methods)
+            return traced_peak(cfg)
+
+        peak("MH", "HMC")  # first call: one-off allocations and caches
+        band = 4000 * 16 * 8
+        # half a band: CPython keeps up to 2000 freed 3-tuples (128 KB) on its
+        # free list, and tracemalloc counts them as held
+        assert peak("MH", "HMC") - max(peak("MH"), peak("HMC")) < band / 2
+
+    @pytest.mark.parametrize("store_samples", [False, True])
+    def test_band_rows_and_one_block_set_the_peak(self, tmp_path, store_samples):
+        # the band's quantiles are taken on chain 0's rows in place, and a block
+        # holds at most cli._BLOCK_BYTES of samples; a stored block is written
+        # in chunks of about cli._CHUNK_BYTES, through the file's 8 KiB buffer
+        n = 4000
+        cfg = load_config(None, {
+            "sampler": {"n_samples": n, "thin": 1, "store_samples": store_samples},
+            "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
+        })
+        traced_peak(cfg)  # first call: one-off allocations and caches
+        band = n * 64 * 8
+        chunk = cli._CHUNK_BYTES + 8 * 1024 if store_samples else 0
+        # each sample's spatial average and flag, then the target, the MAP and
+        # small objects: 116-118 KB in all with numpy 2.4 on Python 3.11
+        slack = 9 * n + 128 * 1024
+        assert traced_peak(cfg) < band + cli._BLOCK_BYTES + chunk + slack
+
+    def test_block_budget_changes_no_byte(self, tmp_path, monkeypatch):
+        # one sample a block, then blocks of ceil(n / (chains + 1)) samples
+        cfg_path = small_config(tmp_path, sampler={"burn_in": 5, "thin": 3},
+                                run={"chains": 3, "methods": list(METHODS)})
+        calls = []
+        run_chain = samplers.run_chain
+
+        def counted(*args):
+            calls.append(args[2].n_samples)
+            return run_chain(*args)
+
+        monkeypatch.setattr(samplers, "run_chain", counted)
+        outputs = []
+        for budget, size in ((1, 1), (40 * 3 * 4 * 8, 10)):
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", budget)
+            calls.clear()
+            out = tmp_path / f"budget{budget}"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert calls == [size] * (40 // size) * len(METHODS)
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        # map and summary, then each method's diag, rho, band and three samples
+        assert len(outputs[0]) == 2 + 6 * len(METHODS)
+        assert outputs[0] == outputs[1]
 
     def test_only_the_state_outlives_a_block(self, tmp_path, monkeypatch):
         # each block continues from the state the block before ended in, and

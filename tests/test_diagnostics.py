@@ -1,4 +1,6 @@
 """Tests for correlation time, ESS, acceptance rate and credible bands."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,12 @@ class TestAcceptanceRate:
 
 
 class TestCredibleBand:
+    @staticmethod
+    def tied_rows(n):
+        # chains repeat a row on each rejection, so the rows carry ties
+        rng = np.random.default_rng(n)
+        return rng.standard_normal((n, 64))[np.sort(rng.integers(0, n, n))]
+
     def test_full_mass_extremes(self):
         band = credible_band(np.array([1.0, 2.0, 3.0]), 1.0)
         assert band.lower[0] == 1.0
@@ -192,15 +200,38 @@ class TestCredibleBand:
     @pytest.mark.parametrize("n", [40, 400, 1000])
     @pytest.mark.parametrize("mass", [0.95, 0.5, 1.0])
     def test_equals_one_quantile_call_per_tail(self, n, mass):
-        # chains repeat a row on each rejection, so the rows carry ties
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((n, 64))[np.sort(rng.integers(0, n, n))]
+        x = self.tied_rows(n)
         band = credible_band(x, mass)
         lo_q = (1.0 - mass) / 2.0
         lower = np.quantile(x, lo_q, axis=0, method="linear")
         upper = np.quantile(x, 1.0 - lo_q, axis=0, method="linear")
         assert band.lower.tobytes() == lower.tobytes()
         assert band.upper.tobytes() == upper.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 40, 1000])
+    @pytest.mark.parametrize("mass", [0.5, 0.95, 1.0])
+    def test_in_place_band_equals_the_copying_one(self, n, mass):
+        x = self.tied_rows(n)
+        band = credible_band(x, mass)
+        owned = x.copy()
+        tracemalloc.start()
+        try:
+            in_place = credible_band(owned, mass, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert in_place.lower.tobytes() == band.lower.tobytes()
+        assert in_place.upper.tobytes() == band.upper.tobytes()
+        # no copy of the rows: one column's sort buffer and small objects
+        assert peak < 16 * 1024 + x.nbytes // 64
+
+    @pytest.mark.parametrize("n", [2, 40, 1000])
+    def test_caller_array_left_unchanged(self, n):
+        x = self.tied_rows(n)
+        before = x.tobytes()
+        credible_band(x, 0.95)
+        credible_band(x[:, 0], 0.5)
+        assert x.tobytes() == before
 
 
 class TestSummarizeChain:

@@ -158,6 +158,21 @@ class TestMhPropose:
         with pytest.raises(DimensionMismatch, match="generators for"):
             mh_propose(np.zeros((rows, 2)), 0.1, rngs)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_stack_rows_equal_single_draws(self, k):
+        # row r of a stack's proposal is the bits of row r proposed alone with
+        # rngs[r], and each generator ends where it would alone
+        stacked = [np.random.default_rng([5, r]) for r in range(k)]
+        alone = [np.random.default_rng([5, r]) for r in range(k)]
+        theta = np.random.default_rng(1).standard_normal((k, 64))
+        for _ in range(50):
+            prop = mh_propose(theta, 3e-4, stacked)
+            rows = [mh_propose(t, 3e-4, rng) for t, rng in zip(theta, alone)]
+            assert prop.tobytes() == np.array(rows).tobytes()
+            theta = prop
+        assert [r.bit_generator.state for r in stacked] == [
+            r.bit_generator.state for r in alone]
+
     def test_proposal_scale(self):
         rng = np.random.default_rng(0)
         theta = np.array([1.0, 2.0])
