@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on eighteen configs, and
+# runs `python3 -m hessmc run` from both source trees on nineteen configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `thin7` config (600 samples, 3 chains) keeps
 # every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
@@ -37,6 +37,11 @@
 # 2 chains). The `wide` config (24x24 grid, HMAP_HMC, 2 chains, 200 samples,
 # burn-in 20, every sample stored) has rows of 576 values, each larger than
 # the CSV writer's chunk budget, so its samples are formatted one row at a time.
+# The `band_cut` config (MH and HLOCAL_HMC, 2 chains, 1,500 samples,
+# `band_samples` 700, `credible_mass` 0.9) is the one whose band reads fewer
+# rows than the chain has: the band's tails (36 smallest and 36 largest of
+# each coordinate) are merged from blocks of 96 samples, sorted several
+# times, and the band stops 28 rows into its eighth block.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
 # 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
 # tree with itself: a check that the script and the reruns still work; CI
@@ -118,11 +123,16 @@ for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
 JSON
 done
 
+cat > "$work/band_cut.json" <<JSON
+{"sampler": {"n_samples": 1500, "band_samples": 700, "credible_mass": 0.9},
+ "run": {"chains": 2, "methods": ["MH", "HLOCAL_HMC"]}}
+JSON
+
 status=0
 mkdir "$work/stdout"
 for config in desk field144 chains8 thin7 rough tiny nologdet \
         scale_up straddle scale_far mass_centre mass_tail mass_far mass_one \
-        beta_up beta_down beta_f144 wide; do
+        beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

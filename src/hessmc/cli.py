@@ -22,10 +22,12 @@ the same generators, so no start point is evaluated twice and the blocks join
 to one run bit for bit; chain c draws from the stream
 ``np.random.default_rng([seed, c])`` and its output is the bytes that stream
 gives alone. A block's samples are written and reduced to spatial averages
-before the next block runs, and only its state outlives it, so memory holds
-one block, chain 0's band rows and a few floats per sample, never every
-chain's record. The band's quantiles are taken in place on those rows, which
-are freed before the next method runs. A run makes no numpy overflow or
+before the next block runs, and only its state outlives it. Chain 0's first
+band_samples rows are merged block by block into the few of each
+coordinate's smallest and largest values that its band reads
+(``diagnostics.BandTails``), so memory holds one block, those tails and a
+few floats per sample, never a chain's record, and a method's arrays are
+freed before the next method runs. A run makes no numpy overflow or
 invalid-value warning: a chain judges such a value itself (as a rejected
 proposal, or as a numerical error below), so a known error prints its one
 line alone.
@@ -509,10 +511,10 @@ def run_experiment(cfg: dict) -> int:
     band_ref = exact_band(target, s["credible_mass"])
     keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
     n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
-    # Chain 0's band rows are held beside one block at a time. A block holds
-    # at most _BLOCK_BYTES of samples across the chains (one sample if that
-    # is more) and at most ceil(n / (K + 1)) samples, so the two stay under
-    # two serial records however small the run.
+    # A block holds at most _BLOCK_BYTES of samples across the chains (one
+    # sample if that is more) and at most ceil(n / (K + 1)) samples. Beside
+    # it, the band's tails of chain 0's first band_samples rows are held
+    # with room for one block's rows, so at most one sort merges a block.
     block = min(-(-n // (chains + 1)),
                 max(1, _BLOCK_BYTES // (8 * target.dim * chains)))
     summary_rows = []
@@ -523,7 +525,8 @@ def run_experiment(cfg: dict) -> int:
         averages = np.empty((chains, n))  # each sample's spatial average
         flags = np.empty((chains, n), dtype=bool)
         lams = np.zeros(chains)
-        band_rows = np.empty((min(n, s["band_samples"]), target.dim))  # chain 0's
+        tails = diagnostics.BandTails(min(n, s["band_samples"]), target.dim,
+                                      s["credible_mass"], block)
         position = theta_map  # then the state the last block ended in
         for start in range(0, n, block):
             size = min(block, n - start)
@@ -535,8 +538,8 @@ def run_experiment(cfg: dict) -> int:
             averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
             flags[:, start : start + size] = rec.accept_flags
             lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
-            if start < len(band_rows):  # no view of band_rows outlives the block
-                band_rows[start : start + size] = rec.samples[0, : len(band_rows) - start]
+            if start < tails.n:
+                tails.add(rec.samples[0, : tails.n - start])
             if s["store_samples"]:
                 for chain in range(chains):
                     write_csv(
@@ -545,22 +548,22 @@ def run_experiment(cfg: dict) -> int:
                         rec.samples[chain, -start % thin :: thin],
                     )
             del rec  # free this block's samples: only its state goes on
-        # the rows are dropped next, so their quantiles are taken in place
-        band = diagnostics.credible_band(band_rows, s["credible_mass"], overwrite=True)
-        del band_rows
+        band = diagnostics.credible_band(tails.kept, s["credible_mass"], tails.n)
+        del tails
         diag_rows, rho_rows = [], []
         for chain in range(chains):
             d = diagnostics.summarize_chain(averages[chain], flags[chain])
             diag_rows.append((chain, d.acceptance_rate, d.tau, d.n_eff, lams[chain]))
-            rho_rows.extend((chain, t, r) for t, r in enumerate(d.rho, start=1))
+            lags = np.arange(1, len(d.rho) + 1)
+            rho_rows.append(np.column_stack((np.full(len(lags), chain), lags, d.rho)))
         write_csv(
             out_dir / f"diag_{method}.csv",
             ["chain", "acce", "tau", "n_eff", "max_repair_lambda"],
             np.array(diag_rows),
         )
         write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"],
-                  np.array(rho_rows, dtype=float))
-        del averages, flags, rho_rows  # so that none is held beside the next method's
+                  np.concatenate(rho_rows))
+        del averages, flags, d, lags, rho_rows  # so that none is held beside the next method's
         write_csv(
             out_dir / f"band_{method}.csv",
             ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],

@@ -503,8 +503,8 @@ class TestRunCommand:
         assert peak(8) - peak(1) < 3 * sample_array
 
     def test_stored_samples_stream_to_disk(self, tmp_path):
-        # two band rows, so that the band's copy of chain 0 cannot set the peak
-        # and hide a writer that copies a block or builds its text in memory
+        # two band rows, so that the band's tails cannot set the peak and hide
+        # a writer that copies a block or builds its text in memory
         cfg = load_config(None, {
             "target": {"rows": 4, "cols": 4},
             "sampler": {"n_samples": 2000, "thin": 1, "band_samples": 2},
@@ -536,7 +536,7 @@ class TestRunCommand:
         assert peak(8) - peak(1) < 3 * sample_array
 
     def test_a_second_method_holds_no_second_band(self, tmp_path):
-        # a method's band rows and per-sample arrays are freed before the next
+        # a method's band tails and per-sample arrays are freed before the next
         # method runs, so two methods peak like the larger of the two alone
         cfg = load_config(None, {
             "target": {"rows": 4, "cols": 4},
@@ -549,28 +549,43 @@ class TestRunCommand:
             return traced_peak(cfg)
 
         peak("MH", "HMC")  # first call: one-off allocations and caches
-        band = 4000 * 16 * 8
-        # half a band: CPython keeps up to 2000 freed 3-tuples (128 KB) on its
-        # free list, and tracemalloc counts them as held
-        assert peak("MH", "HMC") - max(peak("MH"), peak("HMC")) < band / 2
+        # small objects (4 KB with numpy 2.4 on Python 3.11); one method's
+        # samples' averages and flags alone are 36 KB, its tails 124 KB
+        assert peak("MH", "HMC") - max(peak("MH"), peak("HMC")) < 12 * 1024
 
     @pytest.mark.parametrize("store_samples", [False, True])
-    def test_band_rows_and_one_block_set_the_peak(self, tmp_path, store_samples):
-        # the band's quantiles are taken on chain 0's rows in place, and a block
-        # holds at most cli._BLOCK_BYTES of samples; a stored block is written
-        # in chunks of about cli._CHUNK_BYTES, through the file's 8 KiB buffer
+    def test_band_tails_and_one_block_set_the_peak(self, tmp_path, store_samples):
+        # the band holds the 101 smallest and 101 largest of each coordinate
+        # of 4,000 samples, beside a block of at most cli._BLOCK_BYTES (192
+        # samples); a stored block is written in chunks of about
+        # cli._CHUNK_BYTES, through the file's 8 KiB buffer
         n = 4000
         cfg = load_config(None, {
             "sampler": {"n_samples": n, "thin": 1, "store_samples": store_samples},
             "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
         })
         traced_peak(cfg)  # first call: one-off allocations and caches
-        band = n * 64 * 8
+        tails = (101 + 101 + 192) * 64 * 8
         chunk = cli._CHUNK_BYTES + 8 * 1024 if store_samples else 0
         # each sample's spatial average and flag, then the target, the MAP and
         # small objects: 116-118 KB in all with numpy 2.4 on Python 3.11
         slack = 9 * n + 128 * 1024
-        assert traced_peak(cfg) < band + cli._BLOCK_BYTES + chunk + slack
+        assert traced_peak(cfg) < tails + cli._BLOCK_BYTES + chunk + slack
+
+    def test_band_rows_are_not_held(self, tmp_path):
+        # a band of 4,000 samples costs its tails over one of 40, not 4,000 rows
+        cfg = load_config(None, {
+            "sampler": {"n_samples": 4000, "thin": 1},
+            "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(band_samples):
+            cfg["sampler"]["band_samples"] = band_samples
+            return traced_peak(cfg)
+
+        peak(40)  # first call: one-off allocations and caches
+        tails = (101 + 101 + 192) * 64 * 8  # of 4,000, with room for one block
+        assert peak(4000) - peak(40) < 2 * tails
 
     def test_block_budget_changes_no_byte(self, tmp_path, monkeypatch):
         # one sample a block, then blocks of ceil(n / (chains + 1)) samples

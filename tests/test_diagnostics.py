@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hessmc import diagnostics
 from hessmc.diagnostics import (
+    BandTails,
     ZeroVariance,
     correlation_time,
     credible_band,
@@ -208,22 +210,34 @@ class TestCredibleBand:
         assert band.lower.tobytes() == lower.tobytes()
         assert band.upper.tobytes() == upper.tobytes()
 
+    @staticmethod
+    def streamed(x, mass, size):
+        # x's rows in blocks of size, merged into the band's tails
+        tails = BandTails(len(x), x.shape[1], mass, size)
+        for start in range(0, len(x), size):
+            tails.add(x[start : start + size])
+        return tails
+
     @pytest.mark.parametrize("n", [2, 40, 1000])
     @pytest.mark.parametrize("mass", [0.5, 0.95, 1.0])
     def test_in_place_band_equals_the_copying_one(self, n, mass):
+        # the tails, sorted in place as blocks come, give the band of all
+        # rows, which credible_band takes on its own copy
         x = self.tied_rows(n)
         band = credible_band(x, mass)
-        owned = x.copy()
         tracemalloc.start()
         try:
-            in_place = credible_band(owned, mass, overwrite=True)
+            tails = self.streamed(x, mass, 16)
+            streamed = credible_band(tails.kept, mass, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert in_place.lower.tobytes() == band.lower.tobytes()
-        assert in_place.upper.tobytes() == band.upper.tobytes()
-        # no copy of the rows: one column's sort buffer and small objects
-        assert peak < 16 * 1024 + x.nbytes // 64
+        assert streamed.lower.tobytes() == band.lower.tobytes()
+        assert streamed.upper.tobytes() == band.upper.tobytes()
+        # no copy of the rows: the tails with room for one block, sorted copies
+        # of at most diagnostics._SORT_VALUES of them and small objects
+        rows = min(n, tails.low + tails.high + 16)
+        assert peak < (rows * x.shape[1] + diagnostics._SORT_VALUES) * 8 + 16 * 1024
 
     @pytest.mark.parametrize("n", [2, 40, 1000])
     def test_caller_array_left_unchanged(self, n):
@@ -231,7 +245,50 @@ class TestCredibleBand:
         before = x.tobytes()
         credible_band(x, 0.95)
         credible_band(x[:, 0], 0.5)
+        tails = self.streamed(x, 0.95, 7)
+        kept = tails.kept.tobytes()
+        credible_band(tails.kept, 0.95, n)
         assert x.tobytes() == before
+        assert tails.kept.tobytes() == kept
+
+    def test_tails_are_all_the_band_reads(self):
+        # 0.95 of 1,000: ranks 24 and 25 below, 974 and 975 above
+        tails = BandTails(1000, 3, 0.95, 100)
+        assert (tails.low, tails.high) == (26, 26)
+        # tails that cover every row keep them all, in their order
+        x = self.tied_rows(40)[:, :3]
+        tails = self.streamed(x, 1e-9, 1)
+        assert (tails.low, tails.high) == (21, 21)
+        assert tails.kept.tobytes() == x.tobytes()
+
+    def test_too_many_rows_or_too_few_rejected(self):
+        x = self.tied_rows(40)
+        tails = self.streamed(x, 0.95, 40)
+        with pytest.raises(ValueError, match="40 in all"):
+            tails.add(x[:1])
+        with pytest.raises(ValueError, match="at most 8 rows at a time"):
+            BandTails(40, 64, 0.95, 8).add(x[:9])
+        with pytest.raises(ValueError, match="cannot hold"):
+            credible_band(x[:3], 0.95, 40)
+        with pytest.raises(ValueError, match="cannot hold"):
+            credible_band(x, 0.95, 39)
+
+    @pytest.mark.parametrize("mass", [1.0, 0.2, 1e-9, 0.999999, 0.99999999999999, "random"])
+    def test_streamed_band_is_numpy_quantile_bit_for_bit(self, mass):
+        # n rows of d coordinates in blocks of every size from 1 to n; small
+        # integers make ties (and no -0.0, which a sort may place either
+        # side of 0.0)
+        rng = np.random.default_rng(28)
+        for trial in range(12):
+            n = (2, 500)[trial] if trial < 2 else int(rng.integers(2, 501))
+            d = int(rng.integers(1, 7))
+            x = rng.integers(-3, 4, (n, d)).astype(float) if trial % 2 else rng.standard_normal((n, d))
+            q = 1.0 - rng.uniform() if mass == "random" else mass  # in (0, 1]
+            lo_q = (1.0 - q) / 2.0
+            expected = np.quantile(x, [lo_q, 1.0 - lo_q], axis=0, method="linear").tobytes()
+            for size in range(1, n + 1):
+                band = credible_band(self.streamed(x, q, size).kept, q, n)
+                assert np.stack((band.lower, band.upper)).tobytes() == expected, (n, d, q, size)
 
 
 class TestSummarizeChain:
