@@ -6,7 +6,11 @@
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
 # runs `python3 -m hessmc run` from both source trees on nineteen configs, and
 # compares the two output directories with `diff -r` and the two printed
-# summaries with `diff`. The `thin7` config (600 samples, 3 chains) keeps
+# summaries with `diff`. The `desk`, `field144` and `chains8` configs run
+# the four methods for 600 samples after a burn-in of 20, every sample
+# stored: the 8x8 target with 2 chains, the 12x12 target (`extent_m`
+# [12000, 6000]) with 2 chains, and the 8x8 target with 8 chains. The
+# `thin7` config (600 samples, 3 chains) keeps
 # every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
 # block budget, so thinning must carry on across nine block boundaries. The
 # `tiny` config (10 samples, burn-in 5, 12 chains, every third sample kept)

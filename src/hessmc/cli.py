@@ -16,7 +16,9 @@ write_csv formats a float array in numpy, chunk by chunk, to the bytes
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
 per chain), in blocks of at most 96 KiB of samples across the chains (one
 sample if one transition's samples are more) and at most
-ceil(n_samples / (chains + 1)) samples, one ``run_chain`` call each. A block
+ceil(n_samples / (chains + 1)) samples, so that the chains' block holds fewer
+than n_samples + chains samples, about one chain's run, however short the run
+and many the chains; one ``run_chain`` call each. A block
 continues the chains from the ``state`` the last block's record ends in, with
 the same generators, so no start point is evaluated twice and the blocks join
 to one run bit for bit; chain c draws from the stream
@@ -398,12 +400,13 @@ _MASKS = _cell_masks()
 # 40-byte cell three times: in the array, in its bytes and in what translate
 # makes before it drops the zeros. write_csv sizes its chunks so that these
 # come to at most _CHUNK_BYTES (one row if a row holds more). A run that
-# stores its samples peaks while it writes a block: chain 0's band rows, one
+# stores its samples peaks while it writes a block: the band's tails, one
 # block (_BLOCK_BYTES) and one chunk.
 _VALUE_BYTES = 4 * 8 + 1 + 3 * 40
 _CHUNK_BYTES = 96 * 1024
 # The most bytes of samples one block of run_experiment holds across its
-# chains; no more than a writer chunk, so a block adds little to the band rows.
+# chains, as many as a writer chunk; run_experiment also caps a block's samples
+# by the run's length.
 _BLOCK_BYTES = 96 * 1024
 
 
@@ -512,9 +515,12 @@ def run_experiment(cfg: dict) -> int:
     keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
     n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
     # A block holds at most _BLOCK_BYTES of samples across the chains (one
-    # sample if that is more) and at most ceil(n / (K + 1)) samples. Beside
-    # it, the band's tails of chain 0's first band_samples rows are held
-    # with room for one block's rows, so at most one sort merges a block.
+    # sample if that is more) and at most ceil(n / (K + 1)) samples, so the
+    # K chains' block holds fewer than n + K samples: 8 chains of 40 desk
+    # samples run in blocks of 5, where the byte cap alone gives blocks of 24
+    # and a tracemalloc peak of 0.221 MB, not 0.136 MB. Beside the block, the
+    # band's tails of chain 0's first band_samples rows are held with room for
+    # one block's rows, so at most one sort merges a block.
     block = min(-(-n // (chains + 1)),
                 max(1, _BLOCK_BYTES // (8 * target.dim * chains)))
     summary_rows = []

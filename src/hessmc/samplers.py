@@ -89,7 +89,8 @@ def _check_positive(name, value):
 @dataclass(frozen=True)
 class PhaseState:
     """Position/momentum pair advanced by the integrator, for one point or a
-    (K, d) stack; leapfrog's result also carries the gradient at its position."""
+    (K, d) stack, with the gradient at the position if it is known: leapfrog
+    starts from that gradient, and its result carries the one at its end."""
 
     position: np.ndarray
     momentum: np.ndarray
@@ -98,6 +99,8 @@ class PhaseState:
     def __post_init__(self):
         if self.position.shape != self.momentum.shape:
             raise ValueError("position and momentum must have equal length")
+        if self.gradient is not None and self.gradient.shape != self.position.shape:
+            raise ValueError("the gradient must have the position's shape")
 
 
 @dataclass(frozen=True)
@@ -241,21 +244,16 @@ def _shared(masses: list):
     return first if len(masses) == 1 or all(m is first for m in masses) else masses
 
 
-def leapfrog(
-    state: PhaseState,
-    target: TargetModel,
-    mass,
-    dt: float,
-    steps: int,
-    gradient: np.ndarray | None = None,
-) -> PhaseState:
+def leapfrog(state: PhaseState, target: TargetModel, mass, dt: float, steps: int) -> PhaseState:
     """Explicit leapfrog: half-kick, drift through M^-1, half-kick, L times.
 
     state holds one point or a (K, d) stack of them, and mass is one SpdFactor
     for every row or a sequence of one per row (another count raises
-    DimensionMismatch). Each step makes one gradient call on the stack; given
-    the gradient at the start position, L steps make L calls, else L + 1.
-    The result carries the gradient at its position.
+    DimensionMismatch). Each step makes one gradient call on the stack; from
+    a state that carries its gradient, L steps make L calls, else L + 1.
+    The result carries the gradient at its position, so a result fed back
+    makes L calls and gives the bits of a state without one (a row stopped
+    outside the domain carries a NaN gradient, so it stops again at once).
 
     A row whose position leaves the target domain (its gradient raises
     OutOfDomain, whose ``rows`` marks it) stops there with its half-step
@@ -268,6 +266,7 @@ def leapfrog(
     """
     theta = np.asarray(state.position, dtype=float, order="C")
     p = np.asarray(state.momentum, dtype=float, order="C")
+    gradient = state.gradient
     if not isinstance(mass, SpdFactor) and len(mass) != len(theta):
         raise DimensionMismatch(f"{len(mass)} masses for {len(theta)} rows")
     if steps < 1:
@@ -419,7 +418,7 @@ def _hamiltonian_step(points, target, mass_at, cfg, rngs):
     theta, j_cur, grad, masses, _ = points
     mass = _shared(masses)
     p0 = np.array([sample_gaussian(m, rng) for m, rng in zip(masses, rngs)])
-    end = leapfrog(PhaseState(theta, p0), target, mass, cfg.dt, cfg.leapfrog_steps, grad)
+    end = leapfrog(PhaseState(theta, p0, grad), target, mass, cfg.dt, cfg.leapfrog_steps)
     j_end = _by_rows(target.potential, end.position)
     inside = np.isfinite(j_end)
     # every endpoint inside, the common case, passes the endpoints uncopied

@@ -1,10 +1,7 @@
 """Tests for the benchmark CLI: config handling, CSV outputs, exit codes."""
 import io
 import json
-import os
-import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 import weakref
@@ -13,11 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
-import hessmc
 from hessmc import cli, diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
@@ -34,10 +29,8 @@ from hessmc.cli import (
 from hessmc.linalg import factorize
 from hessmc.samplers import KERNELS, METHODS, ChainState, SamplerConfig, run_chain
 from hessmc.targets import LogNormalField, build_grid_covariance
+from support import fuzz, python
 
-# hypothesis caches source constants at collection even with no database; keep
-# that cache out of the working directory
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hessmc-hypothesis")
 # Any float, and floats the numpy formatter takes (1e-4 <= |x| < 1e16), so
 # that a short block holds chunks of either path.
 ANY_FLOAT = (
@@ -313,8 +306,7 @@ class TestWriteCsv:
         with mock.patch.object(cli, "_format", counted):
             return self.write(tmp_path, header, rows), taken
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @fuzz(300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), rows=st.integers(1, 9), cols=st.integers(1, 5),
            chunk=st.integers(1, 4))
     def test_any_floats_in_any_block(self, tmp_path, data, rows, cols, chunk):
@@ -402,21 +394,15 @@ class TestWriteCsv:
 
 def test_cli_import_skips_scipy_stats():
     # scipy.stats takes most of a short CLI process's start-up time
-    src = str(Path(hessmc.__file__).resolve().parents[1])
-    code = "import hessmc.cli, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", "import hessmc.cli, sys; print('scipy.stats' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
 def test_map_command_skips_scipy_special(tmp_path):
     # only the run's analytic band needs ndtri, so `hessmc map` never imports it
-    src = str(Path(hessmc.__file__).resolve().parents[1])
     code = ("import sys; from hessmc.cli import main; "
             "print(main(['map', '--out', sys.argv[1]]), 'scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", code, str(tmp_path))
     assert out.stdout.split() == ["0", "False"]
     assert (tmp_path / "map.csv").exists()
 
@@ -424,14 +410,11 @@ def test_map_command_skips_scipy_special(tmp_path):
 def test_run_command_skips_scipy_special_and_linalg_package(tmp_path):
     # the analytic band's quantile is a pure-Python port, so a run, like a map,
     # loads nothing from scipy but its compiled LAPACK module
-    src = str(Path(hessmc.__file__).resolve().parents[1])
     code = ("import sys; from hessmc.cli import main; "
             "print(main(['run', '--config', sys.argv[1]]), "
             "*(m in sys.modules for m in ('scipy.special', 'scipy.linalg', 'numpy.f2py')), "
             "*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, str(small_config(tmp_path))],
-                         capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", code, str(small_config(tmp_path)))
     assert out.stdout.splitlines()[-1].split() == [
         "0", "False", "False", "False", "scipy.linalg._flapack"]
     assert (tmp_path / "out" / "band_MH.csv").exists()
@@ -440,12 +423,10 @@ def test_run_command_skips_scipy_special_and_linalg_package(tmp_path):
 def test_map_command_skips_scipy_linalg_package(tmp_path):
     # hessmc.linalg loads scipy's compiled LAPACK module alone: the scipy.linalg
     # package's __init__ would also import numpy.f2py, ma, polynomial and more
-    src = str(Path(hessmc.__file__).resolve().parents[1])
     code = ("import sys; from hessmc.cli import main; "
             "print(main(['map', '--out', sys.argv[1]]), "
             "'scipy.linalg' in sys.modules, 'numpy.f2py' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", code, str(tmp_path))
     assert out.stdout.split() == ["0", "False", "False"]
     assert (tmp_path / "map.csv").exists()
 
@@ -501,6 +482,23 @@ class TestRunCommand:
         peak(1)  # first call: one-off allocations and caches
         sample_array = 2000 * 16 * 8
         assert peak(8) - peak(1) < 3 * sample_array
+
+    def test_short_lockstep_blocks_hold_one_chains_samples(self, tmp_path):
+        # chains8's MH run: a block holds at most ceil(n / (K + 1)) samples, so
+        # 8 chains' block holds no more than one chain's n samples (blocks of
+        # 5; the 96 KiB cap alone gives blocks of 24 and 86 KB more)
+        n = 40
+        cfg = load_config(None, {
+            "sampler": {"n_samples": n},
+            "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
+        })
+
+        def peak(chains):
+            cfg["run"]["chains"] = chains
+            return traced_peak(cfg)
+
+        peak(8)  # first call: one-off allocations and caches
+        assert peak(8) - peak(1) < n * 64 * 8
 
     def test_stored_samples_stream_to_disk(self, tmp_path):
         # two band rows, so that the band's tails cannot set the peak and hide
@@ -822,12 +820,10 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
 def test_benchmark_tracer_installs():
     # perfbench/child.py wraps the functions it names in WRAPPED by getattr:
     # a renamed or removed one breaks every traced benchmark run
-    src = str(Path(hessmc.__file__).resolve().parents[1])
     bench = str(Path(__file__).resolve().parents[1] / "perfbench")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
             "t = child.Tracer(); t.install(); print(len(t.names) == len(child.WRAPPED))")
-    out = subprocess.run([sys.executable, "-c", code, bench], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", code, bench, check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
 
@@ -871,12 +867,9 @@ def test_diverging_trajectories_exit_numerical_without_warnings(tmp_path, capsys
 
 def test_non_finite_start_gradient_prints_one_line(tmp_path):
     # in a process of its own: stderr holds the error line and nothing else
-    src = str(Path(hessmc.__file__).resolve().parents[1])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"target": {"m_value": -740.0}}))
-    out = subprocess.run(
-        [sys.executable, "-m", "hessmc", "run", "--config", str(cfg_path),
-         "--method", "HMC", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    out = python("-m", "hessmc", "run", "--config", str(cfg_path), "--method", "HMC",
+                 "--out", str(tmp_path / "out"), check=False)
     assert out.returncode == 3
     assert out.stderr == "error: NonFiniteGradient: a start point's gradient is not finite\n"

@@ -1,16 +1,14 @@
 """Property tests for config loading: any JSON loads as a valid config or fails
 with ConfigError, never with another exception."""
 import json
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from hessmc.cli import SETTINGS, ConfigError, load_config
 from hessmc.samplers import METHODS
+from support import fuzz
 
 # Small JSON values; method names as strings and object keys reach the
 # choice lists and the per-method dt object.
@@ -31,10 +29,7 @@ VALUES = (
     | st.dictionaries(st.sampled_from([*METHODS, "NUTS"]), NEAR, max_size=4)
 )
 NAMES = [(section, key) for section, keys in SETTINGS.items() for key in keys]
-FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
-# hypothesis caches source constants at collection even with no database; keep
-# that cache out of the working directory
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hessmc-hypothesis")
+FUZZ = fuzz(200)
 
 
 def in_interval(x, interval: str) -> bool:

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from hessmc import cli
 from hessmc.samplers import KERNELS, SamplerConfig, run_chain
+from support import desk_target
 
 K = 2000  # chains, each from one exact draw
 T = 3  # transitions
@@ -48,8 +49,7 @@ def cases():
 
 @pytest.mark.parametrize("method, name", cases())
 def test_exact_draws_stay_exact(method, name):
-    cfg = cli.load_config(None, {"target": {"variance": TARGETS[name]}})
-    target = cli.build_target(cfg)
+    cfg, target = desk_target(variance=TARGETS[name])
     s = cfg["sampler"]
     lower = target.sigma.lower_factor
     z = np.random.default_rng([SEED, K]).standard_normal((K, target.dim))

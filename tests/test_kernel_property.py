@@ -1,39 +1,18 @@
 """Property tests for kernel invariants: leapfrog reversibility and the random
 draws each transition of each KERNELS row makes."""
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from hessmc.linalg import factorize
-from hessmc.samplers import (
-    KERNELS,
-    PhaseState,
-    SamplerConfig,
-    hmap_mass,
-    leapfrog,
-    run_chain,
-)
-from hessmc.targets import LogNormalField, build_grid_covariance
+from hessmc.samplers import KERNELS, PhaseState, SamplerConfig, hmap_mass, run_chain
+from support import field_2x2, fuzz, round_trip
 
-FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
-# hypothesis caches source constants at collection even with no database; keep
-# that cache out of the working directory
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hessmc-hypothesis")
+FUZZ = fuzz(60)
 
 UNIT = st.floats(-1.0, 1.0)
 VECTOR = st.lists(UNIT, min_size=4, max_size=4).map(np.array)
-
-
-def field_2x2():
-    return LogNormalField(
-        m=np.full(4, -1.0),
-        sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
-    )
 
 
 TARGET = field_2x2()
@@ -51,10 +30,9 @@ def test_leapfrog_reversible(mass, z, w, dt, steps):
     else:
         mass = hmap_mass(TARGET, 1e-6)[0]
     start = PhaseState(MAP * np.exp(0.3 * z), mass.lower_factor @ (2.0 * w))
-    end = leapfrog(start, TARGET, mass, dt, steps)
+    end, back = round_trip(start, TARGET, mass, dt, steps)
     # an abandoned trajectory, out of the domain, has no reverse
     assume(np.isfinite(TARGET.potential(end.position)))
-    back = leapfrog(PhaseState(end.position, -end.momentum), TARGET, mass, dt, steps)
     scale = 1.0 + np.abs(end.momentum).max() + np.abs(start.momentum).max()
     assert np.abs(back.position - start.position).max() < 1e-9 * scale
     assert np.abs(-back.momentum - start.momentum).max() < 1e-9 * scale

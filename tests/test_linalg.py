@@ -1,9 +1,5 @@
 """Tests for the SPD factorization services."""
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +15,7 @@ from hessmc.linalg import (
     sample_gaussian,
     solve,
 )
+from support import FixedNormals, python
 
 
 def _counting(calls, fn):
@@ -30,17 +27,6 @@ def _repair(matrix, floor):
     """repair_to_pd of one matrix, as a one-row stack: (factor or None, lam)."""
     factors, lams = repair_to_pd(np.asarray(matrix, dtype=float)[None], floor)
     return factors[0], lams[0]
-
-
-class FixedNormals:
-    """Generator stand-in returning a preset standard-normal vector."""
-
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=float)
-
-    def standard_normal(self, n):
-        assert n == len(self.z)
-        return self.z
 
 
 def test_factorize_identity():
@@ -279,10 +265,7 @@ print("ok")
     "import scipy.linalg; import hessmc",
 ])
 def test_same_lapack_routines_in_either_import_order(imports):
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", SAME_LAPACK_CODE.format(imports=imports)],
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src})
+    out = python("-c", SAME_LAPACK_CODE.format(imports=imports), check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
 

@@ -11,7 +11,6 @@ from hessmc import cli, linalg, samplers
 from hessmc.linalg import DimensionMismatch, factorize, sample_gaussian, solve
 from hessmc.samplers import (
     KERNELS,
-    ChainRecord,
     ChainState,
     ConfigMismatch,
     FixedSpd,
@@ -27,27 +26,18 @@ from hessmc.samplers import (
     mh_propose,
     run_chain,
 )
-from hessmc.targets import (
-    GaussianTarget,
-    LogNormalField,
-    OutOfDomain,
-    build_grid_covariance,
+from hessmc.targets import GaussianTarget, LogNormalField, OutOfDomain, build_grid_covariance
+from support import (
+    FixedNormals,
+    assert_reversible,
+    assert_same_records,
+    desk_target,
+    energy_error_ratio,
+    field_2x2,
+    gaussian_2d,
+    joined,
+    lognormal_1d,
 )
-
-
-def gaussian_2d():
-    return GaussianTarget(np.zeros(2), factorize(np.array([[2.0, 1.0], [1.0, 2.0]])))
-
-
-def lognormal_1d():
-    return LogNormalField(m=np.array([0.0]), sigma=factorize(np.array([[1.0]])))
-
-
-def field_2x2():
-    return LogNormalField(
-        m=np.full(4, -1.0),
-        sigma=build_grid_covariance(2, 2, (2.0, 2.0), 1.0, 0.05, 1e-4),
-    )
 
 
 class CliffTarget(GaussianTarget):
@@ -123,30 +113,14 @@ class CountedField(LogNormalField):
         return super()._log(theta)
 
 
-class FixedStream:
-    """Generator stand-in with preset normals and uniforms."""
-
-    def __init__(self, normals=(), uniforms=()):
-        self.normals = list(normals)
-        self.uniforms = list(uniforms)
-
-    def standard_normal(self, n):
-        out = np.asarray(self.normals[:n], dtype=float)
-        del self.normals[:n]
-        return out
-
-    def uniform(self):
-        return self.uniforms.pop(0)
-
-
 class TestMhPropose:
     def test_affine(self):
-        rng = FixedStream(normals=[1.0, -1.0])
+        rng = FixedNormals([1.0, -1.0])
         y = mh_propose(np.zeros(2), 2.0, rng)
         assert np.allclose(y, [2.0, -2.0])
 
     def test_tiny_dt(self):
-        rng = FixedStream(normals=[1.0, 1.0])
+        rng = FixedNormals([1.0, 1.0])
         y = mh_propose(np.array([3.0, 4.0]), 1e-15, rng)
         assert np.allclose(y, [3.0, 4.0])
 
@@ -225,13 +199,7 @@ class TestLeapfrog:
         mass = factorize(np.eye(2))
         for pos in positions:
             p = 0.5 * rng.standard_normal(2)
-            fwd = leapfrog(PhaseState(pos, p), target, mass, 0.05, 25)
-            back = leapfrog(
-                PhaseState(fwd.position, -fwd.momentum), target, mass, 0.05, 25
-            )
-            scale = np.linalg.norm(pos) + np.linalg.norm(p)
-            assert np.linalg.norm(back.position - pos) < 1e-9 * max(scale, 1.0)
-            assert np.linalg.norm(-back.momentum - p) < 1e-9 * max(scale, 1.0)
+            assert_reversible(pos, p, target, mass, 0.05, 25)
 
     def test_divergence_sentinel(self):
         target = lognormal_1d()
@@ -285,11 +253,71 @@ class TestLeapfrog:
         mass = hmap_mass(plain, 1e-6)[0]
         start = PhaseState(plain.map_point(), mass.lower_factor @ np.full(4, 0.2))
         ref = leapfrog(start, plain, mass, 0.05, 7)
-        out = leapfrog(start, target, mass, 0.05, 7, plain.gradient(start.position))
+        out = leapfrog(replace(start, gradient=plain.gradient(start.position)), target,
+                       mass, 0.05, 7)
         assert target.checks == 7
         assert np.array_equal(out.position, ref.position)
         assert np.array_equal(out.momentum, ref.momentum)
         assert np.array_equal(out.gradient, plain.gradient(out.position))
+
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["point", "one-row", "three-rows"])
+    def test_result_fed_back_makes_l_calls(self, rows):
+        # a result carries the gradient at its end, so fed back it makes L
+        # gradient calls and gives the bits of a state without that gradient
+        plain = field_2x2()
+        target = CountedField(m=plain.m, sigma=plain.sigma)
+        mass = hmap_mass(plain, 1e-6)[0]
+        rng = np.random.default_rng(8)
+        shape = (4,) if rows is None else (rows, 4)
+        theta = plain.map_point() * np.exp(0.05 * rng.standard_normal(shape))
+        first = leapfrog(PhaseState(theta, rng.standard_normal(shape) @ mass.lower_factor.T),
+                         plain, mass, 0.05, 7)
+        out = leapfrog(first, target, mass, 0.05, 7)
+        assert target.checks == 7
+        ref = leapfrog(PhaseState(first.position, first.momentum), plain, mass, 0.05, 7)
+        for a, b in zip((out.position, out.momentum, out.gradient),
+                        (ref.position, ref.momentum, ref.gradient)):
+            assert np.array_equal(a, b)
+
+    def test_stopped_row_fed_back_stops_at_once(self):
+        # a row stopped outside the domain carries a NaN gradient, so fed back
+        # it stays there, its momentum NaN; the other row goes on as alone
+        target = WallTarget(np.zeros(1), factorize(np.eye(1)))
+        mass = factorize(np.eye(1))
+        first = leapfrog(PhaseState(np.array([[0.0], [-0.5]]), np.array([[1.2], [0.3]])),
+                         target, mass, 0.5, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = leapfrog(first, target, mass, 0.5, 5)
+        assert out.position[0, 0] == first.position[0, 0] > 1.0
+        assert np.isnan(out.momentum[0]).all()
+        alone = leapfrog(PhaseState(first.position[1], first.momentum[1]), target, mass, 0.5, 5)
+        assert np.array_equal(out.position[1], alone.position)
+        assert np.array_equal(out.momentum[1], alone.momentum)
+
+    def test_carried_gradient_starts_the_trajectory(self):
+        # the first half-kick takes the state's gradient as it is, even one
+        # of another point, and L steps make L gradient calls
+        plain = field_2x2()
+        target = CountedField(m=plain.m, sigma=plain.sigma)
+        mass = hmap_mass(plain, 1e-6)[0]
+        theta, p = plain.map_point(), mass.lower_factor @ np.full(4, 0.2)
+        other = plain.gradient(1.1 * theta)
+        out = leapfrog(PhaseState(theta, p, other), target, mass, 0.05, 1)
+        assert target.checks == 1
+        p_half = p - 0.5 * 0.05 * other
+        x = solve(mass, p_half) * 0.05 + theta
+        assert np.array_equal(out.position, x)
+        assert np.array_equal(out.momentum, p_half - 0.5 * 0.05 * plain.gradient(x))
+        assert not np.array_equal(out.position, leapfrog(PhaseState(theta, p), plain, mass,
+                                                         0.05, 1).position)
+
+    @pytest.mark.parametrize("position, gradient",
+                             [((4,), (3,)), ((2, 4), (4,)), ((1, 4), (4,)), ((4,), (1, 4))],
+                             ids=["short", "point-for-stack", "point-for-row", "row-for-point"])
+    def test_gradient_of_another_shape_refused(self, position, gradient):
+        with pytest.raises(ValueError, match="the position's shape"):
+            PhaseState(np.ones(position), np.ones(position), np.ones(gradient))
 
     @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
     def test_row_leaving_domain_stops_alone(self, per_row):
@@ -388,10 +416,10 @@ class TestLeapfrog:
                   linalg.with_inverse(factorize(2.0 * np.eye(4)))][:k]
         mass = masses if per_row else masses[0]
         grad = target.gradient(theta) if given else None
-        ref = leapfrog(PhaseState(theta, p), target, mass, 0.05, 4, grad)
+        ref = leapfrog(PhaseState(theta, p, grad), target, mass, 0.05, 4)
         for a in (theta, p) + ((grad,) if given else ()):
             a.flags.writeable = False
-        out = leapfrog(PhaseState(theta, p), target, mass, 0.05, 4, grad)
+        out = leapfrog(PhaseState(theta, p, grad), target, mass, 0.05, 4)
         for a, b in zip((ref.position, ref.momentum, ref.gradient),
                         (out.position, out.momentum, out.gradient)):
             assert np.array_equal(a, b)
@@ -411,24 +439,7 @@ class TestLeapfrog:
 
     def test_energy_error_second_order(self):
         rng = np.random.default_rng(77)
-        target = gaussian_2d()
-        mass = factorize(np.eye(2))
-        ratios = []
-        for _ in range(32):
-            pos = rng.standard_normal(2)
-            p = rng.standard_normal(2)
-
-            def max_energy_err(dt, steps):
-                st = PhaseState(pos.copy(), p.copy())
-                h0 = hamiltonian(st, target, mass)
-                worst = 0.0
-                for _ in range(steps):
-                    st = leapfrog(st, target, mass, dt, 1)
-                    worst = max(worst, abs(hamiltonian(st, target, mass) - h0))
-                return worst
-
-            ratios.append(max_energy_err(0.1, 20) / max_energy_err(0.05, 40))
-        assert 3.5 <= np.mean(ratios) <= 4.5
+        assert 3.5 <= energy_error_ratio(rng, gaussian_2d(), factorize(np.eye(2))) <= 4.5
 
 
 class TestHamiltonian:
@@ -1001,14 +1012,6 @@ class TestRunChain:
         assert np.abs(rec.samples.mean(axis=0)).max() < 0.1
 
 
-def cli_target(rows, cols):
-    """The CLI's default target on a rows x cols grid at desk spacing."""
-    extent = [1000.0 * cols, 500.0 * rows]  # 8x8: the default [8000, 4000]
-    cfg = cli.load_config(None, {"target": {"rows": rows, "cols": cols,
-                                            "extent_m": extent}})
-    return cfg, cli.build_target(cfg)
-
-
 class TestConstantMassInverse:
     """HMC's and HMAP_HMC's constant mass is inverted once per chain."""
 
@@ -1016,7 +1019,7 @@ class TestConstantMassInverse:
     def test_hmap_mass_matvec_matches_cho_solve(self, rows):
         # d = 4, 64, 144; the mass condition number reaches ~1e4 at d = 144,
         # so the error is measured in norm, not per entry
-        cfg, target = cli_target(rows, rows)
+        cfg, target = desk_target(rows, rows)
         s = cfg["sampler"]
         mass = KERNELS["HMAP_HMC"].default(target, s["pd_floor"], s["beta"]).factor
         assert mass.inv is not None
@@ -1050,7 +1053,7 @@ class TestConstantMassInverse:
                           np.random.default_rng(11)) for spec in specs]
 
     def test_unit_mass_chain_is_bit_identical(self):
-        _, target = cli_target(8, 8)
+        _, target = desk_target(8, 8)
         inverted, bare = self._chains(
             target, "HMC", [ScaledIdentity(1.0), FixedSpd(factorize(np.eye(64)))],
             cli.DESK_DT["HMC"], 200)
@@ -1062,7 +1065,7 @@ class TestConstantMassInverse:
     def test_scaled_identity_carries_the_diagonal_of_its_inverse(self, beta):
         # beta * I keeps a (d,) inverse, so a solve and a draw are O(d); the
         # MAP mass, not diagonal, keeps its dense (d, d) inverse
-        cfg, target = cli_target(8, 8)
+        cfg, target = desk_target(8, 8)
         (mass,), _ = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
         assert mass.inv.shape == (64,)
         assert np.array_equal(mass.inv, linalg.inverse(mass).diagonal())
@@ -1075,7 +1078,7 @@ class TestConstantMassInverse:
     def test_diagonal_mass_chain_equals_the_dense_inverse_chain(self, beta, chains):
         # HMC with beta * I gives the bits of a run whose factor carries the
         # dense inverse, one chain or eight in lockstep
-        _, target = cli_target(8, 8)
+        _, target = desk_target(8, 8)
         spec = ScaledIdentity(beta)
         (mass,), _ = spec.mass_at(target)(target.map_point()[None])
         dense = FixedSpd(replace(mass, inv=linalg.inverse(mass)))
@@ -1089,12 +1092,10 @@ class TestConstantMassInverse:
 
         records = [run_chain(target, m, cfg, target.map_point(), rngs()) for m in (spec, dense)]
         assert 0.0 < records[0].accept_flags.mean() < 1.0
-        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
-            a, b = (getattr(r, name) for r in records)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert_same_records(*records)
 
     def test_hmap_chain_matches_the_bare_factor(self):
-        cfg, target = cli_target(8, 8)
+        cfg, target = desk_target(8, 8)
         s = cfg["sampler"]
         spec = KERNELS["HMAP_HMC"].default(target, s["pd_floor"], s["beta"])
         inverted, bare = self._chains(
@@ -1116,9 +1117,8 @@ class TestLockstep:
             serial.append((run_chain(target, spec, cfg, start, rng), rng.bit_generator.state))
         rngs = [np.random.default_rng(seed) for seed in seeds]
         lock = run_chain(target, spec, cfg, init, rngs)
-        for k, (rec, state) in enumerate(serial):
-            for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
-                assert np.array_equal(getattr(lock, name)[k], getattr(rec, name)), name
+        assert_same_records(lock, joined([rec for rec, _ in serial], 0, np.stack))
+        for k, (_, state) in enumerate(serial):
             assert rngs[k].bit_generator.state == state
         return lock
 
@@ -1154,9 +1154,7 @@ class TestLockstep:
         half = replace(cfg, n_samples=20)
         first = run_chain(target, spec, half, target.map_point(), rngs)
         second = run_chain(target, spec, half, first.samples[:, -1], rngs)
-        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
-            joined = np.concatenate([getattr(first, name), getattr(second, name)], axis=1)
-            assert np.array_equal(joined, getattr(whole, name)), name
+        assert_same_records(joined([first, second], 1), whole)
 
     @pytest.mark.parametrize(
         "target_cls, method, spec",
@@ -1225,8 +1223,7 @@ class TestLockstep:
         # the 8x8 desk target at variance 1e-2 has endpoints whose Hessian is
         # indefinite: at seed 0 one of 3 chains is repaired up to lam 256, so
         # zero and nonzero jitters meet in the same lockstep transitions
-        cfg = cli.load_config(None, {"target": {"variance": 0.01}})
-        target = cli.build_target(cfg)
+        cfg, target = desk_target(variance=0.01)
         s = cfg["sampler"]
         spec = KERNELS["HLOCAL_HMC"].default(target, s["pd_floor"], s["beta"])
         scfg = SamplerConfig("HLOCAL_HMC", cli.DESK_DT["HLOCAL_HMC"],
@@ -1316,10 +1313,7 @@ class TestContinueFromState:
             parts.append(rec)
             init = rec.state
         assert [len(r.accept_flags.T) for r in parts] == [5, 5, 5, 5, 3]
-        axis = 0 if k == 1 else 1
-        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
-            joined = np.concatenate([getattr(r, name) for r in parts], axis=axis)
-            assert np.array_equal(joined, getattr(whole, name)), name
+        assert_same_records(joined(parts, 0 if k == 1 else 1), whole)
         assert 0.0 < whole.accept_flags.mean() < 1.0
         # every generator ends where the one run leaves it, and no start point
         # is evaluated again: the blocks make the one run's calls
@@ -1388,6 +1382,4 @@ class TestContinueFromState:
                 a.flags.writeable = False
         second = run_chain(target, spec, cfg, first.state, rngs)
         assert 0.0 < whole.accept_flags.mean() < 1.0
-        for name in ("samples", "accept_flags", "potentials", "repair_lambdas"):
-            joined = np.concatenate([getattr(first, name), getattr(second, name)], axis=1)
-            assert np.array_equal(joined, getattr(whole, name)), name
+        assert_same_records(joined([first, second], 1), whole)

@@ -12,40 +12,7 @@ from hessmc.targets import (
     OutOfDomain,
     build_grid_covariance,
 )
-
-
-def lognormal_1d(m=0.0, var=1.0):
-    return LogNormalField(m=np.array([m]), sigma=factorize(np.array([[var]])))
-
-
-def random_field(dim, rng, m_scale=0.5):
-    b = rng.standard_normal((dim, dim))
-    sigma = factorize(b.T @ b / dim + 0.3 * np.eye(dim))
-    m = m_scale * rng.standard_normal(dim)
-    return LogNormalField(m=m, sigma=sigma)
-
-
-def fd_gradient(target, theta, rel=1e-6):
-    g = np.empty_like(theta)
-    for i in range(len(theta)):
-        h = rel * theta[i]
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        g[i] = (target.potential(tp) - target.potential(tm)) / (2 * h)
-    return g
-
-
-def fd_hessian(target, theta, rel=1e-6):
-    d = len(theta)
-    h_mat = np.empty((d, d))
-    for i in range(d):
-        h = rel * theta[i]
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        h_mat[:, i] = (target.gradient(tp) - target.gradient(tm)) / (2 * h)
-    return 0.5 * (h_mat + h_mat.T)
+from support import desk_target, fd_gradient, fd_hessian, lognormal_1d, random_field
 
 
 class TestLogNormalPotential:
@@ -210,13 +177,6 @@ class TestGaussianTarget:
         assert t.potential(np.array([-1e6, 1e6])) == 1e12
 
 
-def desk_field(rows, cols):
-    """The CLI's default target on a rows x cols grid at desk spacing."""
-    extent = (1000.0 * cols, 500.0 * rows)
-    sigma = build_grid_covariance(rows, cols, extent, 1000.0, 1e-3, 1e-6)
-    return LogNormalField(m=np.full(rows * cols, -1.0), sigma=sigma)
-
-
 def perturbed_points(target, rng):
     theta_map = target.map_point()
     return [theta_map] + [
@@ -229,7 +189,7 @@ class TestPrecisionForm:
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_matches_solve_form(self, rows, cols):
-        t = desk_field(rows, cols)
+        _, t = desk_target(rows, cols)
         prec = np.column_stack([linalg.solve(t.sigma, e) for e in np.eye(t.dim)])
         for theta in perturbed_points(t, np.random.default_rng(rows)):
             log_theta = np.log(theta)
@@ -257,7 +217,7 @@ class TestPrecisionForm:
         # J = G(x) + sum x, grad J = (grad G + 1)/theta and the Hessian is
         # D^-1 (Sigma^-1 - diag(grad G + 1)) D^-1 at x = log theta, D = diag(theta),
         # bit for bit, with Sigma^-1 held once, by the log-space Gaussian
-        t = desk_field(rows, cols)
+        _, t = desk_target(rows, cols)
         g = t.log_space
         assert isinstance(g, GaussianTarget)
         # the field itself holds no d x d array: the precision lives in g alone
@@ -275,7 +235,7 @@ class TestPrecisionForm:
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_exactly_symmetric(self, rows, cols):
-        t = desk_field(rows, cols)
+        _, t = desk_target(rows, cols)
         assert np.array_equal(t.log_space.precision, t.log_space.precision.T)
         for theta in perturbed_points(t, np.random.default_rng(rows)):
             h = t.hessian(theta)
@@ -285,7 +245,7 @@ class TestPrecisionForm:
 
     @pytest.mark.parametrize("rows, cols", [(2, 2), (8, 8), (12, 12)])
     def test_no_solve_per_call(self, rows, cols, monkeypatch):
-        t = desk_field(rows, cols)
+        _, t = desk_target(rows, cols)
         g = GaussianTarget(t.m, t.sigma)
         solve, calls = linalg.solve, []
 
@@ -312,7 +272,7 @@ class TestRowWise:
     @pytest.mark.parametrize("rows", [2, 8, 12])
     def test_stack_equals_single_points(self, rows, k):
         # d = 4, 64, 144; a gemm R @ P would not give the 1-D bits
-        field = desk_field(rows, rows)
+        _, field = desk_target(rows, rows)
         rng = np.random.default_rng(rows * 10 + k)
         stack = field.map_point() * np.exp(0.05 * rng.standard_normal((k, field.dim)))
         for target, points in ((field, stack), (field.log_space, np.log(stack))):
@@ -330,7 +290,7 @@ class TestRowWise:
     @pytest.mark.parametrize("rows", [2, 8, 12])
     def test_hessian_stack_equals_single_points(self, rows, k):
         # d = 4, 64, 144: a (K, d, d) stack whose rows are the 1-D Hessians
-        field = desk_field(rows, rows)
+        _, field = desk_target(rows, rows)
         rng = np.random.default_rng(rows * 10 + k)
         stack = field.map_point() * np.exp(0.3 * rng.standard_normal((k, field.dim)))
         for target, points in ((field, stack), (field.log_space, np.log(stack))):
@@ -342,7 +302,7 @@ class TestRowWise:
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, -0.0, np.nan, -np.inf])
     def test_hessian_row_outside_orthant(self, bad):
-        field = desk_field(2, 2)
+        _, field = desk_target(2, 2)
         stack = np.tile(field.map_point(), (3, 1))
         stack[1, 2] = bad
         with warnings.catch_warnings():
@@ -352,7 +312,7 @@ class TestRowWise:
         assert exc.value.rows.tolist() == [False, True, False]
 
     def test_row_outside_orthant(self):
-        field = desk_field(2, 2)
+        _, field = desk_target(2, 2)
         stack = np.tile(field.map_point(), (3, 1))
         stack[1, 2] = -0.5
         stack[2, 0] = 0.0
@@ -369,7 +329,7 @@ class TestRowWise:
     def test_every_method_refuses_a_coordinate(self, bad):
         # the one domain check refuses NaN, zeros of either sign and negative
         # coordinates, for one point and in a stack, by the same rows
-        field = desk_field(2, 2)
+        _, field = desk_target(2, 2)
         point = field.map_point()
         point[1] = bad
         stack = np.tile(field.map_point(), (4, 1))
