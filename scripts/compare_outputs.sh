@@ -4,12 +4,15 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on nineteen configs, and
+# runs `python3 -m hessmc run` from both source trees on twenty configs, and
 # compares the two output directories with `diff -r` and the two printed
-# summaries with `diff`. The `desk`, `field144` and `chains8` configs run
-# the four methods for 600 samples after a burn-in of 20, every sample
-# stored: the 8x8 target with 2 chains, the 12x12 target (`extent_m`
-# [12000, 6000]) with 2 chains, and the 8x8 target with 8 chains. The
+# summaries with `diff`. The `single`, `desk`, `field144` and `chains8`
+# configs run the four methods for 600 samples after a burn-in of 20, every
+# sample stored: the 8x8 target with 1 chain, the 8x8 target with 2 chains,
+# the 12x12 target (`extent_m` [12000, 6000]) with 2 chains, and the 8x8
+# target with 8 chains. `single` is the one-chain path of the default run
+# (one-row transitions), and its band merges blocks of 192 samples into
+# each coordinate's 16 smallest and 16 largest values. The
 # `thin7` config (600 samples, 3 chains) keeps
 # every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
 # block budget, so thinning must carry on across nine block boundaries. The
@@ -67,6 +70,9 @@ git -C "$repo" archive --format=tar "$ref" src | tar -x -C "$work/ref"
 
 # 600 samples, burn-in 20, every sample stored, all four methods.
 common='"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 1}'
+cat > "$work/single.json" <<JSON
+{$common, "run": {"chains": 1}}
+JSON
 cat > "$work/desk.json" <<JSON
 {$common, "run": {"chains": 2}}
 JSON
@@ -134,7 +140,7 @@ JSON
 
 status=0
 mkdir "$work/stdout"
-for config in desk field144 chains8 thin7 rough tiny nologdet \
+for config in single desk field144 chains8 thin7 rough tiny nologdet \
         scale_up straddle scale_far mass_centre mass_tail mass_far mass_one \
         beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do

@@ -10,7 +10,7 @@ comparison, and its kind, which load_config checks for the file and flags.
 Output CSVs are comma-delimited with a header row, LF line endings and '%.17g'
 numbers (a float reads back as the float written, an integer column as
 integers), so reruns with the same config and seed are byte-identical.
-write_csv formats a float array in numpy, chunk by chunk, to the bytes
+write_rows formats a float array in numpy, chunk by chunk, to the bytes
 '%.17g' gives; the summary's rows and a chunk holding a value outside
 1e-4 <= |x| < 1e16 go through one '%' template per line.
 A method's chains run in lockstep (``samplers.run_chain`` with one generator
@@ -24,12 +24,14 @@ the same generators, so no start point is evaluated twice and the blocks join
 to one run bit for bit; chain c draws from the stream
 ``np.random.default_rng([seed, c])`` and its output is the bytes that stream
 gives alone. A block's samples are written and reduced to spatial averages
-before the next block runs, and only its state outlives it. Chain 0's first
+before the next block runs, and only its state outlives it; a stored chain's
+samples file stays open across a method's blocks. Chain 0's first
 band_samples rows are merged block by block into the few of each
 coordinate's smallest and largest values that its band reads
-(``diagnostics.BandTails``), so memory holds one block, those tails and a
-few floats per sample, never a chain's record, and a method's arrays are
-freed before the next method runs. A run makes no numpy overflow or
+(``diagnostics.BandTails``, which holds those tails alone and merges a few
+coordinates at a time), so memory holds one block, those tails and a few
+floats per sample, never a chain's record, and a method's arrays are freed
+before the next method runs. A run makes no numpy overflow or
 invalid-value warning: a chain judges such a value itself (as a rejected
 proposal, or as a numerical error below), so a known error prints its one
 line alone.
@@ -41,6 +43,7 @@ EXIT_CODES); config and target errors come before any output is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import json
@@ -334,7 +337,7 @@ def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
     )
 
 
-# '%.17g' of a float block in numpy, for write_csv. Where 1e-4 <= |x| < 1e16,
+# '%.17g' of a float block in numpy, for write_rows. Where 1e-4 <= |x| < 1e16,
 # '%.17g' writes |x| in fixed notation as N * 10**(k - 16), N the 17-digit
 # integer nearest |x| * 10**s (ties to even), s = 16 - k, k = floor(log10 |x|).
 # s lies in [1, 20], so 10**s is an exact double, and Dekker's product (with
@@ -398,10 +401,10 @@ _MASKS = _cell_masks()
 # Bytes a value holds at _format's peak, its bytes.translate: |x|, s, N's
 # leading digit and the trailing-zero count, a zero group's flag, and its
 # 40-byte cell three times: in the array, in its bytes and in what translate
-# makes before it drops the zeros. write_csv sizes its chunks so that these
+# makes before it drops the zeros. write_rows sizes its chunks so that these
 # come to at most _CHUNK_BYTES (one row if a row holds more). A run that
 # stores its samples peaks while it writes a block: the band's tails, one
-# block (_BLOCK_BYTES) and one chunk.
+# block (_BLOCK_BYTES), one chunk and each chain's 8 KiB file buffer.
 _VALUE_BYTES = 4 * 8 + 1 + 3 * 40
 _CHUNK_BYTES = 96 * 1024
 # The most bytes of samples one block of run_experiment holds across its
@@ -460,8 +463,15 @@ def _format(fh, block: np.ndarray, size: np.ndarray) -> None:
     fh.write(cells.tobytes().translate(None, b"\0"))
 
 
-def write_csv(path: Path, header: list[str] | None, rows) -> None:
-    """Write rows under a header line, or append them to path if header is None.
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows to path under a header line (see write_rows)."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        write_rows(fh, rows)
+
+
+def write_rows(fh, rows) -> None:
+    """Write the CSV lines of rows to the binary file fh.
 
     rows is a 2-D float array, or a list of tuples whose str items are written
     as they are. A float array is formatted in numpy in chunks of rows of at
@@ -470,25 +480,22 @@ def write_csv(path: Path, header: list[str] | None, rows) -> None:
     row: '%.17g' for a number, '%s' for a str. The two paths write the same
     bytes.
     """
-    with open(path, "ab" if header is None else "wb") as fh:
-        if header is not None:
-            fh.write(",".join(header).encode() + b"\n")
-        if len(rows) == 0:
-            return
-        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
-        if not isinstance(rows, np.ndarray):
-            for row in rows:
-                fh.write((line % row).encode())
-            return
-        step = max(1, _CHUNK_BYTES // (_VALUE_BYTES * rows.shape[1]))
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            size = np.absolute(chunk)
-            if size.min() >= 1e-4 and size.max() < 1e16:  # a NaN fails both
-                _format(fh, chunk, size)
-                continue
-            for row in chunk:
-                fh.write((line % tuple(row.tolist())).encode())
+    if len(rows) == 0:
+        return
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+    if not isinstance(rows, np.ndarray):
+        for row in rows:
+            fh.write((line % row).encode())
+        return
+    step = max(1, _CHUNK_BYTES // (_VALUE_BYTES * rows.shape[1]))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        size = np.absolute(chunk)
+        if size.min() >= 1e-4 and size.max() < 1e16:  # a NaN fails both
+            _format(fh, chunk, size)
+            continue
+        for row in chunk:
+            fh.write((line % tuple(row.tolist())).encode())
 
 
 def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
@@ -518,9 +525,8 @@ def run_experiment(cfg: dict) -> int:
     # sample if that is more) and at most ceil(n / (K + 1)) samples, so the
     # K chains' block holds fewer than n + K samples: 8 chains of 40 desk
     # samples run in blocks of 5, where the byte cap alone gives blocks of 24
-    # and a tracemalloc peak of 0.221 MB, not 0.136 MB. Beside the block, the
-    # band's tails of chain 0's first band_samples rows are held with room for
-    # one block's rows, so at most one sort merges a block.
+    # and a tracemalloc peak of 0.221 MB, not 0.136 MB. Beside the block, only
+    # the band's tails of chain 0's first band_samples rows are held.
     block = min(-(-n // (chains + 1)),
                 max(1, _BLOCK_BYTES // (8 * target.dim * chains)))
     summary_rows = []
@@ -532,28 +538,28 @@ def run_experiment(cfg: dict) -> int:
         flags = np.empty((chains, n), dtype=bool)
         lams = np.zeros(chains)
         tails = diagnostics.BandTails(min(n, s["band_samples"]), target.dim,
-                                      s["credible_mass"], block)
+                                      s["credible_mass"])
         position = theta_map  # then the state the last block ended in
-        for start in range(0, n, block):
-            size = min(block, n - start)
-            burn_in = scfg.burn_in if start == 0 else 0
-            rec = samplers.run_chain(target, mass_spec,
-                                     replace(scfg, n_samples=size, burn_in=burn_in),
-                                     position, rngs)
-            position = rec.state
-            averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
-            flags[:, start : start + size] = rec.accept_flags
-            lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
-            if start < tails.n:
-                tails.add(rec.samples[0, : tails.n - start])
-            if s["store_samples"]:
-                for chain in range(chains):
-                    write_csv(
-                        out_dir / f"samples_{method}_{chain}.csv",
-                        [f"x{i}" for i in range(target.dim)] if start == 0 else None,
-                        rec.samples[chain, -start % thin :: thin],
-                    )
-            del rec  # free this block's samples: only its state goes on
+        with contextlib.ExitStack() as files:
+            sinks = [files.enter_context(open(out_dir / f"samples_{method}_{chain}.csv", "wb"))
+                     for chain in range(chains if s["store_samples"] else 0)]
+            for fh in sinks:
+                fh.write(",".join(f"x{i}" for i in range(target.dim)).encode() + b"\n")
+            for start in range(0, n, block):
+                size = min(block, n - start)
+                burn_in = scfg.burn_in if start == 0 else 0
+                rec = samplers.run_chain(target, mass_spec,
+                                         replace(scfg, n_samples=size, burn_in=burn_in),
+                                         position, rngs)
+                position = rec.state
+                averages[:, start : start + size] = diagnostics.spatial_average(rec.samples)
+                flags[:, start : start + size] = rec.accept_flags
+                lams = np.maximum(lams, rec.repair_lambdas.max(axis=1))
+                if start < tails.n:
+                    tails.add(rec.samples[0, : tails.n - start])
+                for chain, fh in enumerate(sinks):
+                    write_rows(fh, rec.samples[chain, -start % thin :: thin])
+                del rec  # free this block's samples: only its state goes on
         band = diagnostics.credible_band(tails.kept, s["credible_mass"], tails.n)
         del tails
         diag_rows, rho_rows = [], []
@@ -614,9 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
 FLAGS = {"seed": "sampler.seed", "method": "run.methods", "out": "run.output_dir"}
 
 
+_parser = functools.cache(build_parser)  # main's one parser, built on first use
+
+
 @_exit_code
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    args = vars(_parser().parse_args(argv))
     overrides = {}
     for flag, setting in FLAGS.items():
         if args.get(flag) not in (None, ""):

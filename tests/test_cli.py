@@ -25,6 +25,7 @@ from hessmc.cli import (
     method_dt,
     run_experiment,
     write_csv,
+    write_rows,
 )
 from hessmc.linalg import factorize
 from hessmc.samplers import KERNELS, METHODS, ChainState, SamplerConfig, run_chain
@@ -231,8 +232,13 @@ def assert_csv(text, header, rows):
 
 class TestWriteCsv:
     def write(self, tmp_path, header, rows):
+        """What write_csv writes, or with no header what write_rows writes."""
         path = tmp_path / "t.csv"
-        write_csv(path, header, rows)
+        if header is None:
+            with open(path, "wb") as fh:
+                write_rows(fh, rows)
+        else:
+            write_csv(path, header, rows)
         return path.read_bytes().decode()
 
     def test_signed_zeros_after_equal_rows(self, tmp_path):
@@ -261,7 +267,8 @@ class TestWriteCsv:
         rows = np.random.default_rng(0).standard_normal((6, 3))
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b", "c"], rows[:4])
-        write_csv(path, None, rows[4:])
+        with open(path, "ab") as fh:
+            write_rows(fh, rows[4:])
         assert path.read_bytes().decode() == expected_csv(["a", "b", "c"], rows)
 
     @pytest.mark.parametrize("rows", [np.empty((0, 3)), np.empty(0), []])
@@ -381,7 +388,8 @@ class TestWriteCsv:
         write_csv(path, [f"x{i}" for i in range(cols)], record[1])  # one-off costs
         tracemalloc.start()
         try:
-            write_csv(path, None, record[1])
+            with open(path, "ab") as fh:
+                write_rows(fh, record[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -554,16 +562,17 @@ class TestRunCommand:
     @pytest.mark.parametrize("store_samples", [False, True])
     def test_band_tails_and_one_block_set_the_peak(self, tmp_path, store_samples):
         # the band holds the 101 smallest and 101 largest of each coordinate
-        # of 4,000 samples, beside a block of at most cli._BLOCK_BYTES (192
-        # samples); a stored block is written in chunks of about
-        # cli._CHUNK_BYTES, through the file's 8 KiB buffer
+        # of 4,000 samples and merges at most diagnostics._MERGE_VALUES values
+        # at a time, beside a block of at most cli._BLOCK_BYTES (192 samples);
+        # a stored block is written in chunks of about cli._CHUNK_BYTES,
+        # through the file's 8 KiB buffer
         n = 4000
         cfg = load_config(None, {
             "sampler": {"n_samples": n, "thin": 1, "store_samples": store_samples},
             "run": {"methods": ["MH"], "output_dir": str(tmp_path / "out")},
         })
         traced_peak(cfg)  # first call: one-off allocations and caches
-        tails = (101 + 101 + 192) * 64 * 8
+        tails = (101 + 101) * 64 * 8 + diagnostics._MERGE_VALUES * 8
         chunk = cli._CHUNK_BYTES + 8 * 1024 if store_samples else 0
         # each sample's spatial average and flag, then the target, the MAP and
         # small objects: 116-118 KB in all with numpy 2.4 on Python 3.11
@@ -582,8 +591,10 @@ class TestRunCommand:
             return traced_peak(cfg)
 
         peak(40)  # first call: one-off allocations and caches
-        tails = (101 + 101 + 192) * 64 * 8  # of 4,000, with room for one block
-        assert peak(4000) - peak(40) < 2 * tails
+        # of 4,000, and one merge, which a band of 40 makes too (100 KB with
+        # numpy 2.4 on Python 3.11, 230 KB if the tails keep room for a block)
+        tails = (101 + 101) * 64 * 8 + diagnostics._MERGE_VALUES * 8
+        assert peak(4000) - peak(40) < tails
 
     def test_block_budget_changes_no_byte(self, tmp_path, monkeypatch):
         # one sample a block, then blocks of ceil(n / (chains + 1)) samples
@@ -608,6 +619,21 @@ class TestRunCommand:
         # map and summary, then each method's diag, rho, band and three samples
         assert len(outputs[0]) == 2 + 6 * len(METHODS)
         assert outputs[0] == outputs[1]
+
+    def test_samples_files_open_once_per_method(self, tmp_path, monkeypatch):
+        # each chain's samples file is opened once and every block is written
+        # to it (four blocks of 10 samples here)
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted, raising=False)
+        cfg_path = small_config(tmp_path, run={"chains": 3, "methods": ["MH", "HMC"]})
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        samples = sorted(name for name in opened if name.startswith("samples_"))
+        assert samples == sorted(f"samples_{m}_{c}.csv" for m in ("MH", "HMC") for c in range(3))
 
     def test_only_the_state_outlives_a_block(self, tmp_path, monkeypatch):
         # each block continues from the state the block before ended in, and
