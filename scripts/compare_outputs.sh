@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on twenty configs, and
+# runs `python3 -m hessmc run` from both source trees on 21 configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `single`, `desk`, `field144` and `chains8`
 # configs run the four methods for 600 samples after a burn-in of 20, every
@@ -27,9 +27,12 @@
 # quantile, ndtri((1 + mass) / 2), takes each path the default 0.95 does not:
 # `mass_centre` (0.2) the central approximation, `mass_tail` (0.999999) the
 # first tail one, `mass_far` (0.99999999999999) the far tail one, and
-# `mass_one` (1.0) the infinite quantile. The `nologdet` config (HMAP_HMC and
-# HLOCAL_HMC, 2 chains) sets `include_logdet` false, so the energy change is
-# compared without the endpoint log-determinant terms as well. Three configs
+# `mass_one` (1.0) the infinite quantile. A fifth, `mass_tiny` (1e-9), has
+# band tails (26 smallest and 26 largest of 50) that cover every row, so
+# the band keeps all 50 rows of each coordinate, sorted. The `nologdet`
+# config (HMAP_HMC and HLOCAL_HMC, 2 chains) sets `include_logdet` false, so
+# the energy change is compared without the endpoint log-determinant terms
+# as well. Three configs
 # (HMAP_HMC and HLOCAL_HMC, 2 chains, 300 samples, burn-in 20, every sample
 # stored) move the field's scale through the forms '%.17g' takes, and so
 # through both paths of the CSV writer: `scale_up` (m_value 3, values near
@@ -127,7 +130,7 @@ cat > "$work/wide.json" <<JSON
  $hmc, "n_samples": 200}, "run": {"chains": 2, "methods": ["HMAP_HMC"]}}
 JSON
 
-for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0; do
+for mass in centre:0.2 tail:0.999999 far:0.99999999999999 one:1.0 tiny:1e-9; do
     cat > "$work/mass_${mass%%:*}.json" <<JSON
 {"sampler": {"n_samples": 50, "credible_mass": ${mass#*:}}, "run": {"methods": ["MH"]}}
 JSON
@@ -141,7 +144,7 @@ JSON
 status=0
 mkdir "$work/stdout"
 for config in single desk field144 chains8 thin7 rough tiny nologdet \
-        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one \
+        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one mass_tiny \
         beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do
         src="$work/ref/src"

@@ -28,13 +28,15 @@ before the next block runs, and only its state outlives it; a stored chain's
 samples file stays open across a method's blocks. Chain 0's first
 band_samples rows are merged block by block into the few of each
 coordinate's smallest and largest values that its band reads
-(``diagnostics.BandTails``, which holds those tails alone and merges a few
-coordinates at a time), so memory holds one block, those tails and a few
-floats per sample, never a chain's record, and a method's arrays are freed
-before the next method runs. A run makes no numpy overflow or
-invalid-value warning: a chain judges such a value itself (as a rejected
-proposal, or as a numerical error below), so a known error prints its one
-line alone.
+(``diagnostics.BandTails``, which holds those tails alone, sorted, and
+merges a few coordinates at a time; ``credible_band`` reads the band off
+them), so memory holds one block, those tails and a few floats per sample,
+never a chain's record. The per-sample floats are allocated once, after
+the target and its MAP and before any output, so a run too large to hold
+them is a config error, and a method's tails are freed before the next
+method runs. A run makes no numpy overflow or invalid-value warning: a
+chain judges such a value itself (as a rejected proposal, or as a
+numerical error below), so a known error prints its one line alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
 EXIT_CODES); config and target errors come before any output is written.
@@ -498,15 +500,13 @@ def write_rows(fh, rows) -> None:
             fh.write((line % tuple(row.tolist())).encode())
 
 
-def _setup(cfg: dict) -> tuple[Path, LogNormalField, np.ndarray]:
-    """Build the target and its MAP, then write map.csv to the output directory."""
-    target = build_target(cfg)
-    theta_map = target.map_point()
+def _write_map(cfg: dict, theta_map: np.ndarray) -> Path:
+    """Write map.csv to the output directory, made if missing; return the directory."""
     out_dir = Path(cfg["run"]["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "map.csv", ["coordinate", "theta_map"],
-              np.column_stack((np.arange(target.dim), theta_map)))
-    return out_dir, target, theta_map
+              np.column_stack((np.arange(len(theta_map)), theta_map)))
+    return out_dir
 
 
 @_exit_code
@@ -516,11 +516,17 @@ def run_experiment(cfg: dict) -> int:
 
     Returns a process exit code (see module docstring).
     """
-    out_dir, target, theta_map = _setup(cfg)
     s = cfg["sampler"]
+    n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
+    target = build_target(cfg)
+    theta_map = target.map_point()
+    try:  # each sample's spatial average and accept flag, reused by every method
+        averages, flags = np.empty((chains, n)), np.empty((chains, n), dtype=bool)
+    except (MemoryError, ValueError) as exc:  # numpy: too large to hold, or to index
+        raise ConfigError(f"{chains} chains x {n} samples: {exc}") from None
+    out_dir = _write_map(cfg, theta_map)
     band_ref = exact_band(target, s["credible_mass"])
     keys = ("leapfrog_steps", "n_samples", "burn_in", "include_logdet")
-    n, chains, thin = s["n_samples"], cfg["run"]["chains"], s["thin"]
     # A block holds at most _BLOCK_BYTES of samples across the chains (one
     # sample if that is more) and at most ceil(n / (K + 1)) samples, so the
     # K chains' block holds fewer than n + K samples: 8 chains of 40 desk
@@ -534,8 +540,6 @@ def run_experiment(cfg: dict) -> int:
         mass_spec = KERNELS[method].default(target, s["pd_floor"], s["beta"])
         scfg = SamplerConfig(method, method_dt(cfg, method), **{k: s[k] for k in keys})
         rngs = [np.random.default_rng([s["seed"], chain]) for chain in range(chains)]
-        averages = np.empty((chains, n))  # each sample's spatial average
-        flags = np.empty((chains, n), dtype=bool)
         lams = np.zeros(chains)
         tails = diagnostics.BandTails(min(n, s["band_samples"]), target.dim,
                                       s["credible_mass"])
@@ -560,7 +564,7 @@ def run_experiment(cfg: dict) -> int:
                 for chain, fh in enumerate(sinks):
                     write_rows(fh, rec.samples[chain, -start % thin :: thin])
                 del rec  # free this block's samples: only its state goes on
-        band = diagnostics.credible_band(tails.kept, s["credible_mass"], tails.n)
+        band = diagnostics.credible_band(tails, s["credible_mass"])
         del tails
         diag_rows, rho_rows = [], []
         for chain in range(chains):
@@ -575,7 +579,7 @@ def run_experiment(cfg: dict) -> int:
         )
         write_csv(out_dir / f"rho_{method}.csv", ["chain", "lag", "rho"],
                   np.concatenate(rho_rows))
-        del averages, flags, d, lags, rho_rows  # so that none is held beside the next method's
+        del d, lags, rho_rows  # so that none is held beside the next method's
         write_csv(
             out_dir / f"band_{method}.csv",
             ["coordinate", "lower", "upper", "exact_lower", "exact_upper"],
@@ -633,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides.setdefault(section, {})[key] = args[flag]
     cfg = load_config(args["config"], overrides)
     if args["command"] == "map":
-        _setup(cfg)
+        _write_map(cfg, build_target(cfg).map_point())
         return EXIT_OK
     return run_experiment(cfg)
 

@@ -7,10 +7,10 @@ with a hard ceiling of N/4 lags.
 
 The credible band reads two order statistics per quantile and coordinate,
 those either side of rank q*(n-1) (numpy's 'linear' rule), so BandTails
-holds only each coordinate's smallest and largest values down to those
-ranks, merging each block of samples into them a few coordinates at a
-time, and credible_band gives from them the bits np.quantile gives from
-all n.
+holds each coordinate's smallest and largest values down to those ranks,
+sorted, merging each block of samples into them; credible_band reads from
+them the bits np.quantile gives from all n, and sends whole rows through
+one BandTails too.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# credible_band sorts copies of at most this many values at a time (64 KiB)
-_SORT_VALUES = 8192
-# BandTails merges at most this many values at a time (8 KiB), unless one
-# coordinate's tails are more than half of them. 2,048 gave an 8 KB higher
-# peak and no faster merges on the 8x8 target.
+# BandTails merges at most this many values (8 KiB) at a time, unless one coordinate's
+# tails are more than half; 2,048 gave an 8 KB higher peak, no faster merges at d = 64.
 _MERGE_VALUES = 1024
 
 
@@ -105,89 +102,75 @@ def _ranks(n: int, mass: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ranks).T, np.array(gamma)
 
 
-def _tails(n: int, mass: float) -> tuple[int, int]:
-    """How many of each column's smallest and largest values the band reads."""
-    ranks, _ = _ranks(n, mass)
-    return int(ranks[1, 0]) + 1, n - int(ranks[0, 1])
-
-
 class BandTails:
-    """The rows of n samples that their credible band reads, merged block by block.
+    """The values of n samples that their credible band reads, merged block by block.
 
-    Each coordinate's `low` smallest and `high` largest values are all the
-    band reads, and all that the buffer holds: a row of min(n, low + high)
-    values per coordinate. add() copies rows into it while they fit; then
-    it merges the rest of a block a few coordinates at a time, sorting each
-    coordinate's kept values with the block's and keeping only the tails.
-    A merge holds at most _MERGE_VALUES values, or, if that is more, one
-    coordinate's tails and as many of the block's values. If the tails
-    cover all n rows, the buffer holds all n and is never sorted. kept holds
-    the tails, for credible_band(kept, mass, n).
+    Each coordinate's `low` smallest and `high` largest values, in ascending
+    order, are all the band reads and all the buffer holds (min(n, low + high)
+    per coordinate). add() merges a block a few coordinates at a time, sorting
+    each coordinate's kept values with the block's and keeping the tails; a
+    merge holds at most _MERGE_VALUES values, or one coordinate's tails and as
+    many of the block's if that is more. credible_band(tails, mass) reads them.
     """
 
     def __init__(self, n: int, dim: int, mass: float):
-        self.n = n
-        self.low, self.high = _tails(n, mass)
+        if n < 2:
+            raise ValueError("need at least two samples")
+        if not 0.0 < mass <= 1.0:
+            raise ValueError("mass must lie in (0, 1]")
+        self.n, self.mass = n, mass
+        ranks, _ = _ranks(n, mass)
+        self.low, self.high = int(ranks[1, 0]) + 1, n - int(ranks[0, 1])
         self._cols = np.empty((dim, min(n, self.low + self.high)))
-        self._filled = self._seen = 0
-
-    @property
-    def kept(self) -> np.ndarray:
-        return self._cols[:, : self._filled].T
+        self._seen = 0
 
     def add(self, rows: np.ndarray) -> None:
-        """Merge the next rows of the n; rows itself is left unchanged."""
+        """Merge the next (k, dim) rows of the n; rows itself is left unchanged."""
+        cols, low = self._cols, self.low
+        if rows.shape[1:] != cols.shape[:1]:
+            raise ValueError(f"rows of {len(cols)} values expected, not of shape {rows.shape}")
         if self._seen + len(rows) > self.n:
             raise ValueError(f"at most {self.n} rows in all")
-        self._seen += len(rows)
-        cols, low, high = self._cols, self.low, self.high
-        room = cols.shape[1] - self._filled
-        fits, rest = rows[:room], rows[room:]
-        cols[:, self._filled : self._filled + len(fits)] = fits.T
-        self._filled += len(fits)
-        if len(rest) == 0:
-            return
-        size = cols.shape[1]  # low + high, since a row is left over
-        step = min(len(rest), max(_MERGE_VALUES - size, size))
+        size = cols.shape[1]
+        step = min(len(rows), max(_MERGE_VALUES - size, size)) or 1  # 1: no rows
         width = max(1, _MERGE_VALUES // (size + step))
-        for start in range(0, len(rest), step):
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            filled = min(self._seen, size)
+            self._seen += len(block)
+            kept = min(self._seen, size)
+            lo = min(low, kept)  # the smallest kept, then the largest
             for j in range(0, len(cols), width):
-                # a sort, which numpy vectorizes, is faster here than a
-                # partition at two ranks, which it does not
+                # a sort, which numpy vectorizes, beats a partition at two ranks
                 merged = np.concatenate(
-                    (cols[j : j + width], rest[start : start + step, j : j + width].T), axis=1
-                )
+                    (cols[j : j + width, :filled], block[:, j : j + width].T), axis=1)
                 merged.sort(axis=1)
-                cols[j : j + width, :low] = merged[:, :low]
-                cols[j : j + width, low:] = merged[:, merged.shape[1] - high :]
+                cols[j : j + width, :lo] = merged[:, :lo]
+                cols[j : j + width, lo:kept] = merged[:, merged.shape[1] - kept + lo :]
                 del merged  # so that no two merges are held at once
 
 
-def credible_band(samples: np.ndarray, mass: float, n: int | None = None) -> CredibleBand:
+def credible_band(samples: np.ndarray | BandTails, mass: float) -> CredibleBand:
     """Per-coordinate central credible interval from empirical quantiles.
 
     Quantiles interpolate linearly between order statistics at rank
     q*(n-1), bit for bit as np.quantile's 'linear' method. samples are the n
-    rows, or, with n given, rows holding at least each column's tails among
-    n samples (BandTails.kept); they are read, never reordered.
+    rows (1-D: one coordinate), which are read, never reordered, or a
+    BandTails for this mass that has taken all n of its rows.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    n = len(samples) if n is None else n
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if not 0.0 < mass <= 1.0:
-        raise ValueError("mass must lie in (0, 1]")
-    if not min(n, sum(_tails(n, mass))) <= len(samples) <= n:
-        raise ValueError(f"{len(samples)} rows cannot hold the tails of {n}")
+    if not isinstance(samples, BandTails):
+        rows = np.asarray(samples, dtype=float)
+        rows = rows[:, None] if rows.ndim == 1 else rows
+        samples = BandTails(len(rows), rows.shape[1], mass)
+        samples.add(rows)
+    n, cols = samples.n, samples._cols
+    if samples._seen < n:
+        raise ValueError(f"the band needs all {n} rows, not {samples._seen}")
+    if mass != samples.mass:
+        raise ValueError(f"tails kept for mass {samples.mass}, not {mass}")
     ranks, gamma = _ranks(n, mass)
-    ranks[:, 1] -= n - len(samples)  # the upper quantile's ranks count from the top
-    picked = np.empty((4, samples.shape[1]))
-    step = max(1, _SORT_VALUES // len(samples))
-    for j in range(0, samples.shape[1], step):  # sorted copies of a few columns
-        picked[:, j : j + step] = np.sort(samples[:, j : j + step], axis=0)[ranks.ravel()]
-    prev, nxt = picked.reshape(2, 2, -1)
+    ranks[:, 1] -= n - cols.shape[1]  # the upper quantile's ranks count from the top
+    prev, nxt = cols[:, ranks.ravel()].T.reshape(2, 2, -1)
     # numpy's _lerp: from the nearer rank, so gamma 1 gives nxt exactly
     gamma = gamma[:, None]
     diff = nxt - prev

@@ -792,6 +792,11 @@ class TestMapCommand:
         ({"run": {"output_dir": 5}}, [], 2),
         ({"sampler": {"include_logdet": "no"}}, [], 2),
         ({"sampler": {"store_samples": "no"}}, [], 2),
+        # each sample's spatial average alone is 256 TiB at 2**45 samples,
+        # beyond a 47-bit address space whatever the overcommit setting, so no
+        # memory is touched; at 2**62 its size in bytes overflows numpy's index
+        ({"sampler": {"n_samples": 2**45}}, [], 2),
+        ({"sampler": {"n_samples": 2**62}}, [], 2),
         ({"sampler": {"dt": {"MH": 0.1, "HLOCAL": 0.3}}}, [], 2),
         ({"target": {"m_csv": "m.csv"}}, [], 2),
         # loadtxt only warns on an empty file; the CLI prints just its error
@@ -818,7 +823,8 @@ class TestMapCommand:
          "lengthscale-text", "extent-short",
          "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
          "credible-mass-above-one", "output-dir-number", "include-logdet-text",
-         "store-samples-text", "dt-unknown-method", "m-csv-without-sigma",
+         "store-samples-text", "n-samples-beyond-memory", "n-samples-beyond-index",
+         "dt-unknown-method", "m-csv-without-sigma",
          "sigma-empty", "m-csv-empty",
          "sigma-nan", "sigma-inf", "lengthscale-underflow", "variance-huge",
          "nugget-huge", "m-value-800", "m-value-huge", "m-csv-nan",
@@ -836,7 +842,7 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
     cfg_path = small_config(tmp_path, **sections)
     assert main(["run", "--config", str(cfg_path), *args]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     # every error but a chain that never moves is raised before any output
     if "ZeroVariance" not in err:

@@ -230,7 +230,7 @@ class TestCredibleBand:
             tails = self.streamed(x, mass, 128)
             merge_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            streamed = credible_band(tails.kept, mass, n)
+            streamed = credible_band(tails, mass)
             band_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,11 +238,11 @@ class TestCredibleBand:
         assert streamed.upper.tobytes() == band.upper.tobytes()
         # no copy of the rows or room for a block: the tails, one merge of at
         # most diagnostics._MERGE_VALUES values and small objects (3.6 KB with
-        # numpy 2.4 on Python 3.11); then sorted copies of at most
-        # diagnostics._SORT_VALUES of the tails
+        # numpy 2.4 on Python 3.11); then no copy of the tails, which are read
+        # sorted
         tails_bytes = min(n, tails.low + tails.high) * x.shape[1] * 8
         assert merge_peak < tails_bytes + diagnostics._MERGE_VALUES * 8 + 6 * 1024
-        assert band_peak < tails_bytes + diagnostics._SORT_VALUES * 8 + 16 * 1024
+        assert band_peak < tails_bytes + 16 * 1024
 
     @pytest.mark.parametrize("n", [2, 40, 1000])
     def test_caller_array_left_unchanged(self, n):
@@ -251,30 +251,55 @@ class TestCredibleBand:
         credible_band(x, 0.95)
         credible_band(x[:, 0], 0.5)
         tails = self.streamed(x, 0.95, 7)
-        kept = tails.kept.tobytes()
-        credible_band(tails.kept, 0.95, n)
+        kept = tails._cols.tobytes()
+        credible_band(tails, 0.95)
         assert x.tobytes() == before
-        assert tails.kept.tobytes() == kept
+        assert tails._cols.tobytes() == kept
 
     def test_tails_are_all_the_band_reads(self):
         # 0.95 of 1,000: ranks 24 and 25 below, 974 and 975 above
         tails = BandTails(1000, 3, 0.95)
         assert (tails.low, tails.high) == (26, 26)
-        # tails that cover every row keep them all, in their order
+        # tails that cover every row keep them all, sorted per coordinate
         x = self.tied_rows(40)[:, :3]
-        tails = self.streamed(x, 1e-9, 1)
-        assert (tails.low, tails.high) == (21, 21)
-        assert tails.kept.tobytes() == x.tobytes()
+        for size in (1, 7, 40):
+            tails = self.streamed(x, 1e-9, size)
+            assert (tails.low, tails.high) == (21, 21)
+            assert tails._cols.tobytes() == np.sort(x.T, axis=1).tobytes()
 
     def test_too_many_rows_or_too_few_rejected(self):
         x = self.tied_rows(40)
         tails = self.streamed(x, 0.95, 40)
+        kept = tails._cols.tobytes()
+        tails.add(x[:0])  # no rows are not a row too many
+        assert tails._cols.tobytes() == kept
         with pytest.raises(ValueError, match="40 rows in all"):
             tails.add(x[:1])
-        with pytest.raises(ValueError, match="cannot hold"):
-            credible_band(x[:3], 0.95, 40)
-        with pytest.raises(ValueError, match="cannot hold"):
-            credible_band(x, 0.95, 39)
+        short = BandTails(40, 64, 0.95)
+        short.add(x[:39])
+        with pytest.raises(ValueError, match="needs all 40 rows, not 39"):
+            credible_band(short, 0.95)
+        # tails kept for one mass do not hold the ranks of another
+        with pytest.raises(ValueError, match="mass 0.95, not 0.9"):
+            credible_band(tails, 0.9)
+
+    def test_bad_rows_n_or_mass_rejected(self):
+        # one column does not broadcast into three coordinates, even while
+        # the rows still fit in the tails' buffer
+        for rows in (np.arange(4.0)[:, None], np.arange(3.0), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="rows of 3 values"):
+                BandTails(100, 3, 0.95).add(rows)
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="at least two"):
+                BandTails(n, 3, 0.95)
+        for mass in (1.5, 0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="mass must lie in"):
+                BandTails(10, 1, mass)
+        # credible_band makes these checks through its BandTails
+        with pytest.raises(ValueError, match="at least two"):
+            credible_band(np.array([1.0]), 0.95)
+        with pytest.raises(ValueError, match="mass must lie in"):
+            credible_band(np.arange(10.0), 1.5)
 
     @pytest.mark.parametrize("mass", [1.0, 0.2, 1e-9, 0.999999, 0.99999999999999, "random"])
     def test_streamed_band_is_numpy_quantile_bit_for_bit(self, mass):
@@ -290,7 +315,7 @@ class TestCredibleBand:
             lo_q = (1.0 - q) / 2.0
             expected = np.quantile(x, [lo_q, 1.0 - lo_q], axis=0, method="linear").tobytes()
             for size in range(1, n + 1):
-                band = credible_band(self.streamed(x, q, size).kept, q, n)
+                band = credible_band(self.streamed(x, q, size), q)
                 assert np.stack((band.lower, band.upper)).tobytes() == expected, (n, d, q, size)
 
 
