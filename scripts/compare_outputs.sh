@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on 21 configs, and
+# runs `python3 -m hessmc run` from both source trees on 22 configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `single`, `desk`, `field144` and `chains8`
 # configs run the four methods for 600 samples after a burn-in of 20, every
@@ -22,7 +22,11 @@
 # `rough` config (field variance 0.01, 8 chains) has HLOCAL_HMC endpoints
 # whose Hessian is indefinite, so the repair's jitter path is compared as
 # well, and trajectories that leave the domain midway, so the rows that stop
-# early and the rows that go on are compared too. Four MH-only configs (8x8
+# early and the rows that go on are compared too. `rough1` is the same
+# target with 1 chain (600 samples, burn-in 20, every sample stored, all four
+# methods): its HLOCAL_HMC trajectories that leave the domain stop as one
+# point, not as rows of a stack, and its end masses are repaired with jitter
+# one point at a time. Four MH-only configs (8x8
 # target, 50 samples) set `credible_mass` so that the analytic band's normal
 # quantile, ndtri((1 + mass) / 2), takes each path the default 0.95 does not:
 # `mass_centre` (0.2) the central approximation, `mass_tail` (0.999999) the
@@ -94,6 +98,9 @@ JSON
 cat > "$work/rough.json" <<JSON
 {"target": {"variance": 0.01}, $common, "run": {"chains": 8}}
 JSON
+cat > "$work/rough1.json" <<JSON
+{"target": {"variance": 0.01}, $common, "run": {"chains": 1}}
+JSON
 cat > "$work/nologdet.json" <<JSON
 {"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 1,
              "include_logdet": false},
@@ -143,7 +150,7 @@ JSON
 
 status=0
 mkdir "$work/stdout"
-for config in single desk field144 chains8 thin7 rough tiny nologdet \
+for config in single desk field144 chains8 thin7 rough rough1 tiny nologdet \
         scale_up straddle scale_far mass_centre mass_tail mass_far mass_one mass_tiny \
         beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do

@@ -8,45 +8,51 @@ log-determinant. Factors are immutable and safe to share across chains.
 The two hot kernels call LAPACK directly: :func:`factorize` is one ``dpotrf``
 and :func:`solve` one ``dpotrs``, the same routines ``scipy.linalg.cholesky``
 and ``cho_solve`` call, so results agree bit for bit without those wrappers'
-per-call overhead. A factor that carries its dense inverse (:func:`with_inverse`)
-is solved by one matvec instead: a checked :func:`solve` at d = 144 took
-6.0-7.7 us that way against 16.4-17.0 us by ``dpotrs`` (best of 7 runs of
-2000 calls, three runs, one thread of a shared 2-core x86 box, OpenBLAS;
-7-10 against 20-27 us when first measured). Only a chain's constant mass
-carries one. A mass refrozen at each point would spend 266-333 us inverting
-(``dpotri``; 552-812 us through :func:`inverse`) to save about 160 us over
-its 12 solves. Tried for HLOCAL_HMC (one ``dpotri`` per new mass, then a
-matvec per solve), it made a run slower, x1.24 on the desk target and x1.21
-with 8 chains (20 alternating in-process runs each), and it would change
-HLOCAL_HMC's output bytes. Any other factor (a covariance's, say) would hold
-a second d x d array for nothing.
+per-call overhead. A factor that carries its dense inverse
+(:func:`with_inverse`) is solved by one matvec instead: a checked
+:func:`solve` at d = 144 took 4.1 us that way against 13.8-14.3 us by
+``dpotrs`` (best of 7 repeats of 2000 calls, two runs, one BLAS thread of a
+shared 2-core x86 box, OpenBLAS, numpy 2.4; 7-10 against 20-27 us when first
+measured). Only a chain's constant mass carries one. A mass refrozen at each
+point would spend about 200 us inverting at d = 144 (``dpotri``; 430 us
+through :func:`inverse`) to save about 100 us over its 12 solves. Tried for
+HLOCAL_HMC (one ``dpotri`` per new mass, then a matvec per solve), it made a
+run slower, x1.24 on the desk target and x1.21 with 8 chains (20 alternating
+in-process runs each), and it would change HLOCAL_HMC's output bytes. Any
+other factor (a covariance's, say) would hold a second d x d array for
+nothing.
 
 A diagonal factor (``beta * I``, HMC's mass: L has no nonzero entry off its
-diagonal) carries only its inverse's diagonal, a (d,) array, and
-:func:`solve` and :func:`sample_gaussian` apply it by one elementwise
-product. At d = 144 a checked solve took 1.9 us that way against 5.7-5.8 us
-by the dense matvec, an 8-row stack 4.0 us against 28-29 us and a draw
-3.9 us against 6.4 us (measured the same way, two runs). The bits are those of
-the dense products: each entry of ``inv @ v`` or ``L @ z`` is one nonzero
-product plus exact zeros. Only the sign of an entry that is itself a zero
-product can differ, and the samplers only add such an entry to a position
-or sum it into an energy. :func:`with_inverse` finds the diagonal by one
-``dpotrs`` against a vector of ones, not by :func:`inverse`'s O(d**3) solve
-against the identity: 0.04 ms against 0.52 ms at d = 144, 0.58 ms against
-21 ms at d = 576 (best of 7, one BLAS thread). Each entry of that solve
-sees only its own diagonal entry of L, the others being exact zeros, and
-the same routine computes it, so it has the bits of
-``inverse(f).diagonal()``, the values the dense matvec multiplies by.
-``1 / L_ii / L_ii`` differs from them in the last bit for some beta (2.5,
-0.3 and 1e-3 among them).
+diagonal) carries only its inverse's diagonal, a (d,) array, and :func:`solve`
+and :func:`sample_gaussian` apply it by one elementwise product. At d = 144 a
+checked solve took 1.5-1.6 us that way against 4.8-4.9 us by the dense matvec,
+an 8-row stack 3.5-3.6 us against 26 us and a draw 3.5-3.9 us against 6.7-7.3
+us (measured the same way). The bits are those of the dense products: each
+entry of ``inv @ v`` or ``L @ z`` is one nonzero product plus exact zeros.
+Only the sign of an entry that is itself a zero product can differ, and the
+samplers only add such an entry to a position or sum it into an energy.
+:func:`with_inverse` finds the diagonal by one ``dpotrs`` against a vector of
+ones, not by :func:`inverse`'s O(d**3) solve against the identity: 0.04 ms
+against 0.52 ms at d = 144, 0.58 ms against 21 ms at d = 576 (best of 7, one
+BLAS thread). Each entry of that solve sees only its own diagonal entry of L,
+the others being exact zeros, and the same routine computes it, so it has the
+bits of ``inverse(f).diagonal()``, the values the dense matvec multiplies by.
+``1 / L_ii / L_ii`` differs from them in the last bit for some beta (2.5, 0.3
+and 1e-3 among them).
 
 Each matrix is checked once per call: an exactly symmetric input passes after
 one finiteness and one equality scan, uncopied, and only an asymmetric one is
-measured for its asymmetry and symmetrized. A vector or stack to solve
-against is checked by counting its finite entries, one C loop (``.all()``
-goes through a Python wrapper, 0.5 us more a call). A refused stack marks its
-non-finite rows in :class:`NonFiniteVector`, which is how a diverging
-leapfrog trajectory stops those rows without a scan of its own.
+measured for its asymmetry and symmetrized. :func:`solve` makes two checks of
+a vector or stack to solve against: its shape against the factor or factors
+(``_check_dims``, 0.15-0.25 us at d = 144), then its finiteness, by
+counting its finite entries with numpy's C ``count_nonzero``, one C loop
+(``.all()`` and ``np.count_nonzero`` go through Python wrappers: 0.93 and 0.30
+us a call at d = 64 against 0.08 us). ``_solve_checked`` is the second
+check and the product alone: a leapfrog trajectory checks the shapes once
+(``_check_dims``) and calls it for each momentum, so every momentum is still
+refused before its drift if it is not finite. A refused stack marks its
+non-finite rows in :class:`NonFiniteVector`, which is how a diverging leapfrog
+trajectory stops those rows without a scan of its own.
 
 A stack is checked once and then handed to LAPACK row by row, so each row
 gets the bits of its call alone (scipy's batched Cholesky is no faster, and
@@ -86,6 +92,11 @@ from dataclasses import dataclass, field, replace
 from importlib.machinery import PathFinder
 
 import numpy as np
+
+try:  # np.count_nonzero's C function, without its Python wrapper
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # a numpy that moved it: the wrapper, the same counts
+    count_nonzero = np.count_nonzero
 
 
 def _load_flapack():
@@ -233,12 +244,35 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
         NonFiniteVector: v has an inf or NaN entry.
     """
     v = np.asarray(v, dtype=float)
+    _check_dims(f, v)
+    return _solve_checked(f, v)
+
+
+def _check_dims(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> None:
+    """:func:`solve`'s shape checks: raise DimensionMismatch unless v is a
+    vector of length ``f.dim`` or a (K, f.dim) stack, or, for a sequence of
+    factors, a (K, d) stack with K factors of dim d."""
     if isinstance(f, SpdFactor):
         if v.shape != (f.dim,) and (v.ndim != 2 or v.shape[1] != f.dim):
             raise DimensionMismatch(
                 f"expected a vector of length {f.dim} or a (K, {f.dim}) stack, got {v.shape}"
             )
-        _check_finite(v)
+    elif v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
+        raise DimensionMismatch(
+            f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
+        )
+
+
+def _solve_checked(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
+    """:func:`solve` of a float array v whose shape ``_check_dims`` has
+    passed against f: the finiteness check (NonFiniteVector) and the product,
+    for a caller that solves many momenta of one shape against one mass. A
+    wrong-shaped v is not refused here: a diagonal factor broadcasts it."""
+    finite = np.isfinite(v)
+    if count_nonzero(finite) != finite.size:
+        rows = None if v.ndim == 1 else ~finite.all(axis=1)
+        raise NonFiniteVector("array must not contain infs or NaNs", rows)
+    if isinstance(f, SpdFactor):
         if f.inv is not None:
             if f.inv.ndim == 1:
                 return v * f.inv
@@ -246,12 +280,6 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
         if v.ndim == 1:
             return _potrs(f, v)
         f = [f] * len(v)
-    else:
-        if v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
-            raise DimensionMismatch(
-                f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
-            )
-        _check_finite(v)
     x = np.empty(v.shape)
     for k, (g, row) in enumerate(zip(f, v)):
         if g.inv is None:
@@ -267,14 +295,6 @@ def _dims_differ(factors: Sequence[SpdFactor], dim: int) -> bool:
         if g.dim != dim:
             return True
     return False
-
-
-def _check_finite(v: np.ndarray) -> None:
-    """Refuse a vector, or a stack of them, with an inf or NaN entry."""
-    finite = np.isfinite(v)
-    if np.count_nonzero(finite) != finite.size:
-        rows = None if v.ndim == 1 else ~finite.all(axis=1)
-        raise NonFiniteVector("array must not contain infs or NaNs", rows)
 
 
 def _potrs(f: SpdFactor, v: np.ndarray) -> np.ndarray:

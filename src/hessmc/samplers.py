@@ -11,6 +11,12 @@ chain keeps its own accept test, its own mass and its own generator, drawn
 in the order it would draw alone. The target kernels and the stacked LAPACK
 calls are row-exact (see ``targets`` and ``linalg``), so each chain is bit
 for bit the chain its generator gives alone; one generator is K = 1.
+One chain runs as one point, not as a one-row stack (``run_chain`` decides
+that once per call; its ``ChainState`` holds the one-row stack), so its
+transitions make 1-D calls, with no row split off or stacked again. A
+trajectory checks its masses' shapes once (``linalg._check_dims``) and each of
+its L solves only that the momentum is finite (``linalg._solve_checked``);
+``leapfrog`` and ``hamiltonian`` check a mass's count and shape at entry.
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
 proposed, so a trajectory of L steps makes L gradient calls, and each record
 ends in a ``ChainState`` (those points and the mass policy), from which a
@@ -22,7 +28,7 @@ that fails in any way. ``KERNELS`` declares each method's transition, the
 mass specs it takes and its default spec. A spec's ``mass_at(target)`` is
 its mass policy, which maps a (K, d) stack of points to K (SpdFactor, lam)
 pairs: a list of factors, None where the mass cannot be built, and a (K,)
-array of jitters.
+array of jitters; and one point to its factor (or None) and jitter.
 The Hamiltonian kernels are one transition that differs only in that policy:
 HMC and HMAP_HMC use a constant mass, inverted once: ``beta * I``, which keeps
 only its inverse's diagonal, so that every ``solve`` and momentum draw is one
@@ -46,7 +52,8 @@ being finite (a diverging trajectory) stops too, on ``solve``'s own refusal
 (NonFiniteVector), so no leapfrog step scans for it; its energy is +inf.
 ``run_chain`` refuses a start point of the wrong shape or of infinite
 potential, raises NonFiniteGradient if a Hamiltonian start point's gradient
-is not finite and RepairFailed if its mass cannot be built.
+is not finite and RepairFailed if its mass cannot be built, and a mass of
+another dimension raises DimensionMismatch before any momentum is drawn.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ from .linalg import (
     NonFiniteVector,
     RepairFailed,
     SpdFactor,
+    _check_dims,
+    _solve_checked,
     factorize,
     repair_to_pd,
     sample_gaussian,
@@ -127,7 +136,9 @@ class FixedSpd:
     factor: SpdFactor
 
     def mass_at(self, target: TargetModel):
-        return lambda theta: ([self.factor] * len(theta), np.zeros(len(theta)))
+        # a point's mass is the factor itself: a one-chain run builds nothing
+        return lambda theta: ((self.factor, 0.0) if theta.ndim == 1 else
+                              ([self.factor] * len(theta), np.zeros(len(theta))))
 
 
 @dataclass(frozen=True)
@@ -141,7 +152,13 @@ class LocalHessian:
         _check_positive("floor", self.floor)
 
     def mass_at(self, target: TargetModel):
-        return lambda theta: repair_to_pd(_by_rows(target.hessian, theta), self.floor)
+        def policy(theta):
+            if theta.ndim == 2:
+                return repair_to_pd(target.hessian(theta), self.floor)
+            (factor,), (lam,) = repair_to_pd(target.hessian(theta)[None], self.floor)
+            return factor, lam
+
+        return policy
 
 
 MassSpec = Union[ScaledIdentity, FixedSpd, LocalHessian]
@@ -210,8 +227,6 @@ def mh_propose(theta: np.ndarray, dt: float, rng) -> np.ndarray:
         return theta + dt * rng.standard_normal(theta.shape[0])
     if len(rng) != len(theta):
         raise DimensionMismatch(f"{len(rng)} generators for {len(theta)} rows")
-    if len(theta) == 1:  # one draw of the whole shape: about 1.4 us faster at d = 64
-        return theta + dt * rng[0].standard_normal(theta.shape)
     noise = np.empty(theta.shape)  # each generator draws its row in place
     for r, row in zip(rng, noise):
         r.standard_normal(out=row)
@@ -220,21 +235,26 @@ def mh_propose(theta: np.ndarray, dt: float, rng) -> np.ndarray:
     return noise
 
 
-def mh_accept(j_cur: float, j_prop: float, u: float) -> bool:
-    """Symmetric Metropolis test: accept iff u < min{1, exp(j_cur - j_prop)}."""
+def mh_accept(j_cur, j_prop, u):
+    """Symmetric Metropolis test: accept iff u < min{1, exp(j_cur - j_prop)}
+    for a uniform u in [0, 1). Floats give a bool; (K,) arrays give the (K,)
+    flags, by whole-array operations with the bits of each row's own test
+    (exp is taken of min(delta, 0), so that no gain overflows it)."""
     delta = j_cur - j_prop
-    if delta >= 0.0:
-        return True
-    return u < np.exp(delta)
+    if isinstance(delta, np.ndarray):
+        return u < np.exp(np.minimum(delta, 0.0))
+    return delta >= 0.0 or u < np.exp(delta)
 
 
-def _by_rows(fn, stack: np.ndarray, *args):
-    """fn(stack, *args); a one-row stack is passed as its single point and the
-    result given its row axis back, since 1-D ufuncs skip the broadcasting and
-    2-D iteration a (1, d) stack pays for (about 3 us a potential call at d = 64)."""
-    if len(stack) == 1:
-        return np.asarray(fn(stack[0], *args))[None]
-    return fn(stack, *args)
+def _accept(delta, rng):
+    """The Hamiltonian accept test of one chain (a float delta and its
+    generator) or of K (a (K,) delta and K generators, a (K,) result):
+    accept if delta >= 0, else draw the chain's uniform and accept if it is
+    below exp(delta). A uniform is ``random()``: ``uniform()``'s
+    0 + 1 * random(), the same bits and draw, at a third of its cost."""
+    if not isinstance(delta, np.ndarray):
+        return delta >= 0.0 or rng.random() < np.exp(delta)
+    return np.array([_accept(d, r) for d, r in zip(delta.tolist(), rng)])
 
 
 def _shared(masses: list):
@@ -247,10 +267,12 @@ def _shared(masses: list):
 def leapfrog(state: PhaseState, target: TargetModel, mass, dt: float, steps: int) -> PhaseState:
     """Explicit leapfrog: half-kick, drift through M^-1, half-kick, L times.
 
-    state holds one point or a (K, d) stack of them, and mass is one SpdFactor
-    for every row or a sequence of one per row (another count raises
-    DimensionMismatch). Each step makes one gradient call on the stack; from
-    a state that carries its gradient, L steps make L calls, else L + 1.
+    state holds one point, whose mass is one SpdFactor, or a (K, d) stack of
+    them, whose mass is one SpdFactor for every row or a sequence of one per
+    row; another count, or a factor of another dim, raises DimensionMismatch
+    (checked once, before the steps). Each step makes one gradient call on
+    the stack; from a state that carries its gradient, L steps make L calls,
+    else L + 1.
     The result carries the gradient at its position, so a result fed back
     makes L calls and gives the bits of a state without one (a row stopped
     outside the domain carries a NaN gradient, so it stops again at once).
@@ -267,33 +289,40 @@ def leapfrog(state: PhaseState, target: TargetModel, mass, dt: float, steps: int
     theta = np.asarray(state.position, dtype=float, order="C")
     p = np.asarray(state.momentum, dtype=float, order="C")
     gradient = state.gradient
-    if not isinstance(mass, SpdFactor) and len(mass) != len(theta):
-        raise DimensionMismatch(f"{len(mass)} masses for {len(theta)} rows")
+    _check_mass(mass, theta)
     if steps < 1:
         raise ValueError("leapfrog takes at least one step")
-    one = theta.ndim == 2 and len(theta) == 1  # one row runs as one point: see _by_rows
-    if one:
-        theta, p = theta[0], p[0]
-        gradient = None if gradient is None else gradient[0]
-        mass = mass if isinstance(mass, SpdFactor) else mass[0]
     if gradient is None:
         gradient = target.gradient(theta)
-    end = _trajectory(theta, p - 0.5 * dt * gradient, gradient, target, mass, dt, steps)
-    return PhaseState(*(a[None] for a in end)) if one else PhaseState(*end)
+    return PhaseState(*_trajectory(theta, p - 0.5 * dt * gradient, gradient, target, mass,
+                                   dt, steps))
+
+
+def _check_mass(mass, theta: np.ndarray) -> None:
+    """Refuse (DimensionMismatch) a mass that does not fit theta: a point
+    takes one SpdFactor, a (K, d) stack one or a sequence of K, each of
+    dim d. The public entries check once; the solves after do not."""
+    if not isinstance(mass, SpdFactor) and (theta.ndim != 2 or len(mass) != len(theta)):
+        rows = f"{len(theta)} rows" if theta.ndim == 2 else "one point"
+        raise DimensionMismatch(f"{len(mass)} masses for {rows}")
+    _check_dims(mass, theta)
 
 
 def _trajectory(theta, p, g, target, mass, dt, steps):
     """leapfrog after its first half-kick: `steps` steps from theta, whose
-    gradient is g, with the half-step momentum p. Each step drifts, takes the
-    gradient there, and with its half-kick ends this step and, but for the
-    last, starts the next. p is updated in place (leapfrog made it); theta
-    and g are not written. Returns the end (position, momentum, gradient).
+    gradient is g, with the half-step momentum p, against a mass whose
+    shapes the caller has checked (``linalg._check_dims``). Each step drifts,
+    takes the gradient there, and with its half-kick ends this step and, but
+    for the last, starts the next. p is updated in place (the caller made
+    it); theta and g are not written. Returns the end (position, momentum,
+    gradient).
 
     Rows that diverge or leave the domain stop (see ``leapfrog``); the
     other rows go on from before that drift (``_stop``)."""
+    half = 0.5 * dt
     for left in range(steps, 0, -1):
         try:
-            x = solve(mass, p)
+            x = _solve_checked(mass, p)
         except NonFiniteVector as exc:  # these rows diverged: they stop here
             return _stop(exc.rows, (theta, p, g), (theta, p, g), target, mass, dt, left)
         x *= dt
@@ -304,7 +333,7 @@ def _trajectory(theta, p, g, target, mass, dt, steps):
             return _stop(exc.rows, (x, p, np.full_like(x, np.nan)), (theta, p, g), target,
                          mass, dt, left)
         theta, g = x, g_x
-        kick = 0.5 * dt * g
+        kick = half * g
         p -= kick
         if left > 1:
             p -= kick
@@ -341,23 +370,27 @@ def hamiltonian(
     array for a (K, d) stack against one factor or K, each row the bits of
     its call alone. +inf where J is +inf (outside the domain) or the momentum
     is not finite (a diverged ``leapfrog`` row). The log-det term matters
-    only when the two endpoints compared have different masses."""
-    one = np.ndim(state.position) == 1
-    theta, p = np.atleast_2d(state.position, state.momentum)
-    h = _energy(_by_rows(target.potential, theta), p, mass, include_logdet)
-    return h[0] if one else h
+    only when the two endpoints compared have different masses. A point
+    takes one factor; a stack one or K (another count raises
+    DimensionMismatch)."""
+    p = np.asarray(state.momentum, dtype=float)
+    _check_mass(mass, p)
+    return _energy(target.potential(state.position), p, mass, include_logdet)
 
 
 def _energy(j, p, mass, include_logdet):
-    """J + 0.5 p' M^-1 p (+ 0.5 log|M|) of each row of a (K, d) stack p, given
-    its (K,) potentials j, against one factor or K. A row whose momentum
-    ``solve`` refuses (NonFiniteVector marks it) is +inf, as is one whose J is."""
+    """J + 0.5 p' M^-1 p (+ 0.5 log|M|) of one point's momentum p, given its
+    potential j and one factor, or of each row of a (K, d) stack p, given its
+    (K,) potentials, against one factor or K. A momentum that ``solve``
+    refuses as not finite (NonFiniteVector; its ``rows`` mark a stack's) is
+    +inf, as is one whose J is."""
     mass = mass if isinstance(mass, SpdFactor) else _shared(mass)
-    v = p[0] if len(p) == 1 else p  # one row runs as one point: see _by_rows
     try:
-        e = 0.5 * np.vecdot(v, solve(mass, v))
+        e = 0.5 * np.vecdot(p, solve(mass, p))
     except NonFiniteVector as exc:  # these rows diverged: J +inf, momentum 0
-        stopped = np.ones(1, dtype=bool) if exc.rows is None else exc.rows
+        if exc.rows is None:
+            return np.inf
+        stopped = exc.rows
         return _energy(np.where(stopped, np.inf, j), np.where(stopped[:, None], 0.0, p),
                        mass, include_logdet)
     if include_logdet:  # the mass's terms first: one row's are scalars, not arrays
@@ -367,7 +400,9 @@ def _energy(j, p, mass, include_logdet):
 
 
 class _Points(NamedTuple):
-    """K chain points, each evaluated once, when proposed."""
+    """K chain points, each evaluated once, when proposed. A run of one
+    chain holds its one point: theta and grad (d,), j and lam floats and
+    mass one SpdFactor (``_point``); a ``ChainState`` holds (K, d) stacks."""
 
     theta: np.ndarray  # (K, d)
     j: np.ndarray  # (K,) potentials
@@ -376,64 +411,94 @@ class _Points(NamedTuple):
     lam: np.ndarray  # (K,) repair jitter of each mass; 0 for a constant mass
 
 
-def _select(accepted: list, new: _Points, old: _Points) -> _Points:
-    """Row by row, the new point where accepted, else the old one."""
-    if all(accepted):
+def _point(points: _Points) -> _Points:
+    """The one point of a one-row stack's points."""
+    theta, j, grad, mass, lam = points
+    return _Points(theta[0], j[0], None if grad is None else grad[0], mass[0], lam[0])
+
+
+def _rows(point: _Points) -> _Points:
+    """A point's points as a one-row stack's."""
+    theta, j, grad, mass, lam = point
+    return _Points(theta[None], np.array([j]), None if grad is None else grad[None], [mass],
+                   np.array([lam]))
+
+
+def _select(accepted, new: _Points, old: _Points) -> _Points:
+    """The new point if accepted, else the old one; for a stack, row by row
+    by whole-array selections (accepted a (K,) bool array), a mass or lam
+    that both share (MH's) passed through."""
+    if not isinstance(accepted, np.ndarray):
+        return new if accepted else old
+    if accepted.all():
         return new
-    if not any(accepted):
+    if not accepted.any():
         return old
-    rows = np.array(accepted)
+    rows = accepted[:, None]
     return _Points(
-        np.where(rows[:, None], new.theta, old.theta),
-        np.where(rows, new.j, old.j),
-        None if old.grad is None else np.where(rows[:, None], new.grad, old.grad),
-        [n if a else o for a, n, o in zip(accepted, new.mass, old.mass)],
-        np.where(rows, new.lam, old.lam),
+        np.where(rows, new.theta, old.theta),
+        np.where(accepted, new.j, old.j),
+        None if old.grad is None else np.where(rows, new.grad, old.grad),
+        old.mass if new.mass is old.mass
+        else [n if a else o for a, n, o in zip(accepted.tolist(), new.mass, old.mass)],
+        old.lam if new.lam is old.lam else np.where(accepted, new.lam, old.lam),
     )
 
 
-def _mh_step(points, target, mass_at, cfg, rngs):
-    """K MH transitions: one proposal and one uniform per chain, one potential call."""
-    theta = mh_propose(points.theta, cfg.dt, rngs)
-    j = _by_rows(target.potential, theta)
-    accepted = [
-        mh_accept(a, b, rng.uniform())
-        for a, b, rng in zip(points.j.tolist(), j.tolist(), rngs)
-    ]
+def _mh_step(points, target, mass_at, cfg, rng):
+    """MH transitions of one point or of K: one proposal and one uniform per
+    chain, drawn in row order, and one potential call."""
+    theta = mh_propose(points.theta, cfg.dt, rng)
+    j = target.potential(theta)
+    u = np.array([r.random() for r in rng]) if theta.ndim == 2 else rng.random()
+    accepted = mh_accept(points.j, j, u)
     new = _Points(theta, j, None, points.mass, points.lam)
     return _select(accepted, new, points), accepted
 
 
-def _hamiltonian_step(points, target, mass_at, cfg, rngs):
-    """K Hamiltonian transitions in lockstep: points -> (points, accepted).
+def _hamiltonian_step(points, target, mass_at, cfg, rng):
+    """Hamiltonian transitions of one point or of K in lockstep:
+    points -> (points, accepted).
 
-    Each trajectory uses its point's mass; mass_at is called once, on all K
+    Each trajectory uses its point's mass; mass_at is called once, on all
     endpoints, an endpoint of infinite potential replaced by its start point
     (that row is rejected anyway), so the policy is asked inside the domain
-    only. delta = H(start) - H(end), each ``_energy`` with its own mass, and
-    a rejection is an infinite end energy: +inf out of domain or for a
-    diverged momentum, delta = -inf where the end mass cannot be built, so
-    one accept test per chain, with its one uniform, rejects it.
+    only. The start masses' shapes are checked once, before the momenta are
+    drawn, for the whole trajectory. delta = H(start) - H(end), each
+    ``_energy`` with its own mass, and a rejection is an infinite end energy:
+    +inf out of domain, for a diverged momentum and where the end mass cannot
+    be built (J is set +inf there), so one accept test per chain, with its
+    one uniform, rejects it.
     """
-    theta, j_cur, grad, masses, _ = points
-    mass = _shared(masses)
-    p0 = np.array([sample_gaussian(m, rng) for m, rng in zip(masses, rngs)])
-    end = leapfrog(PhaseState(theta, p0, grad), target, mass, cfg.dt, cfg.leapfrog_steps)
-    j_end = _by_rows(target.potential, end.position)
+    theta, j, grad, masses, _ = points
+    stack = theta.ndim == 2
+    _check_dims(masses, theta)
+    if stack:
+        p0 = np.array([sample_gaussian(m, r) for m, r in zip(masses, rng)])
+    else:
+        p0 = sample_gaussian(masses, rng)
+    dt = cfg.dt
+    x, p, g = _trajectory(theta, p0 - 0.5 * dt * grad, grad, target,
+                          _shared(masses) if stack else masses, dt, cfg.leapfrog_steps)
+    j_end = target.potential(x)
     inside = np.isfinite(j_end)
     # every endpoint inside, the common case, passes the endpoints uncopied
-    at = end.position if all(inside.tolist()) else np.where(inside[:, None], end.position, theta)
-    got, new_lams = mass_at(at)
-    new_masses = [old if m is None else m for m, old in zip(got, masses)]
-    delta = (_energy(j_cur, p0, mass, cfg.include_logdet)
-             - _energy(j_end, end.momentum, new_masses, cfg.include_logdet))
-    accepted = []
-    for d, m, rng in zip(delta.tolist(), got, rngs):
-        if m is None:  # the end mass cannot be built: rejected, its uniform drawn
-            d = -np.inf
-        accepted.append(d >= 0.0 or rng.uniform() < np.exp(d))
-    new = _Points(end.position, j_end, end.gradient, new_masses, new_lams)
-    return _select(accepted, new, points), accepted
+    if inside.all() if stack else inside:
+        got, lams = mass_at(x)
+    else:
+        got, lams = mass_at(np.where(inside[..., None], x, theta))
+    # an end mass that cannot be built: rejected, its uniform drawn
+    if not stack:
+        if got is None:
+            got, j_end = masses, np.inf
+    elif None in got:
+        failed = [m is None for m in got]
+        got = [o if f else m for f, m, o in zip(failed, got, masses)]
+        j_end = np.where(failed, np.inf, j_end)
+    delta = (_energy(j, p0, masses, cfg.include_logdet)
+             - _energy(j_end, p, got, cfg.include_logdet))
+    accepted = _accept(delta, rng)
+    return _select(accepted, _Points(x, j_end, g, got, lams), points), accepted
 
 
 def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float]:
@@ -529,15 +594,22 @@ def run_chain(
     potentials = np.empty((cfg.n_samples, k))
     lambdas = np.empty((cfg.n_samples, k))
 
+    # one chain runs as one point: 1-D ufuncs skip the broadcasting and 2-D
+    # iteration of a (1, d) stack, and no row is split off or stacked again
+    one = k == 1
+    if one:
+        points, rng = _point(points), rngs[0]
+    else:
+        rng = rngs
     step = KERNELS[cfg.method].step
     for _ in range(cfg.burn_in):
-        points, _ = step(points, target, mass_at, cfg, rngs)
+        points, _ = step(points, target, mass_at, cfg, rng)
     for i in range(cfg.n_samples):
         lambdas[i] = points.lam
-        points, accept_flags[i] = step(points, target, mass_at, cfg, rngs)
+        points, accept_flags[i] = step(points, target, mass_at, cfg, rng)
         samples[i], potentials[i] = points.theta, points.j
     arrays = (samples, accept_flags, potentials, lambdas)
-    state = ChainState(points, mass_at, cfg.method, mass_spec, target)
+    state = ChainState(_rows(points) if one else points, mass_at, cfg.method, mass_spec, target)
     if lockstep:
         return ChainRecord(*(np.swapaxes(a, 0, 1) for a in arrays), state)
     return ChainRecord(*(a[:, 0] for a in arrays), state)
@@ -551,7 +623,7 @@ def _start(target, mass_spec, method, init, lockstep, k):
         raise DimensionMismatch(f"init shape {init.shape} vs target dim {dim}")
     theta = np.empty((k, dim))
     theta[:] = init
-    j_init = _by_rows(target.potential, theta)
+    j_init = target.potential(theta)
     if not np.isfinite(j_init).all():
         raise ValueError("initial position is outside the target domain")
     step, specs, _ = KERNELS[method]
@@ -559,7 +631,7 @@ def _start(target, mass_spec, method, init, lockstep, k):
         raise ConfigMismatch(f"{method} takes no {type(mass_spec).__name__} mass")
     if step is _mh_step:
         return _Points(theta, j_init, None, [None] * k, np.zeros(k)), None
-    grad = _by_rows(target.gradient, theta)
+    grad = target.gradient(theta)
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("a start point's gradient is not finite")
     mass_at = mass_spec.mass_at(target)

@@ -22,7 +22,11 @@ product per call, so no potential, gradient or Hessian solves against the
 covariance, and every Hessian is exactly symmetric by construction.
 LogNormalField is the image of GaussianTarget(m, Sigma) under exp: it
 evaluates that Gaussian, its ``log_space``, at log theta and adds the
-Jacobian terms of theta = exp(x).
+Jacobian terms of theta = exp(x). Its potential and gradient call
+``log_space``'s formulas of a residual, the one copy of each, with the
+residual formed in place in the fresh array of log theta and the gradient
+finished in place in the matvec's, so they copy neither theta nor the
+residual.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpdFactor, factorize, inverse
+from .linalg import DimensionMismatch, SpdFactor, count_nonzero, factorize, inverse
 
 
 class OutOfDomain(Exception):
@@ -89,11 +93,17 @@ class GaussianTarget(TargetModel):
         self.precision *= 0.5
 
     def potential(self, theta: np.ndarray) -> float | np.ndarray:
-        r = np.ascontiguousarray(theta, dtype=float) - self.mean
-        return 0.5 * np.vecdot(r, np.matvec(self.precision, r))
+        return self._potential_of(np.ascontiguousarray(theta, dtype=float) - self.mean)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        r = np.ascontiguousarray(theta, dtype=float) - self.mean
+        return self._gradient_of(np.ascontiguousarray(theta, dtype=float) - self.mean)
+
+    def _potential_of(self, r: np.ndarray) -> float | np.ndarray:
+        """J of the residual r = theta - mean (or a stack of them)."""
+        return 0.5 * np.vecdot(r, np.matvec(self.precision, r))
+
+    def _gradient_of(self, r: np.ndarray) -> np.ndarray:
+        """grad J of the residual r = theta - mean, a fresh array."""
         return np.matvec(self.precision, r)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
@@ -122,10 +132,11 @@ class LogNormalField(TargetModel):
         self.dim = self.log_space.dim
 
     def _log(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, log theta) as floats; the field's one domain check."""
+        """(theta, log theta) as floats, log theta a fresh array; the field's
+        one domain check."""
         theta = np.ascontiguousarray(theta, dtype=float)
         inside = theta > 0.0
-        if np.count_nonzero(inside) != inside.size:  # .all() pays a Python wrapper
+        if count_nonzero(inside) != inside.size:
             rows = None if theta.ndim == 1 else ~inside.all(axis=1)
             raise OutOfDomain("theta is outside the positive orthant", rows)
         return theta, np.log(theta)
@@ -137,15 +148,29 @@ class LogNormalField(TargetModel):
             if exc.rows is None:
                 return np.inf
             inside = ~exc.rows
-            x = np.log(np.asarray(theta, dtype=float)[inside])
             j = np.full(len(inside), np.inf)
-            j[inside] = self.log_space.potential(x) + x.sum(axis=-1)
+            j[inside] = self._of_log(np.log(np.asarray(theta, dtype=float)[inside]))
             return j
-        return self.log_space.potential(x) + x.sum(axis=-1)
+        return self._of_log(x)
+
+    def _of_log(self, x: np.ndarray) -> float | np.ndarray:
+        """J at theta = exp(x): ``log_space.potential(x) + x.sum(axis=-1)``,
+        the same operations, with the residual formed in x, a fresh array,
+        and the sum taken by ``np.add.reduce``, which ``sum`` wraps."""
+        jacobian = np.add.reduce(x, -1)
+        x -= self.log_space.mean
+        return self.log_space._potential_of(x) + jacobian
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        theta, x = self._log(theta)
-        return (self.log_space.gradient(x) + 1.0) / theta
+        """(P (log theta - m) + 1) / theta, the residual formed in log's fresh
+        array and the rest in the matvec's: the operations of
+        ``(log_space.gradient(log theta) + 1) / theta``, without temporaries."""
+        theta, r = self._log(theta)
+        r -= self.log_space.mean
+        g = self.log_space._gradient_of(r)
+        g += 1.0
+        g /= theta
+        return g
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """D^-1 P D^-1 - diag((P (log theta - m) + 1) / theta^2), D = diag(theta).

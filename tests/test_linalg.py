@@ -597,3 +597,23 @@ def test_repair_rows_keeps_the_checks():
         repair_to_pd(np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1e-3)
     with pytest.raises(ValueError, match="finite and positive"):
         repair_to_pd(np.array([np.eye(2)]), np.nan)
+
+
+def test_solve_is_shape_check_then_checked_product():
+    # solve's two halves: the shape checks, then the finiteness check and the
+    # product, which a caller that has checked the shapes once calls alone
+    bare = factorize(_spd(4, 4))
+    v = np.random.default_rng(0).standard_normal((3, 4))
+    for f in (bare, linalg.with_inverse(bare), _diagonal(4),
+              [bare, _diagonal(4), linalg.with_inverse(bare)]):
+        for x in (v, v[0]) if isinstance(f, linalg.SpdFactor) else (v,):
+            linalg._check_dims(f, x)
+            assert np.array_equal(linalg._solve_checked(f, x), solve(f, x))
+        for bad in (np.ones((3, 5)), np.ones(5)):
+            with pytest.raises(DimensionMismatch):
+                linalg._check_dims(f, bad)
+        w = v.copy()
+        w[1, 2] = np.nan
+        with pytest.raises(linalg.NonFiniteVector) as exc:
+            linalg._solve_checked(f, w)
+        assert exc.value.rows.tolist() == [False, True, False]

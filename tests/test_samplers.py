@@ -167,6 +167,22 @@ class TestMhAccept:
     def test_infinite_proposal_rejected(self):
         assert not mh_accept(1.0, np.inf, 1e-300)
 
+    def test_rows_take_each_rows_test(self):
+        # (K,) arrays give each row's own flag, with no overflow warning for
+        # a large gain (warnings from hessmc are errors here)
+        rng = np.random.default_rng(2)
+        j_cur = np.concatenate([rng.standard_normal(200), [1.0, 1.0, 1.0, 1.0, 900.0]])
+        j_prop = np.concatenate([j_cur[:200] + rng.standard_normal(200),
+                                 [1.0, np.inf, np.nan, 2.0, 1.0]])
+        u = rng.random(len(j_cur))
+        u[203] = np.exp(-1.0)  # exactly at the threshold: rejected
+        flags = mh_accept(j_cur, j_prop, u)
+        assert flags.dtype == bool
+        assert flags.tolist() == [bool(mh_accept(a, b, c)) for a, b, c in
+                                  zip(j_cur.tolist(), j_prop.tolist(), u.tolist())]
+        assert flags[-5:].tolist() == [True, False, False, False, True]
+        assert 0 < flags[:200].sum() < 200
+
 
 class TestLeapfrog:
     def test_hand_step_quadratic(self):
@@ -431,7 +447,7 @@ class TestLeapfrog:
 
     @pytest.mark.parametrize("rows, count", [(1, 2), (3, 2)])
     def test_mass_count_must_match_rows(self, rows, count):
-        # a one-row stack runs as one point, and would take mass[0] alone
+        # a list of another count is refused, though it repeats one factor
         state = PhaseState(np.zeros((rows, 2)), np.ones((rows, 2)))
         mass = [factorize(np.eye(2))] * count
         with pytest.raises(DimensionMismatch, match="masses for"):
@@ -515,6 +531,123 @@ class TestHamiltonian:
                               [masses[r] for r in rows] if per_row else masses[0],
                               include_logdet)
             assert bad.tolist() == [np.inf] * len(rows)
+
+
+class TestChecksBeforeTheSteps:
+    """leapfrog and hamiltonian check a mass's count and dimension once, at
+    entry, and the solves after do not: every public entry still refuses a
+    mass that does not fit, and a momentum that is not finite still stops
+    its row alone, for a point, a one-row stack and a three-row stack."""
+
+    SHAPES = [(4,), (1, 4), (3, 4)]
+    IDS = ["point", "1-row", "3-row"]
+
+    def _state(self, shape, seed=0):
+        target = field_2x2()
+        rng = np.random.default_rng(seed)
+        theta = target.map_point() * np.exp(0.05 * rng.standard_normal(shape))
+        return target, theta, rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_wrong_mass_count_refused(self, shape, distinct):
+        # a point takes one factor, a stack one or one per row; a list that
+        # repeats one factor object is counted as any other list
+        target, theta, p = self._state(shape)
+        state = PhaseState(theta, p)
+        rows = len(theta) if theta.ndim == 2 else None
+        for count in {1, 2, 4} - {rows}:
+            if distinct:
+                masses = [factorize((c + 1.0) * np.eye(4)) for c in range(count)]
+            else:
+                masses = [factorize(np.eye(4))] * count
+            with pytest.raises(DimensionMismatch, match="masses for"):
+                hamiltonian(state, target, masses)
+            with pytest.raises(DimensionMismatch, match="masses for"):
+                leapfrog(state, target, masses, 0.05, 3)
+            with pytest.raises(DimensionMismatch, match="stack"):
+                solve(masses, p)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_wrong_mass_dimension_refused(self, shape):
+        target, theta, p = self._state(shape)
+        state = PhaseState(theta, p)
+        right = factorize(np.eye(4))
+        for wrong in (factorize(np.eye(3)), linalg.with_inverse(factorize(np.eye(3))),
+                      linalg.with_inverse(factorize(_spd3()))):
+            masses = [wrong]
+            if theta.ndim == 2:
+                masses += [[wrong] * len(theta), [right] * (len(theta) - 1) + [wrong]]
+            for mass in masses:
+                for call in (lambda: hamiltonian(state, target, mass, include_logdet=True),
+                             lambda: leapfrog(state, target, mass, 0.05, 3),
+                             lambda: solve(mass, p)):
+                    with pytest.raises(DimensionMismatch):
+                        call()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one-factor", "k-factors"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_non_finite_momentum_stops_its_row(self, shape, per_row, value):
+        target, theta, p = self._state(shape)
+        p.reshape(-1, 4)[-1, 2] = value  # the last row's, or the point's
+        rows = len(p) if p.ndim == 2 else 1
+        masses = [hmap_mass(target, 1e-6)[0], linalg.with_inverse(factorize(2.0 * np.eye(4))),
+                  factorize(np.eye(4))][:rows]
+        mass = masses if per_row and p.ndim == 2 else masses[0]
+        bad = [False] * (rows - 1) + [True] if p.ndim == 2 else None
+        with pytest.raises(linalg.NonFiniteVector) as exc:
+            solve(mass, p)
+        assert (exc.value.rows is None) if bad is None else exc.value.rows.tolist() == bad
+        h = hamiltonian(PhaseState(theta, p), target, mass, include_logdet=True)
+        out = leapfrog(PhaseState(theta, p), target, mass, 0.05, 3)
+        if bad is None:
+            assert h == np.inf
+            assert np.array_equal(out.position, theta)
+            assert not np.isfinite(out.momentum[2])
+            return
+        assert (h == np.inf).tolist() == bad
+        # the bad row stops before its first drift; the others run as alone
+        assert np.array_equal(out.position[-1], theta[-1])
+        assert not np.isfinite(out.momentum[-1, 2])
+        for k in range(len(p) - 1):
+            alone = leapfrog(PhaseState(theta[k], p[k]), target,
+                             masses[k] if per_row else masses[0], 0.05, 3)
+            assert np.array_equal(out.position[k], alone.position)
+            assert np.array_equal(out.momentum[k], alone.momentum)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_run_with_a_mass_of_another_dimension_refused(self, k):
+        # refused at the first transition, before any momentum is drawn
+        target = field_2x2()
+        cfg = SamplerConfig("HMC", 0.05, leapfrog_steps=3, n_samples=2)
+        runs = [[np.random.default_rng(c) for c in range(k)]]
+        if k == 1:  # and one generator alone
+            runs.append(np.random.default_rng(0))
+        for rng in runs:
+            drawn = [r.bit_generator.state for r in np.atleast_1d(rng)]
+            with pytest.raises(DimensionMismatch):
+                run_chain(target, FixedSpd(factorize(np.eye(3))), cfg, target.map_point(), rng)
+            assert [r.bit_generator.state for r in np.atleast_1d(rng)] == drawn
+
+    def test_policies_take_a_point(self):
+        # a one-chain run asks for its one point's mass: a constant policy
+        # gives the factor itself and jitter 0, building nothing, and the
+        # local one the bits of a one-row stack's
+        target = field_2x2()
+        f = factorize(np.eye(4))
+        theta = target.map_point() * np.exp(0.1 * np.random.default_rng(1).standard_normal(4))
+        assert FixedSpd(f).mass_at(target)(theta) == (f, 0.0)
+        local = LocalHessian(1e-6).mass_at(target)
+        mass, lam = local(theta)
+        (rows_mass,), (rows_lam,) = local(theta[None])
+        assert np.array_equal(mass.lower_factor, rows_mass.lower_factor)
+        assert mass.log_det == rows_mass.log_det and lam == rows_lam == 0.0
+
+
+def _spd3():
+    a = np.random.default_rng(3).standard_normal((3, 3))
+    return a @ a.T + 3.0 * np.eye(3)
 
 
 class TestHmcStep:
