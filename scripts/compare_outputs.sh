@@ -11,8 +11,9 @@
 # sample stored: the 8x8 target with 1 chain, the 8x8 target with 2 chains,
 # the 12x12 target (`extent_m` [12000, 6000]) with 2 chains, and the 8x8
 # target with 8 chains. `single` is the one-chain path of the default run
-# (one-row transitions), and its band merges blocks of 192 samples into
-# each coordinate's 16 smallest and 16 largest values. The
+# (its chain runs as one point, not as a one-row stack), and its band merges
+# blocks of 192 samples into each coordinate's 16 smallest and 16 largest
+# values. The
 # `thin7` config (600 samples, 3 chains) keeps
 # every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
 # block budget, so thinning must carry on across nine block boundaries. The

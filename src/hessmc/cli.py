@@ -33,10 +33,11 @@ merges a few coordinates at a time; ``credible_band`` reads the band off
 them), so memory holds one block, those tails and a few floats per sample,
 never a chain's record. The per-sample floats are allocated once, after
 the target and its MAP and before any output, so a run too large to hold
-them is a config error, and a method's tails are freed before the next
-method runs. A run makes no numpy overflow or invalid-value warning: a
-chain judges such a value itself (as a rejected proposal, or as a
-numerical error below), so a known error prints its one line alone.
+them is a config error, as is a grid too large to build, and a method's
+tails are freed before the next method runs. A run makes no numpy overflow
+or invalid-value warning: a chain judges such a value itself (as a rejected
+proposal, or as a numerical error below), so a known error prints its one
+line alone.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error (see
 EXIT_CODES); config and target errors come before any output is written.
@@ -253,9 +254,12 @@ def build_target(cfg: dict) -> LogNormalField:
         return LogNormalField(m=m, sigma=sigma)
     rows, cols = t["rows"], t["cols"]
     extent = tuple(t["extent_m"])
-    sigma = build_grid_covariance(
-        rows, cols, extent, t["lengthscale_m"], t["variance"], t["nugget"]
-    )
+    try:
+        sigma = build_grid_covariance(
+            rows, cols, extent, t["lengthscale_m"], t["variance"], t["nugget"]
+        )
+    except (MemoryError, ValueError) as exc:  # numpy: too large to hold, or to index
+        raise ConfigError(f"a {rows} x {cols} grid: {exc}") from None
     m = np.full(rows * cols, t["m_value"])
     return LogNormalField(m=m, sigma=sigma)
 

@@ -11,12 +11,13 @@ chain keeps its own accept test, its own mass and its own generator, drawn
 in the order it would draw alone. The target kernels and the stacked LAPACK
 calls are row-exact (see ``targets`` and ``linalg``), so each chain is bit
 for bit the chain its generator gives alone; one generator is K = 1.
-One chain runs as one point, not as a one-row stack (``run_chain`` decides
-that once per call; its ``ChainState`` holds the one-row stack), so its
-transitions make 1-D calls, with no row split off or stacked again. A
-trajectory checks its masses' shapes once (``linalg._check_dims``) and each of
-its L solves only that the momentum is finite (``linalg._solve_checked``);
-``leapfrog`` and ``hamiltonian`` check a mass's count and shape at entry.
+One chain is one point, not a one-row stack, from its start to its
+``ChainState``, so its transitions make 1-D calls. ``run_chain`` checks the
+start masses' shapes once (``linalg._check_dims``): a constant mass is that
+checked factor, and every later start mass was an end mass whose energy's
+``solve`` checked it, so each of a trajectory's L solves checks only that the
+momentum is finite (``linalg._solve_checked``); ``leapfrog`` and
+``hamiltonian`` check a mass's count and shape at entry.
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
 proposed, so a trajectory of L steps makes L gradient calls, and each record
 ends in a ``ChainState`` (those points and the mass policy), from which a
@@ -26,9 +27,11 @@ transition only when the change of ``hamiltonian``'s energy is negative, and
 a rejection is an infinite end energy, so one accept test rejects a proposal
 that fails in any way. ``KERNELS`` declares each method's transition, the
 mass specs it takes and its default spec. A spec's ``mass_at(target)`` is
-its mass policy, which maps a (K, d) stack of points to K (SpdFactor, lam)
-pairs: a list of factors, None where the mass cannot be built, and a (K,)
-array of jitters; and one point to its factor (or None) and jitter.
+its mass policy, which maps one point, or a (K, d) stack of them, to its
+mass and jitter: one SpdFactor and lam 0 for a point or a stack that shares
+a constant mass, and where masses differ (``LocalHessian``) a point's factor
+(None if it cannot be built) and float lam, or a stack's list of K factors
+(None where one cannot be built) and (K,) array of jitters.
 The Hamiltonian kernels are one transition that differs only in that policy:
 HMC and HMAP_HMC use a constant mass, inverted once: ``beta * I``, which keeps
 only its inverse's diagonal, so that every ``solve`` and momentum draw is one
@@ -136,9 +139,8 @@ class FixedSpd:
     factor: SpdFactor
 
     def mass_at(self, target: TargetModel):
-        # a point's mass is the factor itself: a one-chain run builds nothing
-        return lambda theta: ((self.factor, 0.0) if theta.ndim == 1 else
-                              ([self.factor] * len(theta), np.zeros(len(theta))))
+        # a point and every row of a stack share the factor itself: nothing is built
+        return lambda theta: (self.factor, 0.0)
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,11 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class ChainState:
     """Where a run ends: each chain's point as evaluated there (theta, J,
-    grad J, mass, lam) and the mass policy that built its mass, with the
-    method, mass spec and target of the run. ``run_chain`` takes it as init
-    and continues the chains from it with nothing evaluated again; it holds
-    no sample, so a continued run keeps no earlier record alive."""
+    grad J, mass, lam; one chain's as one point, K chains' as stacks) and the
+    mass policy that built its mass, with the method, mass spec and target of
+    the run. ``run_chain`` takes it as init and continues the chains from it
+    with nothing evaluated again; it holds no sample, so a continued run
+    keeps no earlier record alive."""
 
     points: _Points
     mass_at: Callable | None  # the mass policy; None for MH, which builds no mass
@@ -255,13 +258,6 @@ def _accept(delta, rng):
     if not isinstance(delta, np.ndarray):
         return delta >= 0.0 or rng.random() < np.exp(delta)
     return np.array([_accept(d, r) for d, r in zip(delta.tolist(), rng)])
-
-
-def _shared(masses: list):
-    """The one factor every row holds, or the list of them if they differ:
-    ``solve`` takes a shared factor's stack in one matvec, not row by row."""
-    first = masses[0]
-    return first if len(masses) == 1 or all(m is first for m in masses) else masses
 
 
 def leapfrog(state: PhaseState, target: TargetModel, mass, dt: float, steps: int) -> PhaseState:
@@ -384,7 +380,6 @@ def _energy(j, p, mass, include_logdet):
     (K,) potentials, against one factor or K. A momentum that ``solve``
     refuses as not finite (NonFiniteVector; its ``rows`` mark a stack's) is
     +inf, as is one whose J is."""
-    mass = mass if isinstance(mass, SpdFactor) else _shared(mass)
     try:
         e = 0.5 * np.vecdot(p, solve(mass, p))
     except NonFiniteVector as exc:  # these rows diverged: J +inf, momentum 0
@@ -400,34 +395,22 @@ def _energy(j, p, mass, include_logdet):
 
 
 class _Points(NamedTuple):
-    """K chain points, each evaluated once, when proposed. A run of one
-    chain holds its one point: theta and grad (d,), j and lam floats and
-    mass one SpdFactor (``_point``); a ``ChainState`` holds (K, d) stacks."""
+    """K chain points, each evaluated once, when proposed. One chain is one
+    point: theta and grad (d,), j and lam floats and mass one SpdFactor; K
+    chains are (K, d) and (K,) stacks, whose mass is the one SpdFactor they
+    share or a list of K (``LocalHessian``)."""
 
-    theta: np.ndarray  # (K, d)
-    j: np.ndarray  # (K,) potentials
-    grad: np.ndarray | None  # (K, d) gradients; None for MH, which reads none
-    mass: list  # one SpdFactor per row; None for MH, which reads none
-    lam: np.ndarray  # (K,) repair jitter of each mass; 0 for a constant mass
-
-
-def _point(points: _Points) -> _Points:
-    """The one point of a one-row stack's points."""
-    theta, j, grad, mass, lam = points
-    return _Points(theta[0], j[0], None if grad is None else grad[0], mass[0], lam[0])
-
-
-def _rows(point: _Points) -> _Points:
-    """A point's points as a one-row stack's."""
-    theta, j, grad, mass, lam = point
-    return _Points(theta[None], np.array([j]), None if grad is None else grad[None], [mass],
-                   np.array([lam]))
+    theta: np.ndarray  # (K, d) or (d,)
+    j: np.ndarray  # (K,) potentials, or a float
+    grad: np.ndarray | None  # (K, d) or (d,) gradients; None for MH, which reads none
+    mass: SpdFactor | list | None  # shared, or one per row; None for MH
+    lam: np.ndarray | float  # (K,) repair jitter of each mass; 0.0 for a constant mass
 
 
 def _select(accepted, new: _Points, old: _Points) -> _Points:
     """The new point if accepted, else the old one; for a stack, row by row
     by whole-array selections (accepted a (K,) bool array), a mass or lam
-    that both share (MH's) passed through."""
+    that both share (a constant mass's, or MH's None) passed through."""
     if not isinstance(accepted, np.ndarray):
         return new if accepted else old
     if accepted.all():
@@ -463,23 +446,25 @@ def _hamiltonian_step(points, target, mass_at, cfg, rng):
     Each trajectory uses its point's mass; mass_at is called once, on all
     endpoints, an endpoint of infinite potential replaced by its start point
     (that row is rejected anyway), so the policy is asked inside the domain
-    only. The start masses' shapes are checked once, before the momenta are
-    drawn, for the whole trajectory. delta = H(start) - H(end), each
-    ``_energy`` with its own mass, and a rejection is an infinite end energy:
-    +inf out of domain, for a diverged momentum and where the end mass cannot
-    be built (J is set +inf there), so one accept test per chain, with its
-    one uniform, rejects it.
+    only. Each row's momentum is drawn from its generator, in row order,
+    against the factor the rows share or its own; ``run_chain`` checked the
+    start masses' shapes (see the module docstring). delta = H(start) -
+    H(end), each ``_energy`` with its own mass, and a rejection is an
+    infinite end energy: +inf out of domain, for a diverged momentum and
+    where the end mass cannot be built (J is set +inf there), so one accept
+    test per chain, with its one uniform, rejects it.
     """
     theta, j, grad, masses, _ = points
     stack = theta.ndim == 2
-    _check_dims(masses, theta)
-    if stack:
-        p0 = np.array([sample_gaussian(m, r) for m, r in zip(masses, rng)])
-    else:
+    if not stack:
         p0 = sample_gaussian(masses, rng)
+    elif isinstance(masses, SpdFactor):  # one mass that every row shares
+        p0 = np.array([sample_gaussian(masses, r) for r in rng])
+    else:
+        p0 = np.array([sample_gaussian(m, r) for m, r in zip(masses, rng)])
     dt = cfg.dt
-    x, p, g = _trajectory(theta, p0 - 0.5 * dt * grad, grad, target,
-                          _shared(masses) if stack else masses, dt, cfg.leapfrog_steps)
+    x, p, g = _trajectory(theta, p0 - 0.5 * dt * grad, grad, target, masses, dt,
+                          cfg.leapfrog_steps)
     j_end = target.potential(x)
     inside = np.isfinite(j_end)
     # every endpoint inside, the common case, passes the endpoints uncopied
@@ -488,10 +473,9 @@ def _hamiltonian_step(points, target, mass_at, cfg, rng):
     else:
         got, lams = mass_at(np.where(inside[..., None], x, theta))
     # an end mass that cannot be built: rejected, its uniform drawn
-    if not stack:
-        if got is None:
-            got, j_end = masses, np.inf
-    elif None in got:
+    if got is None:
+        got, j_end = masses, np.inf
+    elif isinstance(got, list) and None in got:
         failed = [m is None for m in got]
         got = [o if f else m for f, m, o in zip(failed, got, masses)]
         j_end = np.where(failed, np.inf, j_end)
@@ -582,11 +566,14 @@ def run_chain(
         if (init.method != cfg.method or init.mass_spec is not mass_spec
                 or init.target is not target):
             raise ConfigMismatch("the state comes from another method, mass spec or target")
-        if len(init.points.theta) != k:
-            raise DimensionMismatch(f"a state of {len(init.points.theta)} chains for {k}")
+        chains = len(np.atleast_2d(init.points.theta))  # one chain's theta is (d,)
+        if chains != k:
+            raise DimensionMismatch(f"a state of {chains} chains for {k}")
         points, mass_at = init.points, init.mass_at
     else:
         points, mass_at = _start(target, mass_spec, cfg.method, init, lockstep, k)
+    if mass_at is not None:  # once: each later start mass is a checked end mass
+        _check_dims(points.mass, points.theta)
 
     # stored transition-major, so that each transition writes whole rows
     samples = np.empty((cfg.n_samples, k, target.dim))
@@ -594,13 +581,7 @@ def run_chain(
     potentials = np.empty((cfg.n_samples, k))
     lambdas = np.empty((cfg.n_samples, k))
 
-    # one chain runs as one point: 1-D ufuncs skip the broadcasting and 2-D
-    # iteration of a (1, d) stack, and no row is split off or stacked again
-    one = k == 1
-    if one:
-        points, rng = _point(points), rngs[0]
-    else:
-        rng = rngs
+    rng = rngs[0] if k == 1 else rngs
     step = KERNELS[cfg.method].step
     for _ in range(cfg.burn_in):
         points, _ = step(points, target, mass_at, cfg, rng)
@@ -609,7 +590,7 @@ def run_chain(
         points, accept_flags[i] = step(points, target, mass_at, cfg, rng)
         samples[i], potentials[i] = points.theta, points.j
     arrays = (samples, accept_flags, potentials, lambdas)
-    state = ChainState(_rows(points) if one else points, mass_at, cfg.method, mass_spec, target)
+    state = ChainState(points, mass_at, cfg.method, mass_spec, target)
     if lockstep:
         return ChainRecord(*(np.swapaxes(a, 0, 1) for a in arrays), state)
     return ChainRecord(*(a[:, 0] for a in arrays), state)
@@ -621,7 +602,9 @@ def _start(target, mass_spec, method, init, lockstep, k):
     init = np.asarray(init, dtype=float)
     if init.shape != (dim,) and not (lockstep and init.shape == (k, dim)):
         raise DimensionMismatch(f"init shape {init.shape} vs target dim {dim}")
-    theta = np.empty((k, dim))
+    # one chain is one point: 1-D ufuncs skip the broadcasting and 2-D
+    # iteration of a (1, d) stack
+    theta = np.empty((k, dim) if k > 1 else dim)
     theta[:] = init
     j_init = target.potential(theta)
     if not np.isfinite(j_init).all():
@@ -630,12 +613,12 @@ def _start(target, mass_spec, method, init, lockstep, k):
     if not isinstance(mass_spec, specs):
         raise ConfigMismatch(f"{method} takes no {type(mass_spec).__name__} mass")
     if step is _mh_step:
-        return _Points(theta, j_init, None, [None] * k, np.zeros(k)), None
+        return _Points(theta, j_init, None, None, 0.0), None
     grad = target.gradient(theta)
     if not np.isfinite(grad).all():
         raise NonFiniteGradient("a start point's gradient is not finite")
     mass_at = mass_spec.mass_at(target)
     masses, lams = mass_at(theta)
-    if any(m is None for m in masses):
+    if masses is None or isinstance(masses, list) and None in masses:
         raise RepairFailed("a start point's mass cannot be repaired")
     return _Points(theta, j_init, grad, masses, lams), mass_at

@@ -229,8 +229,9 @@ def build_grid_covariance(
     xs = np.linspace(0.0, width, cols) if cols > 1 else np.array([0.5 * width])
     ys = np.linspace(0.0, height, rows) if rows > 1 else np.array([0.5 * height])
     x, y = (g.ravel() for g in np.meshgrid(xs, ys))
-    sq_dist = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):  # factorize reports a NaN
+    # a distance too large to square is inf, whose entry is 0; factorize reports a NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq_dist = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
         k = variance * np.exp(-sq_dist / (2.0 * lengthscale_m**2))
     k[np.diag_indices_from(k)] += nugget
     return factorize(k)

@@ -754,14 +754,23 @@ class TestMapCommand:
     @pytest.mark.parametrize(
         "sections, code",
         [({"target": {"m_value": 800}}, 3),
-         ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, 2)],
-        ids=["map-overflows", "dt-missing"],
+         ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, 2),
+         ({"target": {"rows": 1, "cols": 2**45}}, 2)],
+        ids=["map-overflows", "dt-missing", "grid-beyond-memory"],
     )
     def test_map_rejects_before_writing(self, tmp_path, sections, code):
         cfg_path = small_config(tmp_path, **sections)
         assert main(["map", "--config", str(cfg_path),
                      "--out", str(tmp_path / "m")]) == code
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.filterwarnings("error:::hessmc")
+    def test_huge_extent_maps_without_a_warning(self, tmp_path):
+        # the squared node distances overflow to inf, whose covariance is 0
+        cfg_path = small_config(tmp_path, target={"extent_m": [1e200, 1e200]})
+        assert main(["map", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "m")]) == 0
+        assert (tmp_path / "m" / "map.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -797,6 +806,9 @@ class TestMapCommand:
         # memory is touched; at 2**62 its size in bytes overflows numpy's index
         ({"sampler": {"n_samples": 2**45}}, [], 2),
         ({"sampler": {"n_samples": 2**62}}, [], 2),
+        # the same sizes of grid: its node coordinates alone fail to allocate
+        ({"target": {"rows": 1, "cols": 2**45}}, [], 2),
+        ({"target": {"rows": 1, "cols": 2**62}}, [], 2),
         ({"sampler": {"dt": {"MH": 0.1, "HLOCAL": 0.3}}}, [], 2),
         ({"target": {"m_csv": "m.csv"}}, [], 2),
         # loadtxt only warns on an empty file; the CLI prints just its error
@@ -824,6 +836,7 @@ class TestMapCommand:
          "m-value-nan", "methods-number", "pd-floor-zero", "beta-negative",
          "credible-mass-above-one", "output-dir-number", "include-logdet-text",
          "store-samples-text", "n-samples-beyond-memory", "n-samples-beyond-index",
+         "grid-beyond-memory", "grid-beyond-index",
          "dt-unknown-method", "m-csv-without-sigma",
          "sigma-empty", "m-csv-empty",
          "sigma-nan", "sigma-inf", "lengthscale-underflow", "variance-huge",

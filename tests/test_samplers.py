@@ -798,7 +798,7 @@ class TestHmapMass:
 @pytest.mark.parametrize("beta", [1.0, 2.5, 1e-3])
 def test_scaled_identity_factor_is_closed_form_cholesky(beta):
     target = field_2x2()
-    (mass,), (lam,) = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
+    mass, lam = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
     ref = factorize(beta * np.eye(4))
     assert lam == 0.0
     assert np.array_equal(mass.lower_factor, ref.lower_factor)
@@ -894,8 +894,9 @@ class TestRunChain:
         # carries no gradient and no mass
         fields = dict(vars(rec))
         points = fields.pop("state").points
-        assert points.grad is None and points.mass == [None]
-        held = sum(a.nbytes for a in (*fields.values(), points.theta, points.j, points.lam))
+        assert points.grad is None and points.mass is None
+        held = sum(np.asarray(a).nbytes
+                   for a in (*fields.values(), points.theta, points.j, points.lam))
         assert peak <= held + 0.5 * target.dim**2 * 8
         assert not rec.repair_lambdas.any()
 
@@ -1199,7 +1200,7 @@ class TestConstantMassInverse:
         # beta * I keeps a (d,) inverse, so a solve and a draw are O(d); the
         # MAP mass, not diagonal, keeps its dense (d, d) inverse
         cfg, target = desk_target(8, 8)
-        (mass,), _ = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
+        mass, _ = ScaledIdentity(beta).mass_at(target)(target.map_point()[None])
         assert mass.inv.shape == (64,)
         assert np.array_equal(mass.inv, linalg.inverse(mass).diagonal())
         s = cfg["sampler"]
@@ -1213,7 +1214,7 @@ class TestConstantMassInverse:
         # dense inverse, one chain or eight in lockstep
         _, target = desk_target(8, 8)
         spec = ScaledIdentity(beta)
-        (mass,), _ = spec.mass_at(target)(target.map_point()[None])
+        mass, _ = spec.mass_at(target)(target.map_point()[None])
         dense = FixedSpd(replace(mass, inv=linalg.inverse(mass)))
         cfg = SamplerConfig(method="HMC", dt=cli.DESK_DT["HMC"], leapfrog_steps=10,
                             n_samples=60, burn_in=5)
@@ -1479,6 +1480,27 @@ class TestContinueFromState:
         # nothing was drawn, and the state still continues its own run
         assert [r.bit_generator.state for r in rngs] == drawn
         run_chain(target, spec, cfg, state, rngs)
+
+    @pytest.mark.parametrize("method, dt", [("HMC", 0.1), ("HMAP_HMC", 0.9)])
+    def test_shared_mass_and_one_chain_point(self, method, dt):
+        # a constant mass is the spec's one factor for a stack of chains, not
+        # a list of copies; one chain's state is its (d,) point, which goes on
+        # to the same bits with its generator alone or in a one-element list
+        target = field_2x2()
+        spec = (FixedSpd(linalg.with_inverse(factorize(2.0 * np.eye(4)))) if method == "HMC"
+                else KERNELS[method].default(target, 1e-6, 1.0))
+        cfg = SamplerConfig(method, dt, leapfrog_steps=5, n_samples=10)
+        stack = run_chain(target, spec, cfg, target.map_point(),
+                          [np.random.default_rng([4, c]) for c in range(3)])
+        assert stack.state.points.mass is spec.factor
+        assert stack.repair_lambdas.shape == (3, 10) and not stack.repair_lambdas.any()
+        one = run_chain(target, spec, cfg, target.map_point(), np.random.default_rng(4))
+        assert one.state.points.theta.shape == (target.dim,)
+        assert one.state.points.mass is spec.factor
+        alone = run_chain(target, spec, cfg, one.state, np.random.default_rng(5))
+        listed = run_chain(target, spec, cfg, one.state, [np.random.default_rng(5)])
+        assert 0.0 < alone.accept_flags.mean() < 1.0
+        assert_same_records({name: a[0] for name, a in joined([listed], 0).items()}, alone)
 
     def test_state_holds_no_sample(self):
         # a continued run keeps only the (K, d) points alive, not the record
