@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on 22 configs, and
+# runs `python3 -m hessmc run` from both source trees on 23 configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `single`, `desk`, `field144` and `chains8`
 # configs run the four methods for 600 samples after a burn-in of 20, every
@@ -13,7 +13,8 @@
 # target with 8 chains. `single` is the one-chain path of the default run
 # (its chain runs as one point, not as a one-row stack), and its band merges
 # blocks of 192 samples into each coordinate's 16 smallest and 16 largest
-# values. The
+# values. `single144` is the same one-chain path on the 12x12 target, so
+# the one point's products are compared at d = 144 as well. The
 # `thin7` config (600 samples, 3 chains) keeps
 # every seventh sample of blocks of 64, the most that fit the CLI's 96 KiB
 # block budget, so thinning must carry on across nine block boundaries. The
@@ -88,6 +89,10 @@ cat > "$work/field144.json" <<JSON
 {"target": {"rows": 12, "cols": 12, "extent_m": [12000.0, 6000.0]},
  $common, "run": {"chains": 2}}
 JSON
+cat > "$work/single144.json" <<JSON
+{"target": {"rows": 12, "cols": 12, "extent_m": [12000.0, 6000.0]},
+ $common, "run": {"chains": 1}}
+JSON
 cat > "$work/chains8.json" <<JSON
 {$common, "run": {"chains": 8}}
 JSON
@@ -151,7 +156,7 @@ JSON
 
 status=0
 mkdir "$work/stdout"
-for config in single desk field144 chains8 thin7 rough rough1 tiny nologdet \
+for config in single desk field144 single144 chains8 thin7 rough rough1 tiny nologdet \
         scale_up straddle scale_far mass_centre mass_tail mass_far mass_one mass_tiny \
         beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do

@@ -9,26 +9,29 @@ The two hot kernels call LAPACK directly: :func:`factorize` is one ``dpotrf``
 and :func:`solve` one ``dpotrs``, the same routines ``scipy.linalg.cholesky``
 and ``cho_solve`` call, so results agree bit for bit without those wrappers'
 per-call overhead. A factor that carries its dense inverse
-(:func:`with_inverse`) is solved by one matvec instead: a checked
-:func:`solve` at d = 144 took 4.1 us that way against 13.8-14.3 us by
-``dpotrs`` (best of 7 repeats of 2000 calls, two runs, one BLAS thread of a
-shared 2-core x86 box, OpenBLAS, numpy 2.4; 7-10 against 20-27 us when first
-measured). Only a chain's constant mass carries one. A mass refrozen at each
-point would spend about 200 us inverting at d = 144 (``dpotri``; 430 us
-through :func:`inverse`) to save about 100 us over its 12 solves. Tried for
-HLOCAL_HMC (one ``dpotri`` per new mass, then a matvec per solve), it made a
-run slower, x1.24 on the desk target and x1.21 with 8 chains (20 alternating
-in-process runs each), and it would change HLOCAL_HMC's output bytes. Any
-other factor (a covariance's, say) would hold a second d x d array for
-nothing.
+(:func:`with_inverse`) is solved by one matvec instead, ``inv.dot(v)`` for a
+vector (a stack's ``np.matvec`` and the 1-D ``inv @ v`` go through a gufunc's
+dispatch): a checked :func:`solve` at d = 144 took 3.0-4.4 us that way against
+13.6-14.0 us by ``dpotrs`` and 4.5-4.9 us through ``inv @ v``, and at d = 64
+1.8-1.9 us against 2.35 us through ``inv @ v`` (best of 7-9 repeats of 2000
+calls, one BLAS thread of a shared 2-core x86 box, OpenBLAS, numpy 2.4, the
+ranges from process to process; 7-10 against 20-27 us by ``dpotrs`` when first
+measured at d = 144). Only a chain's constant mass carries one. A mass
+refrozen at each point would spend about 200 us inverting at d = 144
+(``dpotri``; 430 us through :func:`inverse`) to save about 100 us over its 12
+solves. Tried for HLOCAL_HMC (one ``dpotri`` per new mass, then a matvec per
+solve), it made a run slower, x1.24 on the desk target and x1.21 with 8 chains
+(20 alternating in-process runs each), and it would change HLOCAL_HMC's output
+bytes. Any other factor (a covariance's, say) would hold a second d x d array
+for nothing.
 
 A diagonal factor (``beta * I``, HMC's mass: L has no nonzero entry off its
 diagonal) carries only its inverse's diagonal, a (d,) array, and :func:`solve`
 and :func:`sample_gaussian` apply it by one elementwise product. At d = 144 a
-checked solve took 1.5-1.6 us that way against 4.8-4.9 us by the dense matvec,
-an 8-row stack 3.5-3.6 us against 26 us and a draw 3.5-3.9 us against 6.7-7.3
-us (measured the same way). The bits are those of the dense products: each
-entry of ``inv @ v`` or ``L @ z`` is one nonzero product plus exact zeros.
+checked solve took 1.3 us that way against 3.0-4.4 us by the dense ``dot``, a
+draw 3.2-3.3 us against 6.0 us and an 8-row stack 3.5-3.6 us against 26 us
+(measured the same way). The bits are those of the dense products: each entry
+of ``inv.dot(v)`` or ``L.dot(z)`` is one nonzero product plus exact zeros.
 Only the sign of an entry that is itself a zero product can differ, and the
 samplers only add such an entry to a position or sum it into an energy.
 :func:`with_inverse` finds the diagonal by one ``dpotrs`` against a vector of
@@ -59,9 +62,10 @@ gets the bits of its call alone (scipy's batched Cholesky is no faster, and
 ``np.linalg.cholesky`` is not bit-identical). :func:`solve` takes a vector
 or a (K, d) stack of them, against one factor or against K, one per row.
 One factor that carries its inverse solves a stack by one ``np.matvec``,
-which gives every row the bits of the 1-D ``inv @ v`` (a gemm
-``V @ inv.T`` does not), or by one product with its diagonal; otherwise each
-row takes one ``dpotrs``, or its own factor's matvec or product.
+which gives every row the bits of the 1-D ``inv.dot(v)`` a vector takes (a
+gemm ``V @ inv.T`` does not), or by one product with its diagonal;
+otherwise each row takes one ``dpotrs``, or its own factor's ``dot`` or
+product.
 :func:`repair_to_pd` repairs a (K, d, d) stack (a single matrix is a one-row
 stack): one finiteness and one exact-symmetry scan, then one ``dpotrf`` per
 exactly symmetric row (any other finite row goes through :func:`factorize`,
@@ -229,7 +233,7 @@ def _cholesky(sym: np.ndarray) -> SpdFactor:
 
 
 def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
-    """Solve M @ x = v: ``f.inv @ v`` if f carries its dense inverse,
+    """Solve M @ x = v: ``f.inv.dot(v)`` if f carries its dense inverse,
     ``v * f.inv`` if it carries a diagonal one, else ``dpotrs``.
 
     v may also be a (K, d) stack, solved row by row, each row to the bits
@@ -276,7 +280,7 @@ def _solve_checked(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndar
         if f.inv is not None:
             if f.inv.ndim == 1:
                 return v * f.inv
-            return f.inv @ v if v.ndim == 1 else np.matvec(f.inv, v)
+            return f.inv.dot(v) if v.ndim == 1 else np.matvec(f.inv, v)
         if v.ndim == 1:
             return _potrs(f, v)
         f = [f] * len(v)
@@ -285,7 +289,7 @@ def _solve_checked(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndar
         if g.inv is None:
             x[k] = _potrs(g, row)
         else:
-            x[k] = row * g.inv if g.inv.ndim == 1 else g.inv @ row
+            x[k] = row * g.inv if g.inv.ndim == 1 else g.inv.dot(row)
     return x
 
 
@@ -325,7 +329,7 @@ def sample_gaussian(f: SpdFactor, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(f.dim)
     if f.inv is not None and f.inv.ndim == 1:
         return z * f.lower_factor.diagonal()
-    return f.lower_factor @ z
+    return f.lower_factor.dot(z)
 
 
 def repair_to_pd(

@@ -36,10 +36,15 @@ The Hamiltonian kernels are one transition that differs only in that policy:
 HMC and HMAP_HMC use a constant mass, inverted once: ``beta * I``, which keeps
 only its inverse's diagonal, so that every ``solve`` and momentum draw is one
 elementwise product, or the Hessian at the MAP, whose ``solve`` is one
-matvec with its dense inverse. HLOCAL_HMC uses the local target Hessian,
-computed once per point, reused as the next trajectory's start mass and
-frozen during the leapfrog steps, with both endpoint log-determinant terms
-retained.
+matvec with its dense inverse. One chain's products (that matvec, a
+momentum draw's L z, the target's products and the energies' p' M^-1 p) are
+``ndarray.dot``, without the gufunc dispatch of the ``np.matvec`` and
+``np.vecdot`` that make a stack's rows exact: at d = 64 a matvec takes
+0.74-0.75 us against 1.19-1.23 us and a dot product 0.39-0.40 against
+0.67-0.72 us (see :mod:`hessmc.targets`). HLOCAL_HMC uses the local
+target Hessian, computed once per point, reused as the next trajectory's
+start mass and frozen during the leapfrog steps, with both endpoint
+log-determinant terms retained.
 That scheme is not an exact detailed-balance kernel (the reverse trajectory
 would freeze the other endpoint's Hessian); it is implemented as specified
 and the log-det terms can be disabled for ablation via
@@ -61,6 +66,7 @@ another dimension raises DimensionMismatch before any momentum is drawn.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -381,13 +387,14 @@ def _energy(j, p, mass, include_logdet):
     refuses as not finite (NonFiniteVector; its ``rows`` mark a stack's) is
     +inf, as is one whose J is."""
     try:
-        e = 0.5 * np.vecdot(p, solve(mass, p))
+        x = solve(mass, p)
     except NonFiniteVector as exc:  # these rows diverged: J +inf, momentum 0
         if exc.rows is None:
             return np.inf
         stopped = exc.rows
         return _energy(np.where(stopped, np.inf, j), np.where(stopped[:, None], 0.0, p),
                        mass, include_logdet)
+    e = 0.5 * (p.dot(x) if p.ndim == 1 else np.vecdot(p, x))
     if include_logdet:  # the mass's terms first: one row's are scalars, not arrays
         e = e + 0.5 * (mass.log_det if isinstance(mass, SpdFactor)
                        else np.array([m.log_det for m in mass]))
@@ -466,12 +473,14 @@ def _hamiltonian_step(points, target, mass_at, cfg, rng):
     x, p, g = _trajectory(theta, p0 - 0.5 * dt * grad, grad, target, masses, dt,
                           cfg.leapfrog_steps)
     j_end = target.potential(x)
-    inside = np.isfinite(j_end)
-    # every endpoint inside, the common case, passes the endpoints uncopied
-    if inside.all() if stack else inside:
+    # every endpoint inside, the common case, passes the endpoints uncopied;
+    # one chain's J is a float, tested without a ufunc
+    if not stack:
+        got, lams = mass_at(x if math.isfinite(j_end) else theta)
+    elif (inside := np.isfinite(j_end)).all():
         got, lams = mass_at(x)
     else:
-        got, lams = mass_at(np.where(inside[..., None], x, theta))
+        got, lams = mass_at(np.where(inside[:, None], x, theta))
     # an end mass that cannot be built: rejected, its uniform drawn
     if got is None:
         got, j_end = masses, np.inf

@@ -755,8 +755,9 @@ class TestMapCommand:
         "sections, code",
         [({"target": {"m_value": 800}}, 3),
          ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, 2),
-         ({"target": {"rows": 1, "cols": 2**45}}, 2)],
-        ids=["map-overflows", "dt-missing", "grid-beyond-memory"],
+         ({"target": {"rows": 1, "cols": 2**45}}, 2),
+         ({"target": {"lengthscale_m": 1e200}}, 2)],
+        ids=["map-overflows", "dt-missing", "grid-beyond-memory", "lengthscale-overflow"],
     )
     def test_map_rejects_before_writing(self, tmp_path, sections, code):
         cfg_path = small_config(tmp_path, **sections)
@@ -818,6 +819,8 @@ class TestMapCommand:
         ({"target": {"sigma_csv": "inf.csv"}}, [], 3),
         # the squared lengthscale underflows to 0, so the covariance is NaN
         ({"target": {"lengthscale_m": 1e-300}}, [], 3),
+        # the squared lengthscale overflows a float: refused as a setting
+        ({"target": {"lengthscale_m": 1e200}}, [], 2),
         # the MAP exp(m - Sigma 1) underflows to 0, overflows or is NaN
         ({"target": {"variance": 1e300}}, [], 3),
         ({"target": {"nugget": 1e300}}, [], 3),
@@ -839,7 +842,8 @@ class TestMapCommand:
          "grid-beyond-memory", "grid-beyond-index",
          "dt-unknown-method", "m-csv-without-sigma",
          "sigma-empty", "m-csv-empty",
-         "sigma-nan", "sigma-inf", "lengthscale-underflow", "variance-huge",
+         "sigma-nan", "sigma-inf", "lengthscale-underflow", "lengthscale-overflow",
+         "variance-huge",
          "nugget-huge", "m-value-800", "m-value-huge", "m-csv-nan",
          "zero-variance", "zero-variance-ulp"],
 )

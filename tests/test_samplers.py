@@ -514,6 +514,31 @@ class TestHamiltonian:
         assert one.shape == (1,) and one[0] == h[0]
 
     @pytest.mark.parametrize("include_logdet", [False, True])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["map-inverse", "local-hessians"])
+    @pytest.mark.parametrize("side", [8, 12], ids=["d64", "d144"])
+    def test_stack_rows_are_single_point_calls_at_run_sizes(self, side, per_row,
+                                                            include_logdet):
+        # the desk and field144 targets: a point's potential and energy take
+        # ndarray.dot products and a stack's np.matvec and np.vecdot, with the
+        # same bits, against HMAP_HMC's dense inverse or each row's local
+        # Hessian; the momenta are large enough (0.5 p' M^-1 p of 5e6 to 1e8,
+        # J of 4e2 to 2e3) that the kinetic term sets each energy's last bits
+        _, target = desk_target(side, side)
+        rng = np.random.default_rng(side)
+        theta = target.map_point() * np.exp(0.01 * rng.standard_normal((4, target.dim)))
+        p = 1e5 * rng.standard_normal((4, target.dim))
+        if per_row:
+            mass = masses = linalg.repair_to_pd(target.hessian(theta), 1.0)[0]
+        else:
+            mass = linalg.with_inverse(hmap_mass(target, 1.0)[0])
+            masses = [mass] * 4
+        h = hamiltonian(PhaseState(theta, p), target, mass, include_logdet)
+        for k in range(4):
+            alone = hamiltonian(PhaseState(theta[k], p[k]), target, masses[k], include_logdet)
+            assert np.ndim(alone) == 0 and np.isfinite(alone)
+            assert h[k] == alone
+
+    @pytest.mark.parametrize("include_logdet", [False, True])
     @pytest.mark.parametrize("per_row", [False, True], ids=["one-factor", "k-factors"])
     def test_infinite_exactly_at_bad_rows(self, per_row, include_logdet):
         # row 0 lies outside the domain, rows 2 and 3 have a momentum that is

@@ -121,6 +121,8 @@ class TestGridCovariance:
             build_grid_covariance(0, 2, (1.0, 1.0), 1.0)
         with pytest.raises(ValueError):
             build_grid_covariance(2, 2, (1.0, 1.0), -1.0)
+        with pytest.raises(ValueError, match="too large to square"):
+            build_grid_covariance(2, 2, (1.0, 1.0), 1e200)
 
 
 class TestNormalizationFreeContract:
