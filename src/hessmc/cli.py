@@ -25,7 +25,8 @@ to one run bit for bit; chain c draws from the stream
 ``np.random.default_rng([seed, c])`` and its output is the bytes that stream
 gives alone. A block's samples are written and reduced to spatial averages
 before the next block runs, and only its state outlives it; a stored chain's
-samples file stays open across a method's blocks. Chain 0's first
+samples file stays open across a method's blocks, so a run that stores more
+chains than the process may open files exits 4 part-way. Chain 0's first
 band_samples rows are merged block by block into the few of each
 coordinate's smallest and largest values that its band reads
 (``diagnostics.BandTails``, which holds those tails alone, sorted, and

@@ -50,11 +50,14 @@ a vector or stack to solve against: its shape against the factor or factors
 (``_check_dims``, 0.15-0.25 us at d = 144), then its finiteness, by
 counting its finite entries with numpy's C ``count_nonzero``, one C loop
 (``.all()`` and ``np.count_nonzero`` go through Python wrappers: 0.93 and 0.30
-us a call at d = 64 against 0.08 us). ``_solve_checked`` is the second
-check and the product alone: a leapfrog trajectory checks the shapes once
-(``_check_dims``) and calls it for each momentum, so every momentum is still
-refused before its drift if it is not finite. A refused stack marks its
-non-finite rows in :class:`NonFiniteVector`, which is how a diverging leapfrog
+us a call at d = 64 against 0.08 us). ``_check_dims`` is the one check that
+a mass fits its points (a point takes one factor, a (K, d) stack one or K,
+each of dim d): the samplers' ``leapfrog`` and ``run_chain`` call it once,
+and their energies reach it through :func:`solve`. ``_solve_checked`` is
+the second check and the product alone, which a trajectory calls for each
+momentum after those shape checks, so every momentum is still refused
+before its drift if it is not finite. A refused stack marks its non-finite
+rows in :class:`NonFiniteVector`, which is how a diverging leapfrog
 trajectory stops those rows without a scan of its own.
 
 A stack is checked once and then handed to LAPACK row by row, so each row
@@ -68,9 +71,9 @@ otherwise each row takes one ``dpotrs``, or its own factor's ``dot`` or
 product.
 :func:`repair_to_pd` repairs a (K, d, d) stack (a single matrix is a one-row
 stack): one finiteness and one exact-symmetry scan, then one ``dpotrf`` per
-exactly symmetric row (any other finite row goes through :func:`factorize`,
-which checks and symmetrizes it). Only a row whose Cholesky fails goes on to
-the jitter escalation, and a row that cannot be repaired gets None.
+exactly symmetric row (any other finite row is checked and symmetrized
+first, with no second finiteness scan). Only a row whose Cholesky fails goes
+on to the jitter escalation, and a row that cannot be repaired gets None.
 
 ``dpotrf`` and ``dpotrs`` come from ``scipy.linalg._flapack``, the compiled
 f2py module that ``scipy.linalg.lapack`` star-imports, loaded by its path
@@ -199,13 +202,11 @@ def _check_symmetric(matrix: np.ndarray, finite: bool = False) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def factorize(matrix: np.ndarray, finite: bool = False) -> SpdFactor:
+def factorize(matrix: np.ndarray) -> SpdFactor:
     """Cholesky-factorize a symmetric PD matrix.
 
     Args:
         matrix: dense square matrix, symmetric to 1e-8 relative tolerance.
-        finite: the caller has just checked every entry is finite; skip
-            that scan.
 
     Returns:
         An :class:`SpdFactor` with ``lower_factor @ lower_factor.T == matrix``.
@@ -215,7 +216,7 @@ def factorize(matrix: np.ndarray, finite: bool = False) -> SpdFactor:
             entry is not finite.
         DimensionMismatch: the input is not square or not symmetric.
     """
-    return _cholesky(_check_symmetric(matrix, finite))
+    return _cholesky(_check_symmetric(matrix))
 
 
 def _cholesky(sym: np.ndarray) -> SpdFactor:
@@ -253,17 +254,21 @@ def solve(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndarray:
 
 
 def _check_dims(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> None:
-    """:func:`solve`'s shape checks: raise DimensionMismatch unless v is a
-    vector of length ``f.dim`` or a (K, f.dim) stack, or, for a sequence of
-    factors, a (K, d) stack with K factors of dim d."""
+    """The one check that a mass fits the points it moves, for :func:`solve`
+    and the samplers: raise DimensionMismatch unless v is a vector of length
+    ``f.dim`` or a (K, f.dim) stack, or, for a sequence of factors, a (K, d)
+    stack with K factors of dim d."""
     if isinstance(f, SpdFactor):
         if v.shape != (f.dim,) and (v.ndim != 2 or v.shape[1] != f.dim):
             raise DimensionMismatch(
                 f"expected a vector of length {f.dim} or a (K, {f.dim}) stack, got {v.shape}"
             )
-    elif v.ndim != 2 or len(f) != len(v) or _dims_differ(f, v.shape[1]):
+    elif v.ndim != 2 or len(f) != len(v) or any(g.dim != v.shape[1] for g in f):
+        rows = (f"{len(v)} rows" if v.ndim == 2
+                else "one point" if v.ndim == 1 else "an array")
         raise DimensionMismatch(
-            f"expected a (K, d) stack and K factors of dim d, got {v.shape}"
+            f"{len(f)} masses for {rows}: expected a (K, d) stack and K factors of dim d,"
+            f" got {v.shape}"
         )
 
 
@@ -291,14 +296,6 @@ def _solve_checked(f: SpdFactor | Sequence[SpdFactor], v: np.ndarray) -> np.ndar
         else:
             x[k] = row * g.inv if g.inv.ndim == 1 else g.inv.dot(row)
     return x
-
-
-def _dims_differ(factors: Sequence[SpdFactor], dim: int) -> bool:
-    """Whether a factor is not of dim; a loop, a quarter of ``any``'s cost."""
-    for g in factors:
-        if g.dim != dim:
-            return True
-    return False
 
 
 def _potrs(f: SpdFactor, v: np.ndarray) -> np.ndarray:
@@ -341,9 +338,9 @@ def repair_to_pd(
     lam runs through the doubling sequence 0, floor, 2*floor, 4*floor, ...
     until the row's Cholesky succeeds. The stack is scanned once for
     finiteness and once for exact symmetry; each finite row that is exactly
-    symmetric is factorized by one ``dpotrf``, any other finite row by
-    :func:`factorize`, which checks and symmetrizes it. Only a row whose
-    Cholesky fails goes on to the jitter escalation, each attempt one
+    symmetric is factorized by one ``dpotrf``, any other finite row by one
+    ``dpotrf`` of its checked, symmetrized copy. Only a row whose Cholesky
+    fails goes on to the jitter escalation, each attempt one
     :func:`factorize` of the symmetric part the first attempt accepted.
 
     Args:
@@ -372,7 +369,8 @@ def repair_to_pd(
         if not finite[k]:
             continue
         try:
-            factors[k] = _cholesky(matrix) if exact[k] else factorize(matrix, finite=True)
+            sym = matrix if exact[k] else _check_symmetric(matrix, finite=True)
+            factors[k] = _cholesky(sym)
         except NotPositiveDefinite:
             factors[k], lams[k] = _jitter(matrix, floor)
     return factors, lams

@@ -12,12 +12,13 @@ in the order it would draw alone. The target kernels and the stacked LAPACK
 calls are row-exact (see ``targets`` and ``linalg``), so each chain is bit
 for bit the chain its generator gives alone; one generator is K = 1.
 One chain is one point, not a one-row stack, from its start to its
-``ChainState``, so its transitions make 1-D calls. ``run_chain`` checks the
-start masses' shapes once (``linalg._check_dims``): a constant mass is that
-checked factor, and every later start mass was an end mass whose energy's
-``solve`` checked it, so each of a trajectory's L solves checks only that the
-momentum is finite (``linalg._solve_checked``); ``leapfrog`` and
-``hamiltonian`` check a mass's count and shape at entry.
+``ChainState``, so its transitions make 1-D calls. A mass's count and
+dimension are checked by ``linalg._check_dims`` alone: ``run_chain`` calls
+it once on the start masses, ``leapfrog`` at entry, and ``hamiltonian``
+reaches it through its energy's ``solve``. A constant mass is that checked
+factor, and every later start mass was an end mass whose energy's ``solve``
+checked it, so each of a trajectory's L solves checks only that the momentum
+is finite (``linalg._solve_checked``).
 A chain carries one point (theta, J, grad J, mass, lam) evaluated once, when
 proposed, so a trajectory of L steps makes L gradient calls, and each record
 ends in a ``ChainState`` (those points and the mass policy), from which a
@@ -291,23 +292,13 @@ def leapfrog(state: PhaseState, target: TargetModel, mass, dt: float, steps: int
     theta = np.asarray(state.position, dtype=float, order="C")
     p = np.asarray(state.momentum, dtype=float, order="C")
     gradient = state.gradient
-    _check_mass(mass, theta)
+    _check_dims(mass, theta)
     if steps < 1:
         raise ValueError("leapfrog takes at least one step")
     if gradient is None:
         gradient = target.gradient(theta)
     return PhaseState(*_trajectory(theta, p - 0.5 * dt * gradient, gradient, target, mass,
                                    dt, steps))
-
-
-def _check_mass(mass, theta: np.ndarray) -> None:
-    """Refuse (DimensionMismatch) a mass that does not fit theta: a point
-    takes one SpdFactor, a (K, d) stack one or a sequence of K, each of
-    dim d. The public entries check once; the solves after do not."""
-    if not isinstance(mass, SpdFactor) and (theta.ndim != 2 or len(mass) != len(theta)):
-        rows = f"{len(theta)} rows" if theta.ndim == 2 else "one point"
-        raise DimensionMismatch(f"{len(mass)} masses for {rows}")
-    _check_dims(mass, theta)
 
 
 def _trajectory(theta, p, g, target, mass, dt, steps):
@@ -374,9 +365,8 @@ def hamiltonian(
     is not finite (a diverged ``leapfrog`` row). The log-det term matters
     only when the two endpoints compared have different masses. A point
     takes one factor; a stack one or K (another count raises
-    DimensionMismatch)."""
+    DimensionMismatch, from the energy's ``solve``)."""
     p = np.asarray(state.momentum, dtype=float)
-    _check_mass(mass, p)
     return _energy(target.potential(state.position), p, mass, include_logdet)
 
 

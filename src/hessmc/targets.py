@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpdFactor, count_nonzero, factorize, inverse
+from .linalg import (DimensionMismatch, NotPositiveDefinite, SpdFactor, count_nonzero,
+                     factorize, inverse)
 
 
 class OutOfDomain(Exception):
@@ -81,7 +82,9 @@ class TargetModel:
 
 @dataclass
 class GaussianTarget(TargetModel):
-    """Multivariate Gaussian with J = 0.5 (theta-mean)' Sigma^-1 (theta-mean)."""
+    """Multivariate Gaussian with J = 0.5 (theta-mean)' Sigma^-1 (theta-mean).
+    A Sigma so near singular that Sigma^-1 is not finite, which no chain
+    could run on, raises NotPositiveDefinite."""
 
     mean: np.ndarray
     cov: SpdFactor
@@ -95,8 +98,11 @@ class GaussianTarget(TargetModel):
             )
         self.dim = self.cov.dim
         self.precision = inverse(self.cov)
-        self.precision += self.precision.T  # made exactly symmetric
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self.precision += self.precision.T  # made exactly symmetric
         self.precision *= 0.5
+        if not np.isfinite(self.precision).all():  # a covariance too near singular
+            raise NotPositiveDefinite("the covariance's inverse is not finite")
 
     def potential(self, theta: np.ndarray) -> float | np.ndarray:
         return self._potential_of(np.ascontiguousarray(theta, dtype=float) - self.mean)

@@ -756,8 +756,10 @@ class TestMapCommand:
         [({"target": {"m_value": 800}}, 3),
          ({"sampler": {"dt": {"MH": 0.1}}, "run": {"methods": list(METHODS)}}, 2),
          ({"target": {"rows": 1, "cols": 2**45}}, 2),
-         ({"target": {"lengthscale_m": 1e200}}, 2)],
-        ids=["map-overflows", "dt-missing", "grid-beyond-memory", "lengthscale-overflow"],
+         ({"target": {"lengthscale_m": 1e200}}, 2),
+         ({"target": {"rows": 1, "cols": 1, "variance": 1e-310, "nugget": 0}}, 3)],
+        ids=["map-overflows", "dt-missing", "grid-beyond-memory", "lengthscale-overflow",
+             "inverse-overflows"],
     )
     def test_map_rejects_before_writing(self, tmp_path, sections, code):
         cfg_path = small_config(tmp_path, **sections)
@@ -827,6 +829,9 @@ class TestMapCommand:
         ({"target": {"m_value": 800}}, [], 3),
         ({"target": {"m_value": 1e300}}, [], 3),
         ({"target": {"sigma_csv": "sym.csv", "m_csv": "m_nan.csv"}}, [], 3),
+        # the covariance factorizes, but its inverse overflows
+        ({"target": {"rows": 1, "cols": 1, "variance": 1e-310, "nugget": 0}}, [], 3),
+        ({"target": {"sigma_csv": "tiny.csv"}}, [], 3),
         # every proposal is rejected, so the chain never moves; the mean of
         # the 43 equal values is off by an ulp
         ({"sampler": {"dt": 1000.0}}, [], 3),
@@ -845,6 +850,7 @@ class TestMapCommand:
          "sigma-nan", "sigma-inf", "lengthscale-underflow", "lengthscale-overflow",
          "variance-huge",
          "nugget-huge", "m-value-800", "m-value-huge", "m-csv-nan",
+         "variance-inverse-overflows", "sigma-inverse-overflows",
          "zero-variance", "zero-variance-ulp"],
 )
 def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, code):
@@ -855,6 +861,7 @@ def test_known_errors_exit_code(tmp_path, monkeypatch, capsys, sections, args, c
     (tmp_path / "inf.csv").write_text("inf,0.1\n0.1,0.5\n")
     (tmp_path / "sym.csv").write_text("0.5,0.1\n0.1,0.5\n")
     (tmp_path / "m_nan.csv").write_text("nan\n0.1\n")
+    (tmp_path / "tiny.csv").write_text("1,0\n0,1e-320\n")
     (tmp_path / "empty.csv").write_text("")
     cfg_path = small_config(tmp_path, **sections)
     assert main(["run", "--config", str(cfg_path), *args]) == code

@@ -300,8 +300,9 @@ def test_lapack_path_keeps_its_errors(dim):
 
 
 def test_repair_calls_factorize_once_per_attempt(monkeypatch):
-    # shape and symmetry are factorize's to check: one scan per attempt, but
-    # for the first attempt on an exactly symmetric row, a bare dpotrf
+    # one symmetry scan per attempt, but none for the first attempt on an
+    # exactly symmetric row (a bare dpotrf); the first attempt on another
+    # row is that scan and a dpotrf, a jittered attempt one factorize
     calls, checks = [], []
     monkeypatch.setattr(linalg, "factorize", _counting(calls, linalg.factorize))
     monkeypatch.setattr(linalg, "_check_symmetric",
@@ -309,7 +310,7 @@ def test_repair_calls_factorize_once_per_attempt(monkeypatch):
     _repair(np.eye(3), 0.3)
     assert len(calls) == len(checks) == 0
     _repair(np.eye(3) + 1e-12 * np.triu(np.ones((3, 3)), 1), 0.3)
-    assert len(calls) == len(checks) == 1
+    assert (len(calls), len(checks)) == (0, 1)
     calls.clear()
     checks.clear()
     # lambda_min = -1: lam runs 0 (the bare dpotrf), 0.3, 0.6 and stops at 1.2

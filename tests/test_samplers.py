@@ -501,7 +501,11 @@ class TestHamiltonian:
     @pytest.mark.parametrize("include_logdet", [False, True])
     @pytest.mark.parametrize("per_row", [False, True], ids=["one-factor", "k-factors"])
     def test_stack_rows_are_single_point_calls(self, per_row, include_logdet):
+        # momenta scaled by 1e3 (0.5 p' M^-1 p of 3e3 to 9e5, J of about -3.6)
+        # make the kinetic term set each energy's last bits for every factor
+        # kind: dense inverse, bare, diagonal inverse and local Hessian
         target, theta, p, masses = self._stack()
+        p *= 1e3
         mass = masses if per_row else masses[0]
         h = hamiltonian(PhaseState(theta, p), target, mass, include_logdet)
         assert h.shape == (4,)
@@ -559,10 +563,11 @@ class TestHamiltonian:
 
 
 class TestChecksBeforeTheSteps:
-    """leapfrog and hamiltonian check a mass's count and dimension once, at
-    entry, and the solves after do not: every public entry still refuses a
-    mass that does not fit, and a momentum that is not finite still stops
-    its row alone, for a point, a one-row stack and a three-row stack."""
+    """leapfrog checks a mass's count and dimension once, at entry, and
+    hamiltonian through its energy's solve; the solves of a trajectory do
+    not: every public entry still refuses a mass that does not fit, and a
+    momentum that is not finite still stops its row alone, for a point, a
+    one-row stack and a three-row stack."""
 
     SHAPES = [(4,), (1, 4), (3, 4)]
     IDS = ["point", "1-row", "3-row"]

@@ -178,6 +178,27 @@ class TestGaussianTarget:
         t = GaussianTarget(np.zeros(2), factorize(np.eye(2)))
         assert t.potential(np.array([-1e6, 1e6])) == 1e12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cov", [
+        [[1e-310]], [[1.0, 0.0], [0.0, 1e-320]], [[1e-308]],
+        [[4.52500460866315e-309, 2.452164143160955e-309, -2.751253955270747e-309],
+         [2.452164143160955e-309, 2.880595466714604e-309, -1.94209694480767e-309],
+         [-2.751253955270747e-309, -1.94209694480767e-309, 3.868545777839157e-309]],
+    ], ids=["inverse-inf", "diagonal-inverse-inf", "symmetrized-inf", "mirrored-infs"])
+    def test_non_finite_precision_refused(self, cov):
+        # the covariance factorizes, but its inverse overflows: in the third
+        # as the symmetrizing sum 1e308 + 1e308, and the fourth's inverse
+        # holds -inf and inf in mirrored entries, whose sum is NaN; neither
+        # sum warns, and no potential there is finite
+        sigma = factorize(np.array(cov))
+        with pytest.raises(linalg.NotPositiveDefinite, match="inverse is not finite"):
+            GaussianTarget(np.zeros(len(cov)), sigma)
+        with pytest.raises(linalg.NotPositiveDefinite, match="inverse is not finite"):
+            LogNormalField(m=np.zeros(len(cov)), sigma=sigma)
+        # a precision of 8.3e307, whose doubled sum stays finite, still builds
+        t = GaussianTarget(np.zeros(1), factorize(np.array([[1.2e-308]])))
+        assert np.isfinite(t.precision).all()
+
 
 def perturbed_points(target, rng):
     theta_map = target.map_point()
