@@ -30,10 +30,11 @@
 # point, not as rows of a stack, and its end masses are repaired with jitter
 # one point at a time. Four MH-only configs (8x8
 # target, 50 samples) set `credible_mass` so that the analytic band's normal
-# quantile, ndtri((1 + mass) / 2), takes each path the default 0.95 does not:
+# quantile, AS 241's inv_cdf((1 + mass) / 2), takes each of its paths:
 # `mass_centre` (0.2) the central approximation, `mass_tail` (0.999999) the
-# first tail one, `mass_far` (0.99999999999999) the far tail one, and
-# `mass_one` (1.0) the infinite quantile. A fifth, `mass_tiny` (1e-9), has
+# intermediate one that the default 0.95 takes too, `mass_far`
+# (0.99999999999999) the far tail one, and `mass_one` (1.0) the q = 1 limit,
+# an infinite quantile. A fifth, `mass_tiny` (1e-9), has
 # band tails (26 smallest and 26 largest of 50) that cover every row, so
 # the band keeps all 50 rows of each coordinate, sorted. The `nologdet`
 # config (HMAP_HMC and HLOCAL_HMC, 2 chains) sets `include_logdet` false, so
@@ -59,9 +60,11 @@
 # each coordinate) are merged from blocks of 96 samples, sorted several
 # times, and the band stops 28 rows into its eighth block.
 # Exits 0 when every file and summary is byte-identical, 1 on any difference,
-# 2 on a usage or run error. `scripts/compare_outputs.sh HEAD` compares the
-# tree with itself: a check that the script and the reruns still work; CI
-# compares a change against its base commit.
+# 2 on a usage or run error. For a config whose outputs differ it prints the
+# names of the files that differ and the first 20 lines of their `diff -r`.
+# `scripts/compare_outputs.sh HEAD` compares the tree with itself: a check
+# that the script and the reruns still work; CI compares a change against its
+# base commit.
 # BLAS runs on one thread so that the comparison does not depend on threading.
 set -euo pipefail
 
@@ -175,6 +178,7 @@ for config in single desk field144 single144 chains8 thin7 rough rough1 tiny nol
     if ! diff -r "$work/out/ref/$config" "$work/out/head/$config" > /dev/null; then
         echo "$config: outputs differ:" >&2
         diff -rq "$work/out/ref/$config" "$work/out/head/$config" >&2 || true
+        diff -r "$work/out/ref/$config" "$work/out/head/$config" | head -n 20 >&2 || true
         same=0
     fi
     if [ $same = 1 ]; then

@@ -265,78 +265,18 @@ def build_target(cfg: dict) -> LogNormalField:
     return LogNormalField(m=m, sigma=sigma)
 
 
-# Cephes ndtri's rational approximations, highest power first. Each Q has its
-# leading 1 written out: a Horner step from 1.0 adds x exactly as p1evl does.
-# P0/Q0 are in (y - 1/2)^2, for the centre exp(-2) < y < 1 - exp(-2);
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-# P1/Q1 are in 1/x, x = sqrt(-2 log y), for a tail y where x < 8 (y > exp(-32));
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-# P2/Q2 are in 1/x where x >= 8.
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-
-
-def _polevl(x: float, coefs: tuple) -> float:
-    """The polynomial with these coefficients at x, by Horner's rule."""
-    ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(q: float) -> float:
-    """The standard normal quantile of q: -inf at 0, +inf at 1, NaN outside."""
-    if q == 0.0:
-        return -math.inf
-    if q == 1.0:
-        return math.inf
-    if not 0.0 <= q <= 1.0:
-        return math.nan
-    upper = q > 1.0 - _EXP_M2
-    y = 1.0 - q if upper else q
-    if y > _EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0))
-        return x * 2.50662827463100050242  # sqrt(2 pi)
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    num, den = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x - math.log(x) / x - z * _polevl(z, num) / _polevl(z, den)
-    return x if upper else -x
-
-
 def exact_band(target: LogNormalField, mass: float) -> CredibleBand:
     """Analytic per-coordinate quantiles of the log-normal marginals.
 
-    The standard normal quantile is ``_ndtri``, a port of Cephes ``ndtri``
-    (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989),
-    the routine behind ``scipy.special.ndtri``; ``tests/test_cli.py::TestNdtri``
-    checks that the two agree bit for bit.
+    The standard normal quantile is ``statistics.NormalDist().inv_cdf``
+    (Wichura, "Algorithm AS 241", *Applied Statistics* 37, 1988), imported
+    here so that ``hessmc map`` never loads it. Where (1 + mass) / 2 rounds
+    to 1, at which ``inv_cdf`` raises, the quantile is +inf: the band (0, inf).
     """
-    z = _ndtri((1.0 + mass) / 2.0)
+    from statistics import NormalDist
+
+    q = (1.0 + mass) / 2.0
+    z = math.inf if q == 1.0 else NormalDist().inv_cdf(q)
     sd = np.sqrt(np.diag(target.sigma.matrix()))
     return CredibleBand(
         lower=np.exp(target.m - z * sd),

@@ -17,7 +17,6 @@ from hessmc import cli, diagnostics, samplers
 from hessmc.cli import (
     EXIT_CONFIG,
     ConfigError,
-    _ndtri,
     build_target,
     exact_band,
     load_config,
@@ -172,40 +171,47 @@ class TestExactBand:
         assert np.allclose(emp.upper, band.upper, rtol=0.02)
 
 
-class TestNdtri:
-    """The Cephes port against scipy.special.ndtri, the routine it ports."""
+class TestExactBandQuantile:
+    """The band's normal quantile, AS 241 by way of statistics.NormalDist, at m 0
+    and sd 1: its limits are exp(-z) and exp(z), z = ndtri((1 + mass) / 2)."""
 
-    @staticmethod
-    def assert_bitwise(q):
+    UNIT = LogNormalField(m=np.array([0.0]), sigma=factorize(np.array([[1.0]])))
+
+    def assert_near_ndtri(self, masses):
         from scipy.special import ndtri
 
-        ours = np.array([_ndtri(float(v)) for v in q])
-        # compare bits: 0.0 == -0.0, so a lost sign would pass a value compare
-        assert np.array_equal(ours.view(np.int64), ndtri(q).view(np.int64))
+        bands = [exact_band(self.UNIT, float(m)) for m in masses]
+        z = ndtri((1.0 + masses) / 2.0)
+        assert np.allclose([b.lower[0] for b in bands], np.exp(-z), rtol=2e-14, atol=0)
+        assert np.allclose([b.upper[0] for b in bands], np.exp(z), rtol=2e-14, atol=0)
 
-    def test_even_grid(self):
-        self.assert_bitwise(np.linspace(0.0, 1.0, 200_001))
+    def test_even_masses(self):
+        self.assert_near_ndtri(np.linspace(0.0, 1.0, 20_001)[1:-1])
 
-    def test_both_tails(self):
-        tail = np.logspace(-300, 0, 20_000)
-        self.assert_bitwise(tail)
-        self.assert_bitwise(1.0 - tail)
+    def test_masses_near_one(self):
+        self.assert_near_ndtri(1.0 - np.logspace(-15, np.log10(0.5), 5_000))
 
-    def test_band_quantiles(self):
-        mass = 1.0 - np.random.default_rng(20).uniform(size=20_000)  # in (0, 1]
-        self.assert_bitwise((1.0 + mass) / 2.0)
+    def test_seeded_masses(self):
+        self.assert_near_ndtri(1.0 - np.random.default_rng(20).uniform(size=20_000))
 
-    @pytest.mark.parametrize("edge", [np.exp(-2.0), 1.0 - 0.13533528323661269189,
-                                      np.exp(-32.0)])
+    # AS 241 changes approximation where q passes 0.925 and where 1 - q passes
+    # exp(-25); mass = 2q - 1 is exact there, so each q is met exactly
+    @pytest.mark.parametrize("edge", [0.925, 1.0 - np.exp(-25.0)])
     def test_branch_edges(self, edge):
-        self.assert_bitwise(np.array([np.nextafter(edge, 0.0), edge,
-                                      np.nextafter(edge, 1.0)]))
+        q = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+        masses = 2.0 * q - 1.0
+        assert np.array_equal((1.0 + masses) / 2.0, q)
+        self.assert_near_ndtri(masses)
 
-    def test_limits_and_domain(self):
-        assert _ndtri(0.0) == -np.inf and _ndtri(1.0) == np.inf
-        assert np.signbit(_ndtri(0.5)) == np.signbit(0.0)
-        for q in (np.nan, -0.1, 1.5):
-            assert np.isnan(_ndtri(q))
+    # inv_cdf raises at q = 1, where the largest mass below 1 lands too
+    @pytest.mark.parametrize("mass", [1.0, np.nextafter(1.0, 0.0)])
+    def test_mass_one_is_the_whole_line(self, mass):
+        band = exact_band(self.UNIT, mass)
+        assert (band.lower[0], band.upper[0]) == (0.0, np.inf)
+
+    def test_least_mass_is_the_median(self):
+        band = exact_band(self.UNIT, 5e-324)
+        assert band.lower[0] == band.upper[0] == np.exp(0.0)
 
 
 def expected_csv(header, rows):
@@ -407,17 +413,19 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_map_command_skips_scipy_special(tmp_path):
-    # only the run's analytic band needs ndtri, so `hessmc map` never imports it
+    # only the run's analytic band needs a normal quantile, so `hessmc map`
+    # imports neither scipy.special nor the statistics module that gives it
     code = ("import sys; from hessmc.cli import main; "
-            "print(main(['map', '--out', sys.argv[1]]), 'scipy.special' in sys.modules)")
+            "print(main(['map', '--out', sys.argv[1]]), "
+            "*(m in sys.modules for m in ('scipy.special', 'statistics')))")
     out = python("-c", code, str(tmp_path))
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.split() == ["0", "False", "False"]
     assert (tmp_path / "map.csv").exists()
 
 
 def test_run_command_skips_scipy_special_and_linalg_package(tmp_path):
-    # the analytic band's quantile is a pure-Python port, so a run, like a map,
-    # loads nothing from scipy but its compiled LAPACK module
+    # the analytic band's quantile comes from the standard library, so a run,
+    # like a map, loads nothing from scipy but its compiled LAPACK module
     code = ("import sys; from hessmc.cli import main; "
             "print(main(['run', '--config', sys.argv[1]]), "
             "*(m in sys.modules for m in ('scipy.special', 'scipy.linalg', 'numpy.f2py')), "
