@@ -4,7 +4,7 @@
 # Usage: scripts/compare_outputs.sh REF
 #
 # Exports REF (any commit-ish) with `git archive` into a temporary directory,
-# runs `python3 -m hessmc run` from both source trees on 23 configs, and
+# runs `python3 -m hessmc run` from both source trees on 24 configs, and
 # compares the two output directories with `diff -r` and the two printed
 # summaries with `diff`. The `single`, `desk`, `field144` and `chains8`
 # configs run the four methods for 600 samples after a burn-in of 20, every
@@ -39,7 +39,10 @@
 # the band keeps all 50 rows of each coordinate, sorted. The `nologdet`
 # config (HMAP_HMC and HLOCAL_HMC, 2 chains) sets `include_logdet` false, so
 # the energy change is compared without the endpoint log-determinant terms
-# as well. Three configs
+# as well. `single_nologdet` does the same with 1 chain (600 samples,
+# burn-in 20, every sample stored), so one point's endpoint, whose potential
+# and Hessian HLOCAL_HMC evaluates once, is compared without those terms
+# too. Three configs
 # (HMAP_HMC and HLOCAL_HMC, 2 chains, 300 samples, burn-in 20, every sample
 # stored) move the field's scale through the forms '%.17g' takes, and so
 # through both paths of the CSV writer: `scale_up` (m_value 3, values near
@@ -115,6 +118,11 @@ cat > "$work/nologdet.json" <<JSON
              "include_logdet": false},
  "run": {"chains": 2, "methods": ["HMAP_HMC", "HLOCAL_HMC"]}}
 JSON
+cat > "$work/single_nologdet.json" <<JSON
+{"sampler": {"n_samples": 600, "burn_in": 20, "store_samples": true, "thin": 1,
+             "include_logdet": false},
+ "run": {"chains": 1, "methods": ["HMAP_HMC", "HLOCAL_HMC"]}}
+JSON
 cat > "$work/tiny.json" <<JSON
 {"sampler": {"n_samples": 10, "burn_in": 5, "store_samples": true, "thin": 3},
  "run": {"chains": 12}}
@@ -160,8 +168,8 @@ JSON
 status=0
 mkdir "$work/stdout"
 for config in single desk field144 single144 chains8 thin7 rough rough1 tiny nologdet \
-        scale_up straddle scale_far mass_centre mass_tail mass_far mass_one mass_tiny \
-        beta_up beta_down beta_f144 wide band_cut; do
+        single_nologdet scale_up straddle scale_far mass_centre mass_tail mass_far \
+        mass_one mass_tiny beta_up beta_down beta_f144 wide band_cut; do
     for tree in ref head; do
         src="$work/ref/src"
         [ "$tree" = head ] && src="$repo/src"

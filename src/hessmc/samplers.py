@@ -12,7 +12,12 @@ in the order it would draw alone. The target kernels and the stacked LAPACK
 calls are row-exact (see ``targets`` and ``linalg``), so each chain is bit
 for bit the chain its generator gives alone; one generator is K = 1.
 One chain is one point, not a one-row stack, from its start to its
-``ChainState``, so its transitions make 1-D calls. A mass's count and
+``ChainState``, so its transitions make 1-D calls: its endpoint is evaluated
+once, by the policy's ``end``, and for HLOCAL_HMC its potential and Hessian
+share one log theta, one residual and one P r
+(``targets.potential_and_hessian``, which takes the two calls instead for a
+target whose ``potential`` or ``hessian`` is overridden), the Hessian
+repaired as a (d, d) point. A mass's count and
 dimension are checked by ``linalg._check_dims`` alone: ``run_chain`` calls
 it once on the start masses, ``leapfrog`` at entry, and ``hamiltonian``
 reaches it through its energy's ``solve``. A constant mass is that checked
@@ -32,7 +37,9 @@ its mass policy, which maps one point, or a (K, d) stack of them, to its
 mass and jitter: one SpdFactor and lam 0 for a point or a stack that shares
 a constant mass, and where masses differ (``LocalHessian``) a point's factor
 (None if it cannot be built) and float lam, or a stack's list of K factors
-(None where one cannot be built) and (K,) array of jitters.
+(None where one cannot be built) and (K,) array of jitters. Its ``end``
+maps one chain's endpoint to (J, mass, lam), with no mass where J is not
+finite.
 The Hamiltonian kernels are one transition that differs only in that policy:
 HMC and HMAP_HMC use a constant mass, inverted once: ``beta * I``, which keeps
 only its inverse's diagonal, so that every ``solve`` and momentum draw is one
@@ -55,8 +62,9 @@ proposals never read one, so its points carry no mass, no gradient and lam 0.
 The target alone judges its domain, as ``TargetModel`` documents (+inf
 potential, ``OutOfDomain`` from gradient and hessian, with ``rows`` marking
 the rows of a stack outside it). A trajectory row that leaves it stops there
-(``leapfrog``), and the mass policy takes such an endpoint at its start point,
-so a Hessian is asked for inside the domain only. A row whose momentum stops
+(``leapfrog``), and the mass policy takes such a row's endpoint at its start
+point (one chain's builds no mass), so a Hessian is asked for inside the
+domain only. A row whose momentum stops
 being finite (a diverging trajectory) stops too, on ``solve``'s own refusal
 (NonFiniteVector), so no leapfrog step scans for it; its energy is +inf.
 ``run_chain`` refuses a start point of the wrong shape or of infinite
@@ -67,7 +75,6 @@ another dimension raises DimensionMismatch before any momentum is drawn.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -87,7 +94,7 @@ from .linalg import (
     solve,
     with_inverse,
 )
-from .targets import LogNormalField, OutOfDomain, TargetModel
+from .targets import LogNormalField, OutOfDomain, TargetModel, potential_and_hessian
 
 
 class ConfigMismatch(Exception):
@@ -146,14 +153,13 @@ class FixedSpd:
     factor: SpdFactor
 
     def mass_at(self, target: TargetModel):
-        # a point and every row of a stack share the factor itself: nothing is built
-        return lambda theta: (self.factor, 0.0)
+        return _SharedMass(self.factor, target)
 
 
 @dataclass(frozen=True)
 class LocalHessian:
     """Mass matrix refrozen from the local Hessian each trajectory: one
-    stacked Hessian and one ``repair_to_pd`` of it for a stack of points."""
+    Hessian and one ``repair_to_pd`` of it for a point or a stack of points."""
 
     floor: float = 1e-6
 
@@ -161,13 +167,42 @@ class LocalHessian:
         _check_positive("floor", self.floor)
 
     def mass_at(self, target: TargetModel):
-        def policy(theta):
-            if theta.ndim == 2:
-                return repair_to_pd(target.hessian(theta), self.floor)
-            (factor,), (lam,) = repair_to_pd(target.hessian(theta)[None], self.floor)
-            return factor, lam
+        return _LocalMass(target, self.floor)
 
-        return policy
+
+@dataclass(frozen=True)
+class _SharedMass:
+    """A constant mass's policy: a point, and every row of a stack, shares
+    the factor itself, and nothing is built."""
+
+    factor: SpdFactor
+    target: TargetModel
+
+    def __call__(self, theta):
+        return self.factor, 0.0
+
+    def end(self, x):
+        """One chain's endpoint x: (J, mass, lam)."""
+        return self.target.potential(x), self.factor, 0.0
+
+
+@dataclass(frozen=True)
+class _LocalMass:
+    """LocalHessian's policy: a point's factor (None if it cannot be built)
+    and float lam, or a stack's list of factors and (K,) lams."""
+
+    target: TargetModel
+    floor: float
+
+    def __call__(self, theta):
+        return repair_to_pd(self.target.hessian(theta), self.floor)
+
+    def end(self, x):
+        """One chain's endpoint x: (J, mass, lam), J and the Hessian evaluated
+        once (``targets.potential_and_hessian``); no mass where J is not
+        finite."""
+        j, h = potential_and_hessian(self.target, x)
+        return (j, None, 0.0) if h is None else (j, *repair_to_pd(h, self.floor))
 
 
 MassSpec = Union[ScaledIdentity, FixedSpd, LocalHessian]
@@ -440,10 +475,12 @@ def _hamiltonian_step(points, target, mass_at, cfg, rng):
     """Hamiltonian transitions of one point or of K in lockstep:
     points -> (points, accepted).
 
-    Each trajectory uses its point's mass; mass_at is called once, on all
-    endpoints, an endpoint of infinite potential replaced by its start point
-    (that row is rejected anyway), so the policy is asked inside the domain
-    only. Each row's momentum is drawn from its generator, in row order,
+    Each trajectory uses its point's mass. One chain's endpoint takes its J
+    and mass from one policy call (``end``), which builds no mass where J is
+    not finite; K endpoints take one potential call, then one policy call,
+    an endpoint of infinite potential replaced by its start point (that row
+    is rejected anyway). So the policy is asked inside the domain only. Each
+    row's momentum is drawn from its generator, in row order,
     against the factor the rows share or its own; ``run_chain`` checked the
     start masses' shapes (see the module docstring). delta = H(start) -
     H(end), each ``_energy`` with its own mass, and a rejection is an
@@ -462,16 +499,14 @@ def _hamiltonian_step(points, target, mass_at, cfg, rng):
     dt = cfg.dt
     x, p, g = _trajectory(theta, p0 - 0.5 * dt * grad, grad, target, masses, dt,
                           cfg.leapfrog_steps)
-    j_end = target.potential(x)
-    # every endpoint inside, the common case, passes the endpoints uncopied;
-    # one chain's J is a float, tested without a ufunc
-    if not stack:
-        got, lams = mass_at(x if math.isfinite(j_end) else theta)
-    elif (inside := np.isfinite(j_end)).all():
-        got, lams = mass_at(x)
-    else:
-        got, lams = mass_at(np.where(inside[:, None], x, theta))
-    # an end mass that cannot be built: rejected, its uniform drawn
+    if not stack:  # one chain's J and end mass in one policy call
+        j_end, got, lams = mass_at.end(x)
+    else:  # every endpoint inside, the common case, passes the endpoints uncopied
+        j_end = target.potential(x)
+        inside = np.isfinite(j_end)
+        got, lams = mass_at(x if inside.all() else np.where(inside[:, None], x, theta))
+    # an end mass that cannot be built, or one chain's endpoint whose J is not
+    # finite: rejected, its uniform drawn
     if got is None:
         got, j_end = masses, np.inf
     elif isinstance(got, list) and None in got:
@@ -491,10 +526,10 @@ def hmap_mass(target: LogNormalField, pd_floor: float) -> tuple[SpdFactor, float
     D = diag(theta_MAP), which is PD, so the repair is a no-op (lam = 0).
     Raises RepairFailed if that Hessian is not finite or cannot be repaired.
     """
-    factors, lams = repair_to_pd(target.hessian(target.map_point())[None], pd_floor)
-    if factors[0] is None:
+    factor, lam = repair_to_pd(target.hessian(target.map_point()), pd_floor)
+    if factor is None:
         raise RepairFailed("the MAP Hessian is not finite or cannot be repaired")
-    return factors[0], float(lams[0])
+    return factor, lam
 
 
 class Kernel(NamedTuple):

@@ -590,14 +590,64 @@ def test_repair_rows_checks_the_stack_once(monkeypatch):
 
 
 def test_repair_rows_keeps_the_checks():
-    with pytest.raises(DimensionMismatch, match="stack"):
-        repair_to_pd(np.eye(3), 1e-3)
-    with pytest.raises(DimensionMismatch, match="stack"):
-        repair_to_pd(np.ones((2, 3, 4)), 1e-3)
+    for shape in ((3,), (2, 3), (2, 3, 4), (1, 2, 2, 2)):
+        with pytest.raises(DimensionMismatch, match="stack"):
+            repair_to_pd(np.ones(shape), 1e-3)
     with pytest.raises(DimensionMismatch, match="not symmetric"):
         repair_to_pd(np.array([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1e-3)
     with pytest.raises(ValueError, match="finite and positive"):
         repair_to_pd(np.array([np.eye(2)]), np.nan)
+
+
+@pytest.mark.parametrize("dim", LAPACK_DIMS)
+def test_repair_point_equals_one_row_stack(dim, monkeypatch):
+    # a (d, d) matrix is one point: the factor bits, log_det, lam (a float)
+    # or None of its one-row stack
+    for matrix in _repair_stack(dim):  # PD, jittered, near, non-finite, unrepairable
+        (ref,), (ref_lam,) = repair_to_pd(matrix[None], 1e-3)
+        f, lam = repair_to_pd(matrix, 1e-3)
+        assert type(lam) is float and lam == ref_lam
+        assert (f is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(f.lower_factor, ref.lower_factor)
+            assert f.log_det == ref.log_det
+    asymmetric = np.eye(dim)
+    asymmetric[-1, 0] = 0.5 if dim > 1 else 0.0
+    if dim > 1:  # too asymmetric: the same refusal for a point and a stack
+        with pytest.raises(DimensionMismatch, match="not symmetric") as point:
+            repair_to_pd(asymmetric, 1e-3)
+        with pytest.raises(DimensionMismatch, match="not symmetric") as stack:
+            repair_to_pd(asymmetric[None], 1e-3)
+        assert str(point.value) == str(stack.value)
+    # an exactly symmetric PD point: one finiteness scan and one dpotrf
+    scans, calls = [], []
+    monkeypatch.setattr(linalg.np, "isfinite", _counting(scans, np.isfinite))
+    monkeypatch.setattr(linalg, "dpotrf", _counting(calls, linalg.dpotrf))
+    repair_to_pd(_spd(dim, dim), 1e-3)
+    assert (len(scans), len(calls)) == (1, 1)
+
+
+def test_repair_stops_when_the_jitter_overflows(monkeypatch):
+    # floor 1e300 makes the cap floor * 1e12 inf; lam doubled past the
+    # largest float became inf, inf * eye put NaN off the diagonal, and
+    # inf <= inf kept the escalation going for ever. It stops at inf now,
+    # after the 28 finite jitters 1e300 * 2**n, each of them too small
+    calls, factorize = [], linalg.factorize
+
+    def bounded(m):  # a regression fails here instead of hanging
+        calls.append(m)
+        assert len(calls) <= 100, "the jitter escalation does not stop"
+        return factorize(m)
+
+    monkeypatch.setattr(linalg, "factorize", bounded)
+    matrix = np.array([[-1.7e308, 0.0], [0.0, 1.0]])
+    assert repair_to_pd(matrix, 1e300) == (None, 0.0)
+    assert len(calls) == 28
+    factors, lams = repair_to_pd(matrix[None], 1e300)
+    assert factors == [None] and lams.tolist() == [0.0] and len(calls) == 56
+    # a jitter that is still finite repairs as before
+    f, lam = repair_to_pd(np.array([[-1e300, 0.0], [0.0, 1.0]]), 1e300)
+    assert lam == 2e300 and f.lower_factor[0, 0] == np.sqrt(1e300)
 
 
 def test_solve_is_shape_check_then_checked_product():

@@ -1120,13 +1120,14 @@ class TestRunChain:
 
     @pytest.mark.parametrize(
         "method, dt, per_transition",
-        [("HMC", 0.05, 11), ("HMAP_HMC", 0.3, 11), ("HLOCAL_HMC", 0.3, 12)],
+        [("HMC", 0.05, 11), ("HMAP_HMC", 0.3, 11), ("HLOCAL_HMC", 0.3, 11)],
     )
     def test_domain_checked_only_by_target(self, method, dt, per_transition):
         # L = 10 steps take 10 gradients (the start point carries its own),
-        # then the endpoint's potential (and, for HLOCAL_HMC, its Hessian) each
-        # check the domain once; the sampler adds no check of its own, and no
-        # trajectory here leaves the domain
+        # then the endpoint's potential checks the domain once (for HLOCAL_HMC
+        # with its Hessian: one chain evaluates its endpoint once); the
+        # sampler adds no check of its own, and no trajectory here leaves the
+        # domain
         plain = field_2x2()
         target = CountedField(m=plain.m, sigma=plain.sigma)
         spec = KERNELS[method].default(plain, 1e-6, 1.0)

@@ -10,9 +10,17 @@ from hessmc.targets import (
     GaussianTarget,
     LogNormalField,
     OutOfDomain,
+    TargetModel,
     build_grid_covariance,
 )
-from support import desk_target, fd_gradient, fd_hessian, lognormal_1d, random_field
+from support import (
+    RECORD_ARRAYS,
+    desk_target,
+    fd_gradient,
+    fd_hessian,
+    lognormal_1d,
+    random_field,
+)
 
 
 class TestLogNormalPotential:
@@ -90,6 +98,71 @@ class TestLogNormalHessian:
             assert np.abs(h - fd).max() <= 1e-4 * np.abs(h).max()
 
 
+class TestPointHessian:
+    """A point's Hessian takes one BLAS outer product, a stack's one einsum:
+    the same bits."""
+
+    @pytest.mark.parametrize("dim", [1, 4, 64, 144])
+    def test_point_equals_einsum_and_stack_row(self, dim):
+        # coordinates from 1e-150 to 1e150, so the outer products run from
+        # 1e-300 to 1e300; each entry is one product either way
+        rng = np.random.default_rng(dim)
+        t = random_field(dim, rng)
+        precision = t.log_space.precision
+        stack = 10.0 ** rng.uniform(-150.0, 150.0, (8, dim))
+        stack[1] = 10.0 ** rng.uniform(-1.0, 1.0, dim)  # a row near 1 too
+        h_stack = t.hessian(stack)
+        for k, theta in enumerate(stack):
+            inv = 1.0 / theta
+            outer = np.einsum("i,j->ij", inv, inv)
+            assert np.array_equal(inv[:, None].dot(inv[None, :]), outer)
+            v = precision.dot(np.log(theta) - t.m)
+            expected = outer * precision
+            expected[np.diag_indices(dim)] -= (v + 1.0) * inv**2
+            h = t.hessian(theta)
+            assert np.isfinite(h).all() and h.flags.c_contiguous
+            assert np.array_equal(h, expected)
+            assert np.array_equal(h, h_stack[k])
+
+
+class TestPotentialAndHessian:
+    """One point's endpoint evaluation: J and the Hessian from one log theta,
+    one residual and one P r, unless potential or hessian is overridden."""
+
+    @pytest.mark.parametrize("rows", [2, 8, 12])
+    def test_bits_of_the_two_calls(self, rows):
+        _, field = desk_target(rows, rows)
+        for theta in perturbed_points(field, np.random.default_rng(rows)):
+            j, h = targets.potential_and_hessian(field, theta)
+            assert j == field.potential(theta)
+            assert np.array_equal(h, field.hessian(theta))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, np.nan])
+    def test_outside_the_domain(self, bad):
+        field = random_field(3, np.random.default_rng(3))
+        theta = field.map_point()
+        theta[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert targets.potential_and_hessian(field, theta) == (np.inf, None)
+
+    def test_overrides_take_the_two_calls(self, monkeypatch):
+        # a patch of the class, of the instance or a subclass's method is used
+        field = random_field(3, np.random.default_rng(5))
+        theta = field.map_point()
+        j, h = targets.potential_and_hessian(field, theta)
+        monkeypatch.setattr(LogNormalField, "potential", lambda self, x: 7.0)
+        assert targets.potential_and_hessian(field, theta)[0] == 7.0
+        monkeypatch.undo()
+        monkeypatch.setattr(field, "hessian", lambda x: np.eye(3), raising=False)
+        assert np.array_equal(targets.potential_and_hessian(field, theta)[1], np.eye(3))
+        monkeypatch.undo()
+        assert targets.potential_and_hessian(field, theta)[0] == j
+        # no Hessian where the potential is not finite
+        monkeypatch.setattr(LogNormalField, "potential", lambda self, x: np.inf)
+        assert targets.potential_and_hessian(field, theta) == (np.inf, None)
+
+
 class TestMap:
     def test_scalar(self):
         assert lognormal_1d().map_point()[0] == pytest.approx(np.exp(-1.0))
@@ -150,6 +223,47 @@ class TestNormalizationFreeContract:
         ]
         assert np.array_equal(recs[0].accept_flags, recs[1].accept_flags)
         assert np.array_equal(recs[0].samples, recs[1].samples)
+
+    @pytest.mark.parametrize("override", ["potential", "hessian"])
+    def test_an_override_is_used(self, override):
+        # a subclass that overrides only potential (by a term that is not
+        # constant) or only hessian runs HLOCAL_HMC bit for bit as a plain
+        # target that forwards the three methods to it, which takes the two
+        # separate endpoint calls, and not as the field it subclasses
+        from hessmc.samplers import LocalHessian, SamplerConfig, run_chain
+
+        base = random_field(4, np.random.default_rng(17))
+
+        class Tilted(LogNormalField):
+            def potential(self, theta):
+                return super().potential(theta) + 0.3 * np.add.reduce(theta, -1)
+
+        class Scaled(LogNormalField):
+            def hessian(self, theta):
+                return 1.5 * super().hessian(theta)
+
+        class Forward(TargetModel):
+            def __init__(self, inner):
+                self.inner, self.dim = inner, inner.dim
+
+            def potential(self, theta):
+                return self.inner.potential(theta)
+
+            def gradient(self, theta):
+                return self.inner.gradient(theta)
+
+            def hessian(self, theta):
+                return self.inner.hessian(theta)
+
+        field = (Tilted if override == "potential" else Scaled)(m=base.m, sigma=base.sigma)
+        cfg = SamplerConfig(method="HLOCAL_HMC", dt=0.3, leapfrog_steps=5, n_samples=200)
+        recs = [run_chain(t, LocalHessian(1e-6), cfg, base.map_point(),
+                          np.random.default_rng(55))
+                for t in (field, Forward(field), base)]
+        assert 0.0 < recs[0].accept_flags.mean() < 1.0
+        for name in RECORD_ARRAYS:
+            assert np.array_equal(getattr(recs[0], name), getattr(recs[1], name))
+        assert not np.array_equal(recs[0].samples, recs[2].samples)
 
 
 class TestGaussianTarget:
